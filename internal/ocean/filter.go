@@ -10,50 +10,48 @@ import (
 // latitude, zonal wavenumbers above m_max * cos(lat)/cos(latFilter) are
 // removed, relaxing the CFL restriction of the converging meridians — the
 // "spatial filter similar to the sort used in atmospheric models" of the
-// paper's Section 4.2.
+// paper's Section 4.2. The transform runs on split re/im planes
+// (spectral.ForwardSplitInto / InverseSplitInto), bit-identical to the
+// complex transform it replaced.
 type rowFilter struct {
-	fft  *spectral.FFT
-	buf  []complex128
-	out  []complex128
-	row  []float64 // staging row for polarFilter
-	nlon int
+	fft        *spectral.FFT
+	scr        *spectral.FFTScratch
+	specRe     []float64 // spectrum of the row being filtered
+	specIm     []float64
+	zero, drop []float64 // the row's all-zero imaginary plane; the discarded imaginary output
+	row        []float64 // staging row for polarFilter
+	nlon       int
 }
 
 func newRowFilter(nlon int) *rowFilter {
+	fft := spectral.NewFFT(nlon)
 	return &rowFilter{
-		fft:  spectral.NewFFT(nlon),
-		buf:  make([]complex128, nlon),
-		out:  make([]complex128, nlon),
-		row:  make([]float64, nlon),
-		nlon: nlon,
+		fft: fft, scr: fft.NewScratch(),
+		specRe: make([]float64, nlon), specIm: make([]float64, nlon),
+		zero: make([]float64, nlon), drop: make([]float64, nlon),
+		row: make([]float64, nlon), nlon: nlon,
 	}
 }
 
-// apply truncates a single row in place, keeping wavenumbers <= keep.
-// buf and out never alias, so the allocation-free FFT entry points apply.
+// apply truncates a single row in place, keeping wavenumbers <= keep. row
+// must not be one of the filter's own planes.
 func (rf *rowFilter) apply(row []float64, keep int) {
 	n := rf.nlon
 	if keep >= n/2 {
 		return
 	}
-	for i := 0; i < n; i++ {
-		rf.buf[i] = complex(row[i], 0)
-	}
-	rf.fft.ForwardInto(rf.out, rf.buf, nil)
+	rf.fft.ForwardSplitInto(rf.specRe, rf.specIm, row, rf.zero, rf.scr)
 	for mIdx := keep + 1; mIdx <= n-keep-1; mIdx++ {
-		rf.out[mIdx] = 0
+		rf.specRe[mIdx], rf.specIm[mIdx] = 0, 0
 	}
-	rf.fft.InverseInto(rf.buf, rf.out, nil)
-	for i := 0; i < n; i++ {
-		row[i] = real(rf.buf[i])
-	}
+	rf.fft.InverseSplitInto(row, rf.drop, rf.specRe, rf.specIm, rf.scr)
 }
 
-// polarFilter filters the prognostic fields on rows poleward of the
-// configured latitude. Land values are preserved by filtering the deviation
-// over water only when the row contains land (a masked row is filtered in
-// its ocean segments' mean sense). rf is the caller's row filter (its
-// buffers are mutated); the shared-memory driver passes per-worker filters.
+// polarFilter filters the prognostic fields on rows [j0,j1) poleward of the
+// configured latitude. Land values are preserved: land is filled with the
+// row-mean ocean value before the transform and only ocean cells are
+// written back. rf is the calling worker's filter (its buffers are
+// mutated).
 func (m *Model) polarFilter(rf *rowFilter, j0, j1 int) {
 	nlon := m.cfg.NLon
 	latF := m.cfg.PolarFilterLat * math.Pi / 180
@@ -68,15 +66,14 @@ func (m *Model) polarFilter(rf *rowFilter, j0, j1 int) {
 		if keep < 2 {
 			keep = 2
 		}
+		kr := m.kmt[j*nlon : (j+1)*nlon]
 		filterField := func(fld []float64, k int) {
-			// Fill land with the row-mean ocean value so the filter does
-			// not smear land values into the ocean.
+			fr := fld[j*nlon : (j+1)*nlon]
 			var mean float64
 			var cnt int
-			for i := 0; i < nlon; i++ {
-				c := j*nlon + i
-				if k < m.kmt[c] {
-					mean += fld[c]
+			for i, kb := range kr {
+				if k < kb {
+					mean += fr[i]
 					cnt++
 				}
 			}
@@ -84,19 +81,17 @@ func (m *Model) polarFilter(rf *rowFilter, j0, j1 int) {
 				return
 			}
 			mean /= float64(cnt)
-			for i := 0; i < nlon; i++ {
-				c := j*nlon + i
-				if k < m.kmt[c] {
-					row[i] = fld[c]
+			for i, kb := range kr {
+				if k < kb {
+					row[i] = fr[i]
 				} else {
 					row[i] = mean
 				}
 			}
 			rf.apply(row, keep)
-			for i := 0; i < nlon; i++ {
-				c := j*nlon + i
-				if k < m.kmt[c] {
-					fld[c] = row[i]
+			for i, kb := range kr {
+				if k < kb {
+					fr[i] = row[i]
 				}
 			}
 		}

@@ -1,16 +1,21 @@
 package ocean
 
-import "testing"
+import (
+	"testing"
 
-// FuzzBlockRange checks the row-decomposition invariant for arbitrary
-// domain sizes and rank counts: the blocks must tile the interior rows
+	"foam/internal/pool"
+)
+
+// FuzzBlockRange checks the row-decomposition invariant of the phase driver
+// for arbitrary domain sizes and worker counts: the pool's blocks of the
+// NLat-2 interior rows, shifted by one as bindPhases does, must tile
 // [1, nlat-1) exactly once, in order, with no gaps, overlaps, or
-// out-of-range rows — the property both the message-passing and the
-// shared-memory drivers rely on for bit-identical parallel stepping.
+// out-of-range rows — the property the driver relies on for bit-identical
+// parallel stepping.
 func FuzzBlockRange(f *testing.F) {
 	f.Add(32, 4)
 	f.Add(128, 7)
-	f.Add(4, 16) // more ranks than interior rows
+	f.Add(4, 16) // more workers than interior rows
 	f.Add(3, 1)
 	f.Fuzz(func(t *testing.T, nlat, p int) {
 		if nlat < 3 || nlat > 1<<20 || p < 1 || p > 1<<12 {
@@ -18,7 +23,8 @@ func FuzzBlockRange(f *testing.F) {
 		}
 		prev := 1
 		for r := 0; r < p; r++ {
-			j0, j1 := BlockRange(nlat, p, r)
+			lo, hi := pool.Block(nlat-2, r, p)
+			j0, j1 := 1+lo, 1+hi
 			if j0 != prev {
 				t.Fatalf("nlat=%d p=%d r=%d: block starts at %d, want %d", nlat, p, r, j0, prev)
 			}

@@ -2,628 +2,444 @@ package ocean
 
 import "math"
 
-// syncFunc exchanges the boundary rows (j0-1 and j1) of the given fields
-// with the neighbouring owners. The serial driver passes nil; the parallel
-// driver wires it to halo exchange over mp.
-type syncFunc func(fields ...[]float64)
+// Row-sweep kernels of the ocean step. Every kernel advances the interior
+// rows [j0,j1) of its fields (1 <= j0, j1 <= NLat-1: the closed boundary
+// rows are all land and are never written), walks contiguous row slices,
+// and computes each face velocity, Laplacian and column factorization
+// once. The per-cell floating-point operation order is the contract: it is
+// pinned by TestOceanTrajectoryPinned, and DESIGN.md ("Ocean kernel
+// structure") lists the rules that keep it (kept divisions, sum order,
+// +0.0 seeds). Kernels are sequenced by the phase driver in shared.go.
 
-// stepRows advances rows [j0,j1) one tracer interval. All reads reach at
-// most one row beyond the range per sync epoch; sync is called whenever
-// freshly written data must be visible across the block boundary.
-func (m *Model) stepRows(f *Forcing, j0, j1 int, sync syncFunc) {
-	dt := m.cfg.DtTracer
+// workScratch is one worker's row buffers; nothing in it outlives a kernel
+// call.
+type workScratch struct {
+	// Face-velocity window of the current row: east faces, north faces of
+	// the row to the south, north faces of the row itself.
+	fe, fs, fn []float64
+	div        []float64    // face divergence of the current row
+	r          [8][]float64 // general row buffers, named by each kernel
+	lev        []float64    // per-level limits (NLev entries)
+	filt       *rowFilter
+	mix        *mixScratch
+}
 
-	// Ghost-extended ranges: column-local quantities are also computed on
-	// the halo rows so the parallel driver's ghosts match the owners
-	// bit-for-bit with two-deep halo exchanges (see parallel.go).
-	ge0 := max(j0-1, 0)
-	ge1 := min(j1+1, m.cfg.NLat)
-
-	// 1. Vertical velocity and the slow momentum tendencies: advection +
-	// biharmonic friction + wind stress + bottom drag, evaluated once per
-	// tracer step and carried unchanged through the subcycles (the paper's
-	// "yet a longer step ... for diffusive and advective processes").
-	m.verticalVelocity(ge0, ge1)
-	m.slowMomentum(f, j0, j1)
-
-	// 2. Horizontal tracer transport, diffusion and column physics at the
-	// long step.
-	m.horizontalTracerStep(j0, j1, dt)
-	m.surfaceTracerForcing(f, j0, j1, dt)
-	// Refresh density before the Richardson mixing so it reflects the
-	// just-advected tracers (and so no hidden state survives a restart).
-	m.density(ge0, ge1)
-	m.verticalMixing(m.mix, j0, j1, dt)
-	m.convectiveAdjust(j0, j1)
-	m.freezeClamp(j0, j1, dt)
-	if sync != nil {
-		sync(m.t...)
-		sync(m.s...)
-		sync(m.u...)
-		sync(m.v...)
-		sync(m.eta, m.ubt, m.vbt) // eta carries the freshwater volume source
+func newWorkScratch(cfg Config) *workScratch {
+	ws := &workScratch{
+		fe: make([]float64, cfg.NLon), fs: make([]float64, cfg.NLon), fn: make([]float64, cfg.NLon),
+		div: make([]float64, cfg.NLon), lev: make([]float64, cfg.NLev),
+		filt: newRowFilter(cfg.NLon), mix: newMixScratch(cfg.NLev),
 	}
+	for i := range ws.r {
+		ws.r[i] = make([]float64, cfg.NLon)
+	}
+	return ws
+}
 
-	// 3. Fast subcycles — the "fastest parts of the internal dynamics" of
-	// the paper's Section 4.2: the internal gravity-wave loop (velocity <-
-	// pressure gradients, buoyancy <- vertical advection of the
-	// stratification) plus the split 2-D barotropic system. Density and
-	// pressure are refreshed every subcycle so internal waves are
-	// integrated at the short step where they are stable.
-	nsub := m.cfg.Subcycles()
-	nbaro := m.cfg.BaroSubcycles()
-	dtf := m.cfg.DtInternal
-	dtb := m.cfg.DtBaro
-	for n := 0; n < nsub; n++ {
-		m.verticalVelocity(ge0, ge1)
-		m.verticalTracerStep(m.scr2, ge0, ge1, dtf)
-		m.density(ge0, ge1)
-		m.baroclinicPressure(ge0, ge1)
-		m.internalStep(j0, j1, dtf)
-		if m.cfg.Split {
-			// The barotropic system runs on the fastest of the three time
-			// levels (paper Section 4.2).
-			for b := 0; b < nbaro; b++ {
-				m.barotropicStep(f, j0, j1, dtb, sync)
-			}
-			m.coupleBarotropic(j0, j1)
+// rowOf returns row j of a 2-D field; kmtRow the active-level counts of row j.
+func (m *Model) rowOf(f []float64, j int) []float64 {
+	n := m.cfg.NLon
+	return f[j*n : (j+1)*n : (j+1)*n]
+}
+
+func (m *Model) kmtRow(j int) []int {
+	n := m.cfg.NLon
+	return m.kmt[j*n : (j+1)*n : (j+1)*n]
+}
+
+// limit clamps x to [-lim, lim] for lim > 0. NaN and signed zeros pass
+// through, exactly as math.Max(-lim, math.Min(lim, x)).
+func limit(x, lim float64) float64 {
+	if x > lim {
+		return lim
+	}
+	if x < -lim {
+		return -lim
+	}
+	return x
+}
+
+// oneSided is the masked centered difference over spacing d: centered where
+// both neighbours are open, one-sided where one is land, zero where both
+// are. One-sided surface-height gradients at coasts are essential: the sea
+// surface piles up against a wall and the resulting pressure force is what
+// blocks further inflow on an A-grid.
+func oneSided(lo, c, hi float64, openLo, openHi bool, d float64) float64 {
+	switch {
+	case openHi && openLo:
+		return (hi - lo) / (2 * d)
+	case openHi:
+		return (hi - c) / d
+	case openLo:
+		return (c - lo) / d
+	}
+	return 0
+}
+
+// eastFaces fills fe[i] with the advective velocity through the east face
+// of cell i at level k: the mean of the two adjacent cell velocities,
+// CFL-limited against the tracer step, zero when either side is land (no
+// flow through coasts). The pair (iw, i) walks the periodic row without a
+// modulo.
+func eastFaces(fe, ur []float64, kr []int, k int, lim float64) {
+	n := len(kr)
+	for iw, i := n-1, 0; i < n; iw, i = i, i+1 {
+		if k < kr[iw] && k < kr[i] {
+			fe[iw] = limit(0.5*(ur[iw]+ur[i]), lim)
 		} else {
-			m.unsplitFreeSurface(f, j0, j1, dtf)
-		}
-		if sync != nil {
-			sync(m.u...)
-			sync(m.v...)
-		}
-		m.smoothVelocities(j0, j1)
-		if sync != nil {
-			sync(m.u...)
-			sync(m.v...)
-			sync(m.t...)
-			sync(m.s...)
-			sync(m.eta, m.ubt, m.vbt)
-		}
-	}
-
-	// 6. Polar filter keeps the converging-meridian rows stable.
-	m.polarFilter(m.fft, j0, j1)
-
-	// 7. Velocity limiter: a coarse-resolution safety clamp (3 m/s far
-	// exceeds any resolved current).
-	m.clampVelocities(j0, j1)
-}
-
-func (m *Model) clampVelocities(j0, j1 int) {
-	const vmax = 3.0
-	nlon := m.cfg.NLon
-	for k := 0; k < m.cfg.NLev; k++ {
-		uk, vk := m.u[k], m.v[k]
-		for j := j0; j < j1; j++ {
-			for i := 0; i < nlon; i++ {
-				c := j*nlon + i
-				sp := math.Hypot(uk[c], vk[c])
-				if sp > vmax {
-					f := vmax / sp
-					uk[c] *= f
-					vk[c] *= f
-				}
-			}
+			fe[iw] = 0
 		}
 	}
 }
 
-// density evaluates the (simplified UNESCO-like) equation of state as a
-// density anomaly about Rho0.
-func (m *Model) density(j0, j1 int) {
-	nlon := m.cfg.NLon
-	for k := 0; k < m.cfg.NLev; k++ {
-		tk, sk, rk := m.t[k], m.s[k], m.rho[k]
-		for j := j0; j < j1; j++ {
-			for i := 0; i < nlon; i++ {
-				c := j*nlon + i
-				if k >= m.kmt[c] {
-					rk[c] = 0
-					continue
-				}
-				td := tk[c] - 10
-				rk[c] = Rho0 * (EosAlpha*td + EosAlpha2*td*td + EosBeta*(sk[c]-35))
-			}
-		}
-	}
-}
-
-// baroclinicPressure integrates the hydrostatic relation downward; pbc is
-// pressure anomaly divided by Rho0 (m^2/s^2).
-func (m *Model) baroclinicPressure(j0, j1 int) {
-	nlon := m.cfg.NLon
-	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			p := 0.0
-			for k := 0; k < m.cfg.NLev; k++ {
-				if k >= m.kmt[c] {
-					m.pbc[k][c] = p
-					continue
-				}
-				p += GravOc * m.rho[k][c] / Rho0 * m.dz[k] * 0.5
-				m.pbc[k][c] = p
-				p += GravOc * m.rho[k][c] / Rho0 * m.dz[k] * 0.5
-			}
-		}
-	}
-}
-
-// gradX/gradY compute masked centered differences at cell c (row j). Where a
-// neighbour is land the difference becomes one-sided; where both are land it
-// vanishes.
-func (m *Model) gradX(field []float64, j, i, k int) float64 {
-	nlon := m.cfg.NLon
-	c := j*nlon + i
-	ie := j*nlon + (i+1)%nlon
-	iw := j*nlon + (i-1+nlon)%nlon
-	we, ww := 1.0, 1.0
-	if k >= m.kmt[ie] {
-		we = 0
-	}
-	if k >= m.kmt[iw] {
-		ww = 0
-	}
-	switch {
-	case we > 0.5 && ww > 0.5:
-		return (field[ie] - field[iw]) / (2 * m.dx[j])
-	case we > 0.5:
-		return (field[ie] - field[c]) / m.dx[j]
-	case ww > 0.5:
-		return (field[c] - field[iw]) / m.dx[j]
-	default:
-		return 0
-	}
-}
-
-func (m *Model) gradY(field []float64, j, i, k int) float64 {
-	nlon := m.cfg.NLon
-	c := j*nlon + i
-	jn := (j+1)*nlon + i
-	js := (j-1)*nlon + i
-	wn, ws := 1.0, 1.0
-	if j+1 >= m.cfg.NLat || k >= m.kmt[jn] {
-		wn = 0
-	}
-	if j-1 < 0 || k >= m.kmt[js] {
-		ws = 0
-	}
-	switch {
-	case wn > 0.5 && ws > 0.5:
-		return (field[jn] - field[js]) / (m.dy[j] * 2)
-	case wn > 0.5:
-		return (field[jn] - field[c]) / m.dy[j]
-	case ws > 0.5:
-		return (field[c] - field[js]) / m.dy[j]
-	default:
-		return 0
-	}
-}
-
-// gradXP/gradYP are the pressure-gradient variants: centered difference
-// only where both neighbours are wet at level k, zero otherwise. One-sided
-// differences of pressure at coasts and topography steps exert
-// non-reciprocal forces that drive spurious along-slope jets; zeroing the
-// blocked direction is the standard A-grid remedy (consistent with
-// no-normal-flow).
-func (m *Model) gradXP(field []float64, j, i, k int) float64 {
-	nlon := m.cfg.NLon
-	ie := j*nlon + (i+1)%nlon
-	iw := j*nlon + (i-1+nlon)%nlon
-	if k >= m.kmt[ie] || k >= m.kmt[iw] {
-		return 0
-	}
-	return (field[ie] - field[iw]) / (2 * m.dx[j])
-}
-
-func (m *Model) gradYP(field []float64, j, i, k int) float64 {
-	if j+1 >= m.cfg.NLat || j-1 < 0 {
-		return 0
-	}
-	nlon := m.cfg.NLon
-	jn := (j+1)*nlon + i
-	js := (j-1)*nlon + i
-	if k >= m.kmt[jn] || k >= m.kmt[js] {
-		return 0
-	}
-	return (field[jn] - field[js]) / (2 * m.dy[j])
-}
-
-// faceU and faceV are the advective face velocities: the average of the two
-// adjacent cell velocities, zero when either side is land (no flow through
-// coasts). faceU is the east face of (j,i); faceV the north face.
-func (m *Model) faceU(uk []float64, j, i, k int) float64 {
-	nlon := m.cfg.NLon
-	c := j*nlon + i
-	ie := j*nlon + (i+1)%nlon
-	if k >= m.kmt[c] || k >= m.kmt[ie] {
-		return 0
-	}
-	u := 0.5 * (uk[c] + uk[ie])
-	lim := 0.45 * m.dx[j] / m.cfg.DtTracer
-	if u > lim {
-		return lim
-	}
-	if u < -lim {
-		return -lim
-	}
-	return u
-}
-
-func (m *Model) faceV(vk []float64, j, i, k int) float64 {
-	if j+1 >= m.cfg.NLat {
-		return 0
-	}
-	nlon := m.cfg.NLon
-	c := j*nlon + i
-	jn := (j+1)*nlon + i
-	if k >= m.kmt[c] || k >= m.kmt[jn] {
-		return 0
-	}
-	v := 0.5 * (vk[c] + vk[jn])
+// northFaces is eastFaces for the faces between rows j and j+1.
+func (m *Model) northFaces(fn, vk []float64, j, k int) {
 	lim := 0.45 * math.Min(m.dy[j], m.dy[j+1]) / m.cfg.DtTracer
-	if v > lim {
-		return lim
+	vr, vn := m.rowOf(vk, j), m.rowOf(vk, j+1)
+	kr, kn := m.kmtRow(j), m.kmtRow(j+1)
+	for i := range fn {
+		if k < kr[i] && k < kn[i] {
+			fn[i] = limit(0.5*(vr[i]+vn[i]), lim)
+		} else {
+			fn[i] = 0
+		}
 	}
-	if v < -lim {
-		return -lim
-	}
-	return v
 }
 
-// faceDivergence is the horizontal divergence built from the face
-// velocities — the same discrete operator the tracer fluxes use, so the
-// diagnosed w closes the 3-D divergence cell by cell (a uniform tracer is
-// then preserved exactly under advection).
-func (m *Model) faceDivergence(uk, vk []float64, j, i, k int) float64 {
-	nlon := m.cfg.NLon
-	uE := m.faceU(uk, j, i, k)
-	uW := m.faceU(uk, j, (i-1+nlon)%nlon, k)
-	div := (uE - uW) / m.dx[j]
-	var vN, vS float64
-	var cN, cS float64
-	if j+1 < m.cfg.NLat {
-		vN = m.faceV(vk, j, i, k)
-		cN = 0.5 * (m.cosLat[j] + m.cosLat[j+1])
-	}
-	if j-1 >= 0 {
-		vS = m.faceV(vk, j-1, i, k)
-		cS = 0.5 * (m.cosLat[j-1] + m.cosLat[j])
-	}
-	div += (vN*cN - vS*cS) / (m.dy[j] * m.cosLat[j])
-	return div
+// faces advances the worker's face window to row j of level k: the previous
+// row's north faces become the south faces, east and north faces are
+// computed. A sweep primes the window with northFaces(ws.fn, vk, j0-1, k).
+func (m *Model) faces(ws *workScratch, uk, vk []float64, j, k int) {
+	ws.fs, ws.fn = ws.fn, ws.fs
+	eastFaces(ws.fe, m.rowOf(uk, j), m.kmtRow(j), k, 0.45*m.dx[j]/m.cfg.DtTracer)
+	m.northFaces(ws.fn, vk, j, k)
 }
 
-// verticalVelocity integrates continuity upward from the bottom using the
-// face-consistent divergence. w[0] (the surface face) carries the
-// free-surface volume flux.
-func (m *Model) verticalVelocity(j0, j1 int) {
-	nlon := m.cfg.NLon
-	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			kb := m.kmt[c]
-			for k := m.cfg.NLev; k > kb; k-- {
-				m.wVel[k][c] = 0
-			}
-			if kb == 0 {
-				m.wVel[0][c] = 0
-				continue
-			}
-			m.wVel[kb][c] = 0
-			// Layer volume balance (w positive upward, z increasing
-			// downward): horizontal convergence leaves through the top:
-			// w_top = w_bottom - div*dz.
-			for k := kb - 1; k >= 0; k-- {
-				m.wVel[k][c] = m.wVel[k+1][c] - m.faceDivergence(m.u[k], m.v[k], j, i, k)*m.dz[k]
+// divergence writes the horizontal divergence of row j built from the face
+// window — the same faces the tracer fluxes use, so the diagnosed w closes
+// the 3-D divergence cell by cell (a uniform tracer is then preserved
+// exactly under advection). Land cells get +0 (all their faces are closed).
+func (m *Model) divergence(out []float64, ws *workScratch, j int) {
+	fe, fs, fn := ws.fe, ws.fs, ws.fn
+	cN := 0.5 * (m.cosLat[j] + m.cosLat[j+1])
+	cS := 0.5 * (m.cosLat[j-1] + m.cosLat[j])
+	dx, dyc := m.dx[j], m.dy[j]*m.cosLat[j]
+	for iw, i := len(out)-1, 0; i < len(out); iw, i = i, i+1 {
+		d := (fe[i] - fe[iw]) / dx
+		d += (fn[i]*cN - fs[i]*cS) / dyc
+		out[i] = d
+	}
+}
+
+// verticalVelocity integrates continuity upward from the bottom, level by
+// level. w is positive upward on half levels (z increases downward), so the
+// horizontal convergence of a layer leaves through its top:
+// w_top = w_bottom - div*dz. w[0] (the surface face) carries the
+// free-surface volume flux; w is zero at and below each column's floor.
+func (m *Model) verticalVelocity(ws *workScratch, j0, j1 int) {
+	for k := m.cfg.NLev - 1; k >= 0; k-- {
+		uk, vk, dzk := m.u[k], m.v[k], m.dz[k]
+		m.northFaces(ws.fn, vk, j0-1, k)
+		for j := j0; j < j1; j++ {
+			m.faces(ws, uk, vk, j, k)
+			m.divergence(ws.div, ws, j)
+			wt, wb := m.rowOf(m.wVel[k], j), m.rowOf(m.wVel[k+1], j)
+			for i, kb := range m.kmtRow(j) {
+				if k < kb {
+					wt[i] = wb[i] - ws.div[i]*dzk
+				} else {
+					wt[i] = 0
+				}
 			}
 		}
 	}
 }
 
-// slowMomentum assembles the advective, frictional and surface-stress
-// tendencies evaluated once per tracer step.
-func (m *Model) slowMomentum(f *Forcing, j0, j1 int) {
-	m.slowMomentumCells(f, j0, j1)
-	// Biharmonic friction as two Laplacian passes; the intermediate
-	// Laplacian is computed one row beyond the block so it needs no extra
-	// halo exchange.
-	if !m.cfg.NoBiharmonic {
-		m.biharmonic(m.scr, j0, j1)
+// lapRows writes scale times the dimensionless five-point Laplacian (grid
+// units, so damping rates are resolution-independent) of the centre row fc
+// at level k, summing the open neighbours east, west, north, south; land
+// cells get 0.
+func lapRows(out, fs, fc, fn []float64, ks, kc, kn []int, k int, scale float64) {
+	n := len(kc)
+	for iw, i, ie := n-1, 0, 1; i < n; iw, i, ie = i, i+1, ie+1 {
+		if ie == n {
+			ie = 0
+		}
+		if k >= kc[i] {
+			out[i] = 0
+			continue
+		}
+		sum, cnt := 0.0, 0.0
+		if k < kc[ie] {
+			sum += fc[ie]
+			cnt++
+		}
+		if k < kc[iw] {
+			sum += fc[iw]
+			cnt++
+		}
+		if k < kn[i] {
+			sum += fn[i]
+			cnt++
+		}
+		if k < ks[i] {
+			sum += fs[i]
+			cnt++
+		}
+		out[i] = scale * (sum - cnt*fc[i])
 	}
 }
 
-// slowMomentumCells is the per-cell part of slowMomentum (everything except
-// the biharmonic pass, which needs a scratch buffer).
-func (m *Model) slowMomentumCells(f *Forcing, j0, j1 int) {
-	nlon := m.cfg.NLon
-	for k := 0; k < m.cfg.NLev; k++ {
+// lapRow is lapRows on row j of fld; the closed boundary rows are all land.
+func (m *Model) lapRow(out, fld []float64, j, k int, scale float64) {
+	if j == 0 || j == m.cfg.NLat-1 {
+		clear(out)
+		return
+	}
+	lapRows(out, m.rowOf(fld, j-1), m.rowOf(fld, j), m.rowOf(fld, j+1),
+		m.kmtRow(j-1), m.kmtRow(j), m.kmtRow(j+1), k, scale)
+}
+
+// slowMomentum assembles the tendencies evaluated once per tracer step and
+// carried unchanged through the subcycles (the paper's "yet a longer step
+// ... for diffusive and advective processes"): donor-cell advection of
+// momentum, Laplacian viscosity, biharmonic friction, wind stress and
+// bottom drag. The advecting velocities are CFL-limited against the long
+// tracer step, which the held-fixed tendencies must satisfy. The Laplacians
+// of u and v live in a rolling three-row window: the centre row feeds the
+// viscosity, all three the second Laplacian of the biharmonic term.
+func (m *Model) slowMomentum(ws *workScratch, f *Forcing, j0, j1 int) {
+	nlon, nlev, dt := m.cfg.NLon, m.cfg.NLev, m.cfg.DtTracer
+	advect, biharm, viscous := !m.cfg.NoMomentumAdvection, !m.cfg.NoBiharmonic, m.cfg.AM > 0
+	// del^4 damping, row-scaled so the two-grid-interval mode decays by
+	// BiharmCoef per tracer step.
+	coef := m.cfg.BiharmCoef / (16 * dt)
+	lu, lv, l2u, l2v := ws.r[0:3], ws.r[3:6], ws.r[6], ws.r[7]
+	for k := 0; k < nlev; k++ {
 		uk, vk := m.u[k], m.v[k]
-		su, sv := m.slowU[k], m.slowV[k]
+		var wMaxT, hzT, wMaxB, hzB float64 // vertical donor-cell limits of the two faces
+		if k > 0 {
+			wMaxT, hzT = 0.45*math.Min(m.dz[k-1], m.dz[k])/dt, 0.5*(m.dz[k-1]+m.dz[k])
+		}
+		if k+1 < nlev {
+			wMaxB, hzB = 0.45*math.Min(m.dz[k], m.dz[k+1])/dt, 0.5*(m.dz[k]+m.dz[k+1])
+		}
+		if viscous || biharm {
+			for j := j0 - 1; j <= j0; j++ {
+				m.lapRow(lu[j%3], uk, j, k, 1)
+				m.lapRow(lv[j%3], vk, j, k, 1)
+			}
+		}
 		for j := j0; j < j1; j++ {
-			for i := 0; i < nlon; i++ {
-				c := j*nlon + i
-				if k >= m.kmt[c] {
-					su[c], sv[c] = 0, 0
+			ks, kr, kn := m.kmtRow(j-1), m.kmtRow(j), m.kmtRow(j+1)
+			if viscous || biharm {
+				m.lapRow(lu[(j+1)%3], uk, j+1, k, 1)
+				m.lapRow(lv[(j+1)%3], vk, j+1, k, 1)
+			}
+			luc, lvc := lu[j%3], lv[j%3]
+			if biharm {
+				lapRows(l2u, lu[(j-1)%3], luc, lu[(j+1)%3], ks, kr, kn, k, 1)
+				lapRows(l2v, lv[(j-1)%3], lvc, lv[(j+1)%3], ks, kr, kn, k, 1)
+			}
+			dx, dy := m.dx[j], m.dy[j]
+			uMax, vMax := 0.45*dx/dt, 0.45*dy/dt
+			// Laplacian viscosity, capped by the explicit stability bound
+			// on converging rows.
+			var visc float64
+			if viscous {
+				am := math.Min(m.cfg.AM, 0.2/(dt*(1/(dx*dx)+1/(dy*dy))))
+				visc = am / (dx * dy)
+			}
+			us, ur, un := m.rowOf(uk, j-1), m.rowOf(uk, j), m.rowOf(uk, j+1)
+			vs, vr, vn := m.rowOf(vk, j-1), m.rowOf(vk, j), m.rowOf(vk, j+1)
+			su, sv := m.rowOf(m.slowU[k], j), m.rowOf(m.slowV[k], j)
+			wt, wb := m.rowOf(m.wVel[k], j), m.rowOf(m.wVel[k+1], j)
+			var ua, va, ub, vb []float64 // the levels above and below
+			if k > 0 {
+				ua, va = m.rowOf(m.u[k-1], j), m.rowOf(m.v[k-1], j)
+			}
+			if k+1 < nlev {
+				ub, vb = m.rowOf(m.u[k+1], j), m.rowOf(m.v[k+1], j)
+			}
+			for iw, i, ie := nlon-1, 0, 1; i < nlon; iw, i, ie = i, i+1, ie+1 {
+				if ie == nlon {
+					ie = 0
+				}
+				kb := kr[i]
+				su[i], sv[i] = 0, 0
+				if k >= kb {
 					continue
 				}
-				// Upstream advection of momentum.
-				if !m.cfg.NoMomentumAdvection {
-					su[c] = -m.upstream(uk, uk, vk, j, i, k) - m.vadvMom(m.u, k, j, i, c)
-					sv[c] = -m.upstream(vk, uk, vk, j, i, k) - m.vadvMom(m.v, k, j, i, c)
-				} else {
-					su[c], sv[c] = 0, 0
-				}
-				// Laplacian viscosity, capped by the explicit stability
-				// bound on converging rows.
-				am := m.cfg.AM
-				if am > 0 {
-					lim := 0.2 / (m.cfg.DtTracer * (1/(m.dx[j]*m.dx[j]) + 1/(m.dy[j]*m.dy[j])))
-					if am > lim {
-						am = lim
+				if advect {
+					u, v := limit(ur[i], uMax), limit(vr[i], vMax)
+					hu, hv := 0.0, 0.0 // horizontal upstream advection of u and v
+					if u > 0 {
+						if k < kr[iw] {
+							hu += u * (ur[i] - ur[iw]) / dx
+							hv += u * (vr[i] - vr[iw]) / dx
+						}
+					} else if k < kr[ie] {
+						hu += u * (ur[ie] - ur[i]) / dx
+						hv += u * (vr[ie] - vr[i]) / dx
 					}
-					scale := am / (m.dx[j] * m.dy[j])
-					su[c] += scale * m.gridLaplacian(uk, j, i, k)
-					sv[c] += scale * m.gridLaplacian(vk, j, i, k)
+					if v > 0 {
+						if k < ks[i] {
+							hu += v * (ur[i] - us[i]) / dy
+							hv += v * (vr[i] - vs[i]) / dy
+						}
+					} else if k < kn[i] {
+						hu += v * (un[i] - ur[i]) / dy
+						hv += v * (vn[i] - vr[i]) / dy
+					}
+					zu, zv := 0.0, 0.0 // vertical upstream advection
+					if k > 0 {
+						// Downward flow through the top face brings upper water.
+						if w := max(wt[i], -wMaxT); w < 0 {
+							zu += -w * (ua[i] - ur[i]) / hzT
+							zv += -w * (va[i] - vr[i]) / hzT
+						}
+					}
+					if k+1 < kb {
+						// Upward flow through the bottom face brings lower water.
+						if w := min(wb[i], wMaxB); w > 0 {
+							zu += -w * (ur[i] - ub[i]) / hzB
+							zv += -w * (vr[i] - vb[i]) / hzB
+						}
+					}
+					su[i], sv[i] = -hu-zu, -hv-zv
 				}
-				// Wind stress into the top layer; quadratic bottom drag.
-				if k == 0 && f != nil {
-					su[c] += f.TauX[c] / (Rho0 * m.dz[0])
-					sv[c] += f.TauY[c] / (Rho0 * m.dz[0])
+				if viscous {
+					su[i] += visc * luc[i]
+					sv[i] += visc * lvc[i]
 				}
-				if k == m.kmt[c]-1 {
+				if k == 0 && f != nil { // wind stress into the top layer
+					c := j*nlon + i
+					su[i] += f.TauX[c] / (Rho0 * m.dz[0])
+					sv[i] += f.TauY[c] / (Rho0 * m.dz[0])
+				}
+				if k == kb-1 {
 					// Quadratic bottom drag. The coefficient is larger than
 					// the canonical 1e-3: it also stands in for the
 					// topographic form stress that balances zonally
 					// unbounded (ACC-like) channel flows, which a coarse
 					// A-grid model cannot represent explicitly.
-					sp := math.Hypot(uk[c], vk[c])
-					cdz := 2.5e-3 * sp / m.dz[k]
-					su[c] -= cdz * uk[c]
-					sv[c] -= cdz * vk[c]
+					cdz := 2.5e-3 * math.Hypot(ur[i], vr[i]) / m.dz[k]
+					su[i] -= cdz * ur[i]
+					sv[i] -= cdz * vr[i]
+				}
+				if biharm {
+					su[i] -= coef * l2u[i]
+					sv[i] -= coef * l2v[i]
 				}
 			}
 		}
 	}
 }
 
-// upstream is the donor-cell advection of field q by (uk, vk) at one point.
-func (m *Model) upstream(q, uk, vk []float64, j, i, k int) float64 {
-	nlon := m.cfg.NLon
-	c := j*nlon + i
-	var adv float64
-	// CFL-limit the advecting velocities against the tracer step.
-	uMax := 0.45 * m.dx[j] / m.cfg.DtTracer
-	vMax := 0.45 * m.dy[j] / m.cfg.DtTracer
-	u := math.Max(-uMax, math.Min(uMax, uk[c]))
-	vlim := math.Max(-vMax, math.Min(vMax, vk[c]))
-	if u > 0 {
-		iw := j*nlon + (i-1+nlon)%nlon
-		if k < m.kmt[iw] {
-			adv += u * (q[c] - q[iw]) / m.dx[j]
+// eastFlux fills x[i] with one tracer's donor-cell plus down-gradient flux
+// through the east face of cell i of row j (level k), already divided by
+// dx; northFlux fills gn[i] with the flux through the north face times the
+// face's metric convergence factor. Both read the face window. Closed faces
+// carry +0, which adds nothing to the +0-seeded tendency sums.
+func (m *Model) eastFlux(x, fe, q []float64, j, k int) {
+	qr, kr := m.rowOf(q, j), m.kmtRow(j)
+	ah, dx := m.cfg.AH, m.dx[j]
+	invV := 1 / dx
+	for iw, i := len(x)-1, 0; i < len(x); iw, i = i, i+1 {
+		if k >= kr[iw] || k >= kr[i] {
+			x[iw] = 0
+			continue
 		}
-	} else {
-		ie := j*nlon + (i+1)%nlon
-		if k < m.kmt[ie] {
-			adv += u * (q[ie] - q[c]) / m.dx[j]
+		var flux float64
+		if uf := fe[iw]; uf > 0 {
+			flux = uf * qr[iw]
+		} else {
+			flux = uf * qr[i]
 		}
-	}
-	if vlim > 0 {
-		if j-1 >= 0 {
-			js := (j-1)*nlon + i
-			if k < m.kmt[js] {
-				adv += vlim * (q[c] - q[js]) / m.dy[j]
-			}
-		}
-	} else if j+1 < m.cfg.NLat {
-		jn := (j+1)*nlon + i
-		if k < m.kmt[jn] {
-			adv += vlim * (q[jn] - q[c]) / m.dy[j]
-		}
-	}
-	return adv
-}
-
-// vadvMom is donor-cell vertical advection for a momentum component, with
-// the advecting velocity CFL-limited against the long tracer step (the slow
-// tendencies are held fixed through the subcycles, so they must satisfy the
-// tracer-step stability bound).
-func (m *Model) vadvMom(x [][]float64, k, j, i, c int) float64 {
-	kb := m.kmt[c]
-	dt := m.cfg.DtTracer
-	var adv float64
-	if k > 0 {
-		wTop := m.wVel[k][c]
-		wMax := 0.45 * math.Min(m.dz[k-1], m.dz[k]) / dt
-		if wTop < -wMax {
-			wTop = -wMax
-		}
-		if wTop < 0 { // downward through the top face brings upper water
-			adv += -wTop * (x[k-1][c] - x[k][c]) / (0.5 * (m.dz[k-1] + m.dz[k]))
-		}
-	}
-	if k+1 < kb {
-		wBot := m.wVel[k+1][c]
-		wMax := 0.45 * math.Min(m.dz[k], m.dz[k+1]) / dt
-		if wBot > wMax {
-			wBot = wMax
-		}
-		if wBot > 0 { // upward through the bottom face brings lower water
-			adv += -wBot * (x[k][c] - x[k+1][c]) / (0.5 * (m.dz[k] + m.dz[k+1]))
-		}
-	}
-	return adv
-}
-
-// biharmonic adds scale-selective del^4 momentum damping, row-scaled so the
-// damping of the two-grid-interval mode per tracer step is BiharmCoef. lap
-// is caller-supplied scratch (the shared-memory driver passes a per-worker
-// buffer so concurrent blocks do not collide).
-func (m *Model) biharmonic(lap []float64, j0, j1 int) {
-	nlon := m.cfg.NLon
-	for k := 0; k < m.cfg.NLev; k++ {
-		for _, pair := range [2]struct {
-			fld  []float64
-			tend []float64
-		}{{m.u[k], m.slowU[k]}, {m.v[k], m.slowV[k]}} {
-			// First Laplacian (grid units: dimensionless with local dx).
-			// Computed one row beyond the block; with two-deep halos the
-			// ghost values match the neighbouring owner's exactly.
-			for j := max(j0-1, 1); j < min(j1+1, m.cfg.NLat-1); j++ {
-				for i := 0; i < nlon; i++ {
-					c := j*nlon + i
-					if k >= m.kmt[c] {
-						lap[c] = 0
-						continue
-					}
-					lap[c] = m.gridLaplacian(pair.fld, j, i, k)
-				}
-			}
-			coef := m.cfg.BiharmCoef / (16 * m.cfg.DtTracer)
-			for j := j0; j < j1; j++ {
-				for i := 0; i < nlon; i++ {
-					c := j*nlon + i
-					if k >= m.kmt[c] {
-						continue
-					}
-					pair.tend[c] -= coef * m.gridLaplacian(lap, j, i, k)
-				}
-			}
-		}
+		flux -= ah * (qr[i] - qr[iw]) / dx
+		x[iw] = flux * invV
 	}
 }
 
-// gridLaplacian is the dimensionless five-point Laplacian (grid units), so
-// the biharmonic damping rate is resolution-independent.
-func (m *Model) gridLaplacian(fld []float64, j, i, k int) float64 {
-	nlon := m.cfg.NLon
-	c := j*nlon + i
-	ctr := fld[c]
-	sum, cnt := 0.0, 0.0
-	add := func(cc int, ok bool) {
-		if ok {
-			sum += fld[cc]
-			cnt++
+func (m *Model) northFlux(gn, fn, q []float64, j, k int) {
+	qr, qn := m.rowOf(q, j), m.rowOf(q, j+1)
+	kr, kn := m.kmtRow(j), m.kmtRow(j+1)
+	ah := m.cfg.AH
+	cosF := 0.5 * (m.cosLat[j] + m.cosLat[j+1])
+	dyF := 0.5 * (m.dy[j] + m.dy[j+1])
+	for i := range gn {
+		if k >= kr[i] || k >= kn[i] {
+			gn[i] = 0
+			continue
 		}
-	}
-	ie := j*nlon + (i+1)%nlon
-	iw := j*nlon + (i-1+nlon)%nlon
-	add(ie, k < m.kmt[ie])
-	add(iw, k < m.kmt[iw])
-	if j+1 < m.cfg.NLat {
-		jn := (j+1)*nlon + i
-		add(jn, k < m.kmt[jn])
-	}
-	if j-1 >= 0 {
-		js := (j-1)*nlon + i
-		add(js, k < m.kmt[js])
-	}
-	return sum - cnt*ctr
-}
-
-// horizontalTracerStep updates T and S with horizontal donor-cell face
-// fluxes plus down-gradient diffusion, in flux form with an advective-form
-// compensation (q times the discrete horizontal divergence) so that a
-// uniform tracer is preserved exactly even though the vertical transport is
-// handled separately in the subcycles. Interior face fluxes cancel
-// pairwise, so conservation is exact up to the (small) compensation term.
-func (m *Model) horizontalTracerStep(j0, j1 int, dt float64) {
-	for _, tr := range [2][][]float64{m.t, m.s} {
-		for k := 0; k < m.cfg.NLev; k++ {
-			m.tracerFluxTend(m.scr, tr[k], k, j0, j1, dt)
-			m.tracerApply(m.scr, tr[k], k, j0, j1, dt)
+		var flux float64
+		if vf := fn[i]; vf > 0 {
+			flux = vf * qr[i]
+		} else {
+			flux = vf * qn[i]
 		}
+		flux -= ah * (qn[i] - qr[i]) / dyF
+		gn[i] = flux * cosF
 	}
 }
 
-// tracerFluxTend accumulates the horizontal flux-form tendency for rows
-// [j0,j1) of one tracer level into tend. Faces are visited in the serial
-// order (east faces of each owned row, then north faces from row j0-1 up),
-// so a cell's tendency is summed in exactly the serial FP order regardless
-// of how the rows are blocked — the basis of the shared-memory driver's
-// bit-identity guarantee. tend is caller scratch; rows [j0-1, j1] are
-// zeroed and written, nothing else is touched.
-func (m *Model) tracerFluxTend(tend, q []float64, k, j0, j1 int, dt float64) {
-	nlon, nlat := m.cfg.NLon, m.cfg.NLat
+// tracerTend stores, for rows [j0,j1) of level k, the horizontal tendency
+// of T in m.scr and of S in m.scr2: donor-cell face fluxes plus
+// down-gradient diffusion in flux form, with the advective-form
+// compensation q times the face divergence so that a uniform tracer is
+// preserved exactly even though the vertical transport is handled
+// separately in the subcycles. Interior face fluxes cancel pairwise, so
+// conservation is exact up to the (small) compensation term. Both tracers
+// share one face window and one divergence; each cell sums its faces west,
+// east, south, north. tracerApply adds the tendencies after a barrier,
+// because the fluxes read tracer values on neighbour rows.
+func (m *Model) tracerTend(ws *workScratch, k, j0, j1 int) {
 	uk, vk := m.u[k], m.v[k]
-	for j := max(j0-1, 0); j < min(j1+1, nlat); j++ {
-		for i := 0; i < nlon; i++ {
-			tend[j*nlon+i] = 0
-		}
+	type fluxRows struct {
+		q, out    []float64
+		x, gs, gn []float64
 	}
-	// East faces: flux from cell (j,i) into (j,i+1).
+	tr := [2]fluxRows{
+		{q: m.t[k], out: m.scr, x: ws.r[0], gs: ws.r[1], gn: ws.r[2]},
+		{q: m.s[k], out: m.scr2, x: ws.r[3], gs: ws.r[4], gn: ws.r[5]},
+	}
+	m.northFaces(ws.fn, vk, j0-1, k)
+	for t := range tr {
+		m.northFlux(tr[t].gn, ws.fn, tr[t].q, j0-1, k)
+	}
 	for j := j0; j < j1; j++ {
-		invV := 1 / m.dx[j]
-		ufMax := 0.45 * m.dx[j] / dt
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			ie := j*nlon + (i+1)%nlon
-			if k >= m.kmt[c] || k >= m.kmt[ie] {
-				continue
+		m.faces(ws, uk, vk, j, k)
+		m.divergence(ws.div, ws, j)
+		kr, dyc := m.kmtRow(j), m.dy[j]*m.cosLat[j]
+		for t := range tr {
+			f := &tr[t]
+			f.gs, f.gn = f.gn, f.gs
+			m.eastFlux(f.x, ws.fe, f.q, j, k)
+			m.northFlux(f.gn, ws.fn, f.q, j, k)
+			qr, out := m.rowOf(f.q, j), m.rowOf(f.out, j)
+			for iw, i := len(kr)-1, 0; i < len(kr); iw, i = i, i+1 {
+				if k < kr[i] {
+					tend := 0.0
+					tend += f.x[iw]
+					tend -= f.x[i]
+					tend += f.gs[i] / dyc
+					tend -= f.gn[i] / dyc
+					out[i] = tend + qr[i]*ws.div[i]
+				}
 			}
-			uf := 0.5 * (uk[c] + uk[ie])
-			// Donor-cell stability bound at the long tracer step.
-			if uf > ufMax {
-				uf = ufMax
-			} else if uf < -ufMax {
-				uf = -ufMax
-			}
-			var flux float64
-			if uf > 0 {
-				flux = uf * q[c]
-			} else {
-				flux = uf * q[ie]
-			}
-			flux -= m.cfg.AH * (q[ie] - q[c]) / m.dx[j]
-			tend[c] -= flux * invV
-			tend[ie] += flux * invV
-		}
-	}
-	// North faces with the metric convergence factor.
-	for j := max(j0-1, 0); j < min(j1, nlat-1); j++ {
-		cosF := 0.5 * (m.cosLat[j] + m.cosLat[j+1])
-		dyF := 0.5 * (m.dy[j] + m.dy[j+1])
-		vfMax := 0.45 * math.Min(m.dy[j], m.dy[j+1]) / dt
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			jn := (j+1)*nlon + i
-			if k >= m.kmt[c] || k >= m.kmt[jn] {
-				continue
-			}
-			vf := 0.5 * (vk[c] + vk[jn])
-			if vf > vfMax {
-				vf = vfMax
-			} else if vf < -vfMax {
-				vf = -vfMax
-			}
-			var flux float64
-			if vf > 0 {
-				flux = vf * q[c]
-			} else {
-				flux = vf * q[jn]
-			}
-			flux -= m.cfg.AH * (q[jn] - q[c]) / dyF
-			flux *= cosF
-			tend[c] -= flux / (m.dy[j] * m.cosLat[j])
-			tend[jn] += flux / (m.dy[j+1] * m.cosLat[j+1])
 		}
 	}
 }
 
-// tracerApply applies the accumulated tendency with the advective-form
-// compensation + q*divH on rows [j0,j1).
-func (m *Model) tracerApply(tend, q []float64, k, j0, j1 int, dt float64) {
-	nlon := m.cfg.NLon
-	uk, vk := m.u[k], m.v[k]
+// tracerApply adds the stored level-k tendencies over the tracer step.
+func (m *Model) tracerApply(k, j0, j1 int, dt float64) {
 	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			if k < m.kmt[c] {
-				divH := m.faceDivergence(uk, vk, j, i, k)
-				q[c] += dt * (tend[c] + q[c]*divH)
+		tr, sr := m.rowOf(m.t[k], j), m.rowOf(m.s[k], j)
+		dT, dS := m.rowOf(m.scr, j), m.rowOf(m.scr2, j)
+		for i, kb := range m.kmtRow(j) {
+			if k < kb {
+				tr[i] += dt * dT[i]
+				sr[i] += dt * dS[i]
 			}
 		}
 	}
@@ -634,57 +450,53 @@ func (m *Model) tracerApply(tend, q []float64, k, j0, j1 int, dt float64) {
 // the short internal step inside the subcycles, because w*(dT/dz) against
 // the stratification is the restoring force of internal gravity waves (the
 // "fastest parts of the internal dynamics" in the paper's description).
-// flux is caller scratch for the per-column face fluxes (at least NLev
-// entries); the shared-memory driver passes a per-worker buffer.
-func (m *Model) verticalTracerStep(flux []float64, j0, j1 int, dt float64) {
-	nlon := m.cfg.NLon
-	for _, tr := range [2][][]float64{m.t, m.s} {
-		for j := j0; j < j1; j++ {
-			for i := 0; i < nlon; i++ {
-				c := j*nlon + i
-				kb := m.kmt[c]
-				if kb < 1 {
+// The CFL-limited face velocity is computed once for both tracers; the
+// flux through each half level is carried from the layer above to the
+// layer below in rolling rows (all fluxes use pre-update values).
+func (m *Model) verticalTracerStep(ws *workScratch, j0, j1 int, dt float64) {
+	nlev := m.cfg.NLev
+	wMax := ws.lev
+	wMax[0] = 0.45 * m.dz[0] / dt
+	for k := 1; k < nlev; k++ {
+		wMax[k] = 0.45 * math.Min(m.dz[k-1], m.dz[k]) / dt
+	}
+	topT, botT, topS, botS := ws.r[0], ws.r[1], ws.r[2], ws.r[3]
+	for j := j0; j < j1; j++ {
+		kr := m.kmtRow(j)
+		// The surface face carries the free-surface volume flux.
+		w0, t0, s0 := m.rowOf(m.wVel[0], j), m.rowOf(m.t[0], j), m.rowOf(m.s[0], j)
+		for i := range kr {
+			w := limit(w0[i], wMax[0])
+			topT[i], topS[i] = w*t0[i], w*s0[i]
+		}
+		for k := 0; k < nlev; k++ {
+			dzk := m.dz[k]
+			wt, wb := m.rowOf(m.wVel[k], j), m.rowOf(m.wVel[k+1], j)
+			tk, sk := m.rowOf(m.t[k], j), m.rowOf(m.s[k], j)
+			tn, sn := tk, sk // the level below; never read at the floor
+			if k+1 < nlev {
+				tn, sn = m.rowOf(m.t[k+1], j), m.rowOf(m.s[k+1], j)
+			}
+			for i, kb := range kr {
+				if k >= kb {
 					continue
 				}
-				// Face fluxes at half levels 0..kb-1 (0 is the surface
-				// face carrying the free-surface volume flux), CFL-limited.
-				for k := 0; k < kb; k++ {
-					w := m.wVel[k][c]
-					var dzMin float64
-					if k > 0 {
-						dzMin = math.Min(m.dz[k-1], m.dz[k])
+				var fT, fS, wBot float64
+				if k+1 < kb {
+					wBot = wb[i]
+					if w := limit(wBot, wMax[k+1]); w > 0 {
+						fT, fS = w*tn[i], w*sn[i]
 					} else {
-						dzMin = m.dz[0]
+						fT, fS = w*tk[i], w*sk[i]
 					}
-					wMax := 0.45 * dzMin / dt
-					if w > wMax {
-						w = wMax
-					} else if w < -wMax {
-						w = -wMax
-					}
-					var fl float64
-					if k == 0 {
-						fl = w * tr[0][c]
-					} else if w > 0 {
-						fl = w * tr[k][c]
-					} else {
-						fl = w * tr[k-1][c]
-					}
-					flux[k] = fl
 				}
-				for k := 0; k < kb; k++ {
-					fTop := flux[k]
-					var fBot, wTop, wBot float64
-					wTop = m.wVel[k][c]
-					if k+1 < kb {
-						fBot = flux[k+1]
-						wBot = m.wVel[k+1][c]
-					}
-					// Flux divergence plus advective-form compensation so a
-					// uniform tracer stays exactly uniform.
-					tr[k][c] += dt * ((fBot-fTop)/m.dz[k] + tr[k][c]*(wTop-wBot)/m.dz[k])
-				}
+				// Flux divergence plus advective-form compensation so a
+				// uniform tracer stays exactly uniform.
+				tk[i] += dt * ((fT-topT[i])/dzk + tk[i]*(wt[i]-wBot)/dzk)
+				sk[i] += dt * ((fS-topS[i])/dzk + sk[i]*(wt[i]-wBot)/dzk)
+				botT[i], botS[i] = fT, fS
 			}
+			topT, botT, topS, botS = botT, topT, botS, topS
 		}
 	}
 }
@@ -695,19 +507,35 @@ func (m *Model) surfaceTracerForcing(f *Forcing, j0, j1 int, dt float64) {
 		return
 	}
 	nlon := m.cfg.NLon
-	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			if m.kmt[c] == 0 {
-				continue
+	t0, s0 := m.t[0], m.s[0]
+	for c := j0 * nlon; c < j1*nlon; c++ {
+		if m.kmt[c] == 0 {
+			continue
+		}
+		t0[c] += f.Heat[c] * dt / (Rho0 * CpOcean * m.dz[0])
+		// Virtual salt flux plus a volume source on the free surface
+		// (eta carries the s^2-amplified scaling of the slowed
+		// barotropic formulation).
+		fwMS := f.FreshWater[c] / 1000.0 // m/s of fresh water
+		s0[c] -= s0[c] * fwMS * dt / m.dz[0]
+		m.eta[c] += fwMS * dt * m.cfg.Slowdown * m.cfg.Slowdown
+	}
+}
+
+// density evaluates the (simplified UNESCO-like) equation of state as a
+// density anomaly about Rho0.
+func (m *Model) density(j0, j1 int) {
+	for k := 0; k < m.cfg.NLev; k++ {
+		for j := j0; j < j1; j++ {
+			tk, sk, rk := m.rowOf(m.t[k], j), m.rowOf(m.s[k], j), m.rowOf(m.rho[k], j)
+			for i, kb := range m.kmtRow(j) {
+				if k >= kb {
+					rk[i] = 0
+					continue
+				}
+				td := tk[i] - 10
+				rk[i] = Rho0 * (EosAlpha*td + EosAlpha2*td*td + EosBeta*(sk[i]-35))
 			}
-			m.t[0][c] += f.Heat[c] * dt / (Rho0 * CpOcean * m.dz[0])
-			// Virtual salt flux plus a volume source on the free surface
-			// (eta carries the s^2-amplified scaling of the slowed
-			// barotropic formulation).
-			fwMS := f.FreshWater[c] / 1000.0 // m/s of fresh water
-			m.s[0][c] -= m.s[0][c] * fwMS * dt / m.dz[0]
-			m.eta[c] += fwMS * dt * m.cfg.Slowdown * m.cfg.Slowdown
 		}
 	}
 }
@@ -717,23 +545,46 @@ func (m *Model) surfaceTracerForcing(f *Forcing, j0, j1 int, dt float64) {
 func (m *Model) freezeClamp(j0, j1 int, dt float64) {
 	nlon := m.cfg.NLon
 	const lFusion = 3.34e5
+	t0, s0 := m.t[0], m.s[0]
+	for c := j0 * nlon; c < j1*nlon; c++ {
+		m.iceFlux[c] = 0
+		kb := m.kmt[c]
+		if kb == 0 {
+			continue
+		}
+		if t0[c] < TFreeze {
+			deficit := (TFreeze - t0[c]) * Rho0 * CpOcean * m.dz[0] // J/m^2
+			t0[c] = TFreeze
+			m.iceFlux[c] = deficit / lFusion / dt
+			// Brine rejection: freezing removes fresh water.
+			s0[c] += s0[c] * (m.iceFlux[c] / 1000.0) * dt / m.dz[0]
+		}
+		for k := 1; k < kb; k++ {
+			if m.t[k][c] < TFreeze {
+				m.t[k][c] = TFreeze
+			}
+		}
+	}
+}
+
+// baroclinicPressure integrates the hydrostatic relation downward; pbc is
+// pressure anomaly divided by Rho0 (m^2/s^2) at the layer centres, so each
+// layer contributes half its weight above its centre and half below.
+func (m *Model) baroclinicPressure(ws *workScratch, j0, j1 int) {
+	p := ws.r[0]
 	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			m.iceFlux[c] = 0
-			if m.kmt[c] == 0 {
-				continue
-			}
-			if m.t[0][c] < TFreeze {
-				deficit := (TFreeze - m.t[0][c]) * Rho0 * CpOcean * m.dz[0] // J/m^2
-				m.t[0][c] = TFreeze
-				m.iceFlux[c] = deficit / lFusion / dt
-				// Brine rejection: freezing removes fresh water.
-				m.s[0][c] += m.s[0][c] * (m.iceFlux[c] / 1000.0) * dt / m.dz[0]
-			}
-			for k := 1; k < m.kmt[c]; k++ {
-				if m.t[k][c] < TFreeze {
-					m.t[k][c] = TFreeze
+		kr := m.kmtRow(j)
+		clear(p)
+		for k := 0; k < m.cfg.NLev; k++ {
+			rk, pk, dzk := m.rowOf(m.rho[k], j), m.rowOf(m.pbc[k], j), m.dz[k]
+			for i, kb := range kr {
+				if k < kb {
+					half := GravOc * rk[i] / Rho0 * dzk * 0.5
+					p[i] += half
+					pk[i] = p[i]
+					p[i] += half
+				} else {
+					pk[i] = p[i]
 				}
 			}
 		}
@@ -741,324 +592,328 @@ func (m *Model) freezeClamp(j0, j1 int, dt float64) {
 }
 
 // internalStep advances the 3-D velocities with the fast internal terms:
-// exact Coriolis rotation, baroclinic pressure gradients, and the stored
-// slow tendencies.
-func (m *Model) internalStep(j0, j1 int, dt float64) {
-	nlon := m.cfg.NLon
-	for k := 0; k < m.cfg.NLev; k++ {
-		uk, vk := m.u[k], m.v[k]
-		for j := j0; j < j1; j++ {
-			// Trapezoidal (Crank-Nicolson) Coriolis: neutral for inertial
-			// oscillations and stable in combination with forward-backward
-			// gravity (rotating the already-incremented velocity is weakly
-			// unstable — see the stability note in DESIGN.md).
-			al := 0.5 * m.fcor[j] * dt
-			den := 1 / (1 + al*al)
-			for i := 0; i < nlon; i++ {
-				c := j*nlon + i
-				if k >= m.kmt[c] {
+// Coriolis, baroclinic pressure gradients and the stored slow tendencies.
+// The pressure gradient is centered only where both neighbours are wet at
+// level k and zero otherwise: one-sided differences of pressure at coasts
+// and topography steps exert non-reciprocal forces that drive spurious
+// along-slope jets, and zeroing the blocked direction is the standard
+// A-grid remedy (consistent with no-normal-flow). With the split free
+// surface the same sweep also forms the forcing of the barotropic system —
+// the depth mean of the pressure-gradient force and of the slow tendencies
+// (the wind stress reaches the mean through slowU's top layer) — into
+// btFx/btFy, where every barotropic substep of this internal step reads it.
+func (m *Model) internalStep(ws *workScratch, j0, j1 int, dt float64) {
+	nlon, nlev, split := m.cfg.NLon, m.cfg.NLev, m.cfg.Split
+	geff := GravOc / (m.cfg.Slowdown * m.cfg.Slowdown)
+	pgx, pgy, sux, svy, ex, ey := ws.r[0], ws.r[1], ws.r[2], ws.r[3], ws.r[4], ws.r[5]
+	for j := j0; j < j1; j++ {
+		// Trapezoidal (Crank-Nicolson) Coriolis: neutral for inertial
+		// oscillations and stable in combination with forward-backward
+		// gravity (rotating the already-incremented velocity is weakly
+		// unstable — see the stability note in DESIGN.md).
+		al := 0.5 * m.fcor[j] * dt
+		den := 1 / (1 + al*al)
+		dx, dy := m.dx[j], m.dy[j]
+		ks, kr, kn := m.kmtRow(j-1), m.kmtRow(j), m.kmtRow(j+1)
+		if split {
+			clear(pgx)
+			clear(pgy)
+			clear(sux)
+			clear(svy)
+		} else {
+			// The unsplit baseline feels the (unslowed) surface gradient here.
+			es, ec, en := m.rowOf(m.eta, j-1), m.rowOf(m.eta, j), m.rowOf(m.eta, j+1)
+			for iw, i, ie := nlon-1, 0, 1; i < nlon; iw, i, ie = i, i+1, ie+1 {
+				if ie == nlon {
+					ie = 0
+				}
+				ex[i] = geff * oneSided(ec[iw], ec[i], ec[ie], kr[iw] > 0, kr[ie] > 0, dx)
+				ey[i] = geff * oneSided(es[i], ec[i], en[i], ks[i] > 0, kn[i] > 0, dy)
+			}
+		}
+		for k := 0; k < nlev; k++ {
+			ps, pc, pn := m.rowOf(m.pbc[k], j-1), m.rowOf(m.pbc[k], j), m.rowOf(m.pbc[k], j+1)
+			uk, vk := m.rowOf(m.u[k], j), m.rowOf(m.v[k], j)
+			su, sv := m.rowOf(m.slowU[k], j), m.rowOf(m.slowV[k], j)
+			for iw, i, ie := nlon-1, 0, 1; i < nlon; iw, i, ie = i, i+1, ie+1 {
+				if ie == nlon {
+					ie = 0
+				}
+				kb := kr[i]
+				if k >= kb {
 					continue
 				}
-				du := -m.gradXP(m.pbc[k], j, i, k) + m.slowU[k][c]
-				dv := -m.gradYP(m.pbc[k], j, i, k) + m.slowV[k][c]
-				if !m.cfg.Split {
-					geff := GravOc / (m.cfg.Slowdown * m.cfg.Slowdown)
-					du -= geff * m.gradX(m.eta, j, i, 0)
-					dv -= geff * m.gradY(m.eta, j, i, 0)
+				gx, gy := 0.0, 0.0
+				if k < kr[ie] && k < kr[iw] {
+					gx = (pc[ie] - pc[iw]) / (2 * dx)
 				}
-				ru := uk[c] + al*vk[c] + du*dt
-				rv := vk[c] - al*uk[c] + dv*dt
-				uk[c] = (ru + al*rv) * den
-				vk[c] = (rv - al*ru) * den
+				if k < kn[i] && k < ks[i] {
+					gy = (pn[i] - ps[i]) / (2 * dy)
+				}
+				du := -gx + su[i]
+				dv := -gy + sv[i]
+				if split {
+					w := m.layerWgt[kb*nlev+k]
+					pgx[i] += gx * w
+					pgy[i] += gy * w
+					sux[i] += su[i] * w
+					svy[i] += sv[i] * w
+				} else {
+					du -= ex[i]
+					dv -= ey[i]
+				}
+				ru := uk[i] + al*vk[i] + du*dt
+				rv := vk[i] - al*uk[i] + dv*dt
+				uk[i] = (ru + al*rv) * den
+				vk[i] = (rv - al*ru) * den
+			}
+		}
+		if split {
+			fx, fy := m.rowOf(m.btFx, j), m.rowOf(m.btFy, j)
+			for i := range fx {
+				fx[i] = -pgx[i] + sux[i]
+				fy[i] = -pgy[i] + svy[i]
 			}
 		}
 	}
 }
 
-// smoothVelocities applies grid-scale smoothing to the 3-D velocity. The
-// unstaggered grid's two-grid-interval velocity mode lies in the null space
-// of both the centered pressure gradient and the face divergence, so no
-// physical term restrains it; without this (or an equivalently strong
-// del^4) the nonlinear terms pump it at density fronts. The damping is
-// strongly scale-selective: ~0.3/step at 2*dx, O(k^2 dx^2) elsewhere.
-// Runs as its own phase (after a halo refresh in the parallel driver)
-// because it reads just-updated neighbour velocities.
-func (m *Model) smoothVelocities(j0, j1 int) {
-	for k := 0; k < m.cfg.NLev; k++ {
-		for _, fld := range [2][]float64{m.u[k], m.v[k]} {
-			m.svCompute(fld, k, j0, j1)
-			m.svApply(fld, k, j0, j1)
-		}
-	}
-}
+// The split 2-D system (eta, ubt, vbt) follows Tobis's slowed barotropic
+// dynamics: gravity is reduced by s^2 in the barotropic momentum equation,
+// so the external wave travels s times slower while the continuity equation
+// stays physical. The steady momentum balance is unchanged — eta simply
+// carries an s^2-amplified amplitude (g_eff*eta is the physical surface
+// pressure), and because continuity is untouched that amplified eta builds
+// at the full physical rate: coastal blocking and geostrophic setup happen
+// on the fast timescale, which is why the paper can claim the slowing
+// "make[s] little difference to the internal motions". Diagnostics report
+// eta/s^2, the physically scaled surface height. One substep is momentum
+// first (forward: btDivergence, btMomentum), then continuity with the new
+// velocities (backward: btContinuity), then btSmooth on each field.
 
-// svCompute stores the velocity-smoothing increment for rows [j0,j1) of one
-// level/component in m.scr. Writes are owner-only per row, so the shared
-// buffer is safe across a row-partitioned phase; the shared-memory driver
-// barriers between svCompute and svApply because the increment reads
-// neighbour rows the apply pass overwrites.
-func (m *Model) svCompute(fld []float64, k, j0, j1 int) {
-	nlon := m.cfg.NLon
-	const smooth3d = 0.04
+// btDivergence stores the barotropic velocity divergence in m.scr2 for the
+// divergence damping of btMomentum: transient gravity waves in the slowed
+// system carry s-times amplified divergent velocities for a given eta; a
+// diffusion acting on the velocity divergence removes them while leaving
+// the geostrophic (non-divergent) circulation untouched.
+func (m *Model) btDivergence(ws *workScratch, j0, j1 int) {
+	m.northFaces(ws.fn, m.vbt, j0-1, 0)
 	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			if k >= m.kmt[c] {
-				m.scr[c] = 0
-				continue
-			}
-			m.scr[c] = smooth3d * m.gridLaplacian(fld, j, i, k)
-		}
+		m.faces(ws, m.ubt, m.vbt, j, 0)
+		m.divergence(m.rowOf(m.scr2, j), ws, j)
 	}
 }
 
-// svApply adds the stored smoothing increment on rows [j0,j1).
-func (m *Model) svApply(fld []float64, k, j0, j1 int) {
-	nlon := m.cfg.NLon
-	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			if k < m.kmt[c] {
-				fld[c] += m.scr[c]
-			}
-		}
-	}
-}
-
-// barotropicStep advances the split 2-D system (eta, ubt, vbt). The
-// slowdown follows Tobis's slowed barotropic dynamics: gravity is reduced
-// by s^2 in the barotropic momentum equation, so the external wave travels
-// s times slower while the continuity equation stays physical. The steady
-// momentum balance is unchanged — eta simply carries an s^2-amplified
-// amplitude (g_eff*eta is the physical surface pressure), and because
-// continuity is untouched that amplified eta builds at the full physical
-// rate: coastal blocking and geostrophic setup happen on the fast
-// timescale, which is why the paper can claim the slowing "make[s] little
-// difference to the internal motions". Diagnostics report eta/s^2, the
-// physically scaled surface height.
-func (m *Model) barotropicStep(f *Forcing, j0, j1 int, dt float64, sync syncFunc) {
-	// Momentum first (forward), then continuity with the new velocities
-	// (backward) — the standard forward-backward scheme.
-	m.btDivergence(max(j0-1, 0), min(j1+1, m.cfg.NLat))
-	m.btMomentum(j0, j1, dt)
-	// The forward-backward ordering needs the freshly updated neighbour
-	// transports before continuity, and fresh eta before its smoothing.
-	if sync != nil {
-		sync(m.ubt, m.vbt)
-	}
-	m.btContinuity(j0, j1, dt)
-	if sync != nil {
-		sync(m.eta)
-	}
-	// The unstaggered grid supports a two-grid-interval null mode in the
-	// (eta, ubt, vbt) system that the centered gradients cannot feel; a
-	// light grid-Laplacian smoothing removes it (the role the paper gives
-	// its del^4 dissipation).
-	for _, fld := range [3][]float64{m.eta, m.ubt, m.vbt} {
-		m.btSmoothCompute(fld, j0, j1)
-		m.btSmoothApply(fld, j0, j1)
-	}
-	if sync != nil {
-		sync(m.eta, m.ubt, m.vbt)
-	}
-}
-
-// btDivergence stores the barotropic velocity divergence for rows [j0,j1)
-// in m.scr2 (owner-only row writes, so the shared buffer is phase-safe).
-// Divergence damping: transient gravity waves in the slowed system carry
-// s-times amplified divergent velocities for a given eta; a diffusion
-// acting on the velocity divergence removes them while leaving the
-// geostrophic (non-divergent) circulation untouched.
-func (m *Model) btDivergence(j0, j1 int) {
-	nlon := m.cfg.NLon
-	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			if m.kmt[c] == 0 {
-				m.scr2[c] = 0
-				continue
-			}
-			m.scr2[c] = m.faceDivergence(m.ubt, m.vbt, j, i, 0)
-		}
-	}
-}
-
-// btMomentum advances (ubt, vbt) on rows [j0,j1) with the forward part of
-// the forward-backward scheme; it reads the divergence stored by
-// btDivergence.
+// btMomentum advances (ubt, vbt) with the forward part of the
+// forward-backward scheme: slowed surface-pressure gradient, divergence
+// damping, the depth-mean forcing stored by internalStep, trapezoidal
+// Coriolis and a weak Rayleigh damping standing in for unresolved shelf
+// drag.
 func (m *Model) btMomentum(j0, j1 int, dt float64) {
 	nlon := m.cfg.NLon
 	geff := GravOc / (m.cfg.Slowdown * m.cfg.Slowdown)
+	damp := 1 - dt*3e-7
 	for j := j0; j < j1; j++ {
 		al := 0.5 * m.fcor[j] * dt
 		den := 1 / (1 + al*al)
-		nuDiv := 0.15 / (dt * (1/(m.dx[j]*m.dx[j]) + 1/(m.dy[j]*m.dy[j])))
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			if m.kmt[c] == 0 {
-				m.ubt[c], m.vbt[c] = 0, 0
+		dx, dy := m.dx[j], m.dy[j]
+		nuDiv := 0.15 / (dt * (1/(dx*dx) + 1/(dy*dy)))
+		ks, kr, kn := m.kmtRow(j-1), m.kmtRow(j), m.kmtRow(j+1)
+		es, ec, en := m.rowOf(m.eta, j-1), m.rowOf(m.eta, j), m.rowOf(m.eta, j+1)
+		ds, dc, dn := m.rowOf(m.scr2, j-1), m.rowOf(m.scr2, j), m.rowOf(m.scr2, j+1)
+		ub, vb, fx, fy := m.rowOf(m.ubt, j), m.rowOf(m.vbt, j), m.rowOf(m.btFx, j), m.rowOf(m.btFy, j)
+		for iw, i, ie := nlon-1, 0, 1; i < nlon; iw, i, ie = i, i+1, ie+1 {
+			if ie == nlon {
+				ie = 0
+			}
+			if kr[i] == 0 {
+				ub[i], vb[i] = 0, 0
 				continue
 			}
-			h := m.zh[m.kmt[c]]
-			// One-sided eta gradients at coasts are essential: the sea
-			// surface piles up against a wall and the resulting pressure
-			// force is what blocks further inflow on an A-grid.
-			du := -geff * m.gradX(m.eta, j, i, 0)
-			dv := -geff * m.gradY(m.eta, j, i, 0)
-			du += nuDiv * m.gradX(m.scr2, j, i, 0)
-			dv += nuDiv * m.gradY(m.scr2, j, i, 0)
-			// Depth-mean baroclinic pressure gradient and slow tendencies
-			// (the wind stress reaches the mean through slowU's top layer).
-			var pgx, pgy, sux, svy float64
-			for k := 0; k < m.kmt[c]; k++ {
-				w := m.dz[k] / h
-				pgx += m.gradXP(m.pbc[k], j, i, k) * w
-				pgy += m.gradYP(m.pbc[k], j, i, k) * w
-				sux += m.slowU[k][c] * w
-				svy += m.slowV[k][c] * w
-			}
-			du += -pgx + sux
-			dv += -pgy + svy
-			// Trapezoidal Coriolis with a weak Rayleigh damping standing
-			// in for unresolved shelf drag.
-			ru := m.ubt[c] + al*m.vbt[c] + du*dt
-			rv := m.vbt[c] - al*m.ubt[c] + dv*dt
-			damp := 1 - dt*3e-7
-			m.ubt[c] = (ru + al*rv) * den * damp
-			m.vbt[c] = (rv - al*ru) * den * damp
+			ow, oe, os, on := kr[iw] > 0, kr[ie] > 0, ks[i] > 0, kn[i] > 0
+			du := -geff * oneSided(ec[iw], ec[i], ec[ie], ow, oe, dx)
+			dv := -geff * oneSided(es[i], ec[i], en[i], os, on, dy)
+			du += nuDiv * oneSided(dc[iw], dc[i], dc[ie], ow, oe, dx)
+			dv += nuDiv * oneSided(ds[i], dc[i], dn[i], os, on, dy)
+			du += fx[i]
+			dv += fy[i]
+			ru := ub[i] + al*vb[i] + du*dt
+			rv := vb[i] - al*ub[i] + dv*dt
+			ub[i] = (ru + al*rv) * den * damp
+			vb[i] = (rv - al*ru) * den * damp
 		}
 	}
 }
 
 // btContinuity applies the backward continuity step d(eta)/dt = -div(H u_bt)
-// on rows [j0,j1).
-func (m *Model) btContinuity(j0, j1 int, dt float64) {
-	nlon := m.cfg.NLon
-	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			if m.kmt[c] == 0 {
-				continue
+// from face transports (no flow through coasts), matching the face
+// discretization used everywhere else. The north-face transports roll from
+// row to row like the face-velocity window.
+func (m *Model) btContinuity(ws *workScratch, j0, j1 int, dt float64) {
+	hu, te, ts, tn := ws.r[0], ws.r[1], ws.r[2], ws.r[3]
+	// northTransport fills the depth-weighted flow through the north faces
+	// of row j, times the face's metric convergence factor.
+	northTransport := func(out []float64, j int) {
+		kr, kn := m.kmtRow(j), m.kmtRow(j+1)
+		vr, vn := m.rowOf(m.vbt, j), m.rowOf(m.vbt, j+1)
+		cs := m.cosLat[j] + m.cosLat[j+1]
+		for i := range out {
+			out[i] = 0
+			if kr[i] > 0 && kn[i] > 0 {
+				out[i] = 0.5 * (m.zh[kr[i]]*vr[i] + m.zh[kn[i]]*vn[i]) * 0.5 * cs
 			}
-			m.eta[c] -= dt * m.transportDiv(j, i)
+		}
+	}
+	northTransport(tn, j0-1)
+	for j := j0; j < j1; j++ {
+		ts, tn = tn, ts
+		northTransport(tn, j)
+		kr, ur, er := m.kmtRow(j), m.rowOf(m.ubt, j), m.rowOf(m.eta, j)
+		for i, kb := range kr {
+			hu[i] = m.zh[kb] * ur[i]
+		}
+		dx, dyc := m.dx[j], m.dy[j]*m.cosLat[j]
+		for iw, i := len(kr)-1, 0; i < len(kr); iw, i = i, i+1 {
+			te[iw] = 0
+			if kr[iw] > 0 && kr[i] > 0 {
+				te[iw] = 0.5 * (hu[iw] + hu[i])
+			}
+		}
+		for iw, i := len(kr)-1, 0; i < len(kr); iw, i = i, i+1 {
+			if kr[i] > 0 {
+				div := (te[i] - te[iw]) / dx
+				div += (tn[i] - ts[i]) / dyc
+				er[i] -= dt * div
+			}
 		}
 	}
 }
 
-// btSmoothCompute stores the null-mode smoothing increment for one 2-D
-// field on rows [j0,j1) in m.scr (owner-only row writes).
+// btSmoothCompute stores in m.scr the increment of a light grid-Laplacian
+// smoothing of one barotropic field. The unstaggered grid supports a
+// two-grid-interval null mode in the (eta, ubt, vbt) system that the
+// centered gradients cannot feel; the smoothing removes it (the role the
+// paper gives its del^4 dissipation). The increment reads neighbour rows
+// that smoothApply overwrites, so a barrier separates the two.
 func (m *Model) btSmoothCompute(fld []float64, j0, j1 int) {
-	nlon := m.cfg.NLon
-	const smooth = 0.02
 	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			if m.kmt[c] == 0 {
-				continue
-			}
-			m.scr[c] = smooth * m.gridLaplacian(fld, j, i, 0)
-		}
+		m.lapRow(m.rowOf(m.scr, j), fld, j, 0, 0.02)
 	}
 }
 
-// btSmoothApply adds the stored increment on rows [j0,j1).
-func (m *Model) btSmoothApply(fld []float64, j0, j1 int) {
-	nlon := m.cfg.NLon
+// smoothApply adds the increment stored in inc to the level-k wet cells.
+func (m *Model) smoothApply(fld, inc []float64, k, j0, j1 int) {
 	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			if m.kmt[c] > 0 {
-				fld[c] += m.scr[c]
+		fr, ir := m.rowOf(fld, j), m.rowOf(inc, j)
+		for i, kb := range m.kmtRow(j) {
+			if k < kb {
+				fr[i] += ir[i]
 			}
 		}
 	}
-}
-
-// transportDiv computes div(H u_bt) at a cell from face transports (no
-// flow through coasts), matching the face discretization used everywhere
-// else.
-func (m *Model) transportDiv(j, i int) float64 {
-	nlon := m.cfg.NLon
-	hOf := func(c int) float64 {
-		if m.kmt[c] == 0 {
-			return 0
-		}
-		return m.zh[m.kmt[c]]
-	}
-	c := j*nlon + i
-	faceHU := func(c1, c2 int) float64 {
-		if m.kmt[c1] == 0 || m.kmt[c2] == 0 {
-			return 0
-		}
-		return 0.5 * (hOf(c1)*m.ubt[c1] + hOf(c2)*m.ubt[c2])
-	}
-	faceHV := func(c1, c2 int) float64 {
-		if m.kmt[c1] == 0 || m.kmt[c2] == 0 {
-			return 0
-		}
-		return 0.5 * (hOf(c1)*m.vbt[c1] + hOf(c2)*m.vbt[c2])
-	}
-	ie := j*nlon + (i+1)%nlon
-	iw := j*nlon + (i-1+nlon)%nlon
-	div := (faceHU(c, ie) - faceHU(iw, c)) / m.dx[j]
-	var vn, vs float64
-	if j+1 < m.cfg.NLat {
-		vn = faceHV(c, (j+1)*nlon+i) * 0.5 * (m.cosLat[j] + m.cosLat[j+1])
-	}
-	if j-1 >= 0 {
-		vs = faceHV((j-1)*nlon+i, c) * 0.5 * (m.cosLat[j-1] + m.cosLat[j])
-	}
-	div += (vn - vs) / (m.dy[j] * m.cosLat[j])
-	return div
 }
 
 // coupleBarotropic replaces the depth mean of the 3-D velocity with the
 // barotropic solution, the split-coupling of Killworth et al. that the
 // paper cites.
-func (m *Model) coupleBarotropic(j0, j1 int) {
-	nlon := m.cfg.NLon
+func (m *Model) coupleBarotropic(ws *workScratch, j0, j1 int) {
+	mu, mv := ws.r[0], ws.r[1]
 	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			kb := m.kmt[c]
-			if kb == 0 {
-				continue
+		kr := m.kmtRow(j)
+		clear(mu)
+		clear(mv)
+		for k := 0; k < m.cfg.NLev; k++ {
+			uk, vk, dzk := m.rowOf(m.u[k], j), m.rowOf(m.v[k], j), m.dz[k]
+			for i, kb := range kr {
+				if k < kb {
+					mu[i] += uk[i] * dzk
+					mv[i] += vk[i] * dzk
+				}
 			}
-			h := m.zh[kb]
-			var mu, mv float64
-			for k := 0; k < kb; k++ {
-				mu += m.u[k][c] * m.dz[k]
-				mv += m.v[k][c] * m.dz[k]
+		}
+		ub, vb := m.rowOf(m.ubt, j), m.rowOf(m.vbt, j)
+		for i, kb := range kr {
+			if kb > 0 {
+				mu[i] = ub[i] - mu[i]/m.zh[kb]
+				mv[i] = vb[i] - mv[i]/m.zh[kb]
 			}
-			mu /= h
-			mv /= h
-			du := m.ubt[c] - mu
-			dv := m.vbt[c] - mv
-			for k := 0; k < kb; k++ {
-				m.u[k][c] += du
-				m.v[k][c] += dv
+		}
+		for k := 0; k < m.cfg.NLev; k++ {
+			uk, vk := m.rowOf(m.u[k], j), m.rowOf(m.v[k], j)
+			for i, kb := range kr {
+				if k < kb {
+					uk[i] += mu[i]
+					vk[i] += mv[i]
+				}
 			}
 		}
 	}
 }
 
 // unsplitFreeSurface is the baseline path: the free surface evolves from
-// the full 3-D transport divergence and the velocities already felt the
-// (unslowed) surface gradient in internalStep.
-func (m *Model) unsplitFreeSurface(f *Forcing, j0, j1 int, dt float64) {
-	nlon := m.cfg.NLon
+// the full 3-D transport divergence (accumulated top-down in m.scr) and the
+// velocities already felt the surface gradient in internalStep.
+func (m *Model) unsplitFreeSurface(ws *workScratch, j0, j1 int, dt float64) {
 	for j := j0; j < j1; j++ {
-		for i := 0; i < nlon; i++ {
-			c := j*nlon + i
-			kb := m.kmt[c]
-			if kb == 0 {
+		clear(m.rowOf(m.scr, j))
+	}
+	for k := 0; k < m.cfg.NLev; k++ {
+		uk, vk, dzk := m.u[k], m.v[k], m.dz[k]
+		m.northFaces(ws.fn, vk, j0-1, k)
+		for j := j0; j < j1; j++ {
+			m.faces(ws, uk, vk, j, k)
+			m.divergence(ws.div, ws, j)
+			acc := m.rowOf(m.scr, j)
+			for i, kb := range m.kmtRow(j) {
+				if k < kb {
+					acc[i] += ws.div[i] * dzk
+				}
+			}
+		}
+	}
+	for j := j0; j < j1; j++ {
+		er, acc := m.rowOf(m.eta, j), m.rowOf(m.scr, j)
+		for i, kb := range m.kmtRow(j) {
+			if kb > 0 {
+				er[i] -= dt * acc[i]
+			}
+		}
+	}
+}
+
+// smoothVelocities stores in m.scr and m.scr2 the grid-scale smoothing
+// increments of u and v at level k. The unstaggered grid's
+// two-grid-interval velocity mode lies in the null space of both the
+// centered pressure gradient and the face divergence, so no physical term
+// restrains it; without this (or an equivalently strong del^4) the
+// nonlinear terms pump it at density fronts. The damping is strongly
+// scale-selective: ~0.3/step at 2*dx, O(k^2 dx^2) elsewhere.
+func (m *Model) smoothVelocities(k, j0, j1 int) {
+	const smooth3d = 0.04
+	for j := j0; j < j1; j++ {
+		m.lapRow(m.rowOf(m.scr, j), m.u[k], j, k, smooth3d)
+		m.lapRow(m.rowOf(m.scr2, j), m.v[k], j, k, smooth3d)
+	}
+}
+
+// clampVelocities is a coarse-resolution safety limiter (3 m/s far exceeds
+// any resolved current).
+func (m *Model) clampVelocities(j0, j1 int) {
+	const vmax = 3.0
+	nlon := m.cfg.NLon
+	for k := 0; k < m.cfg.NLev; k++ {
+		uk, vk := m.u[k], m.v[k]
+		for c := j0 * nlon; c < j1*nlon; c++ {
+			// |u|+|v| bounds the speed from above: skip the Hypot when it
+			// cannot reach the limit.
+			if math.Abs(uk[c])+math.Abs(vk[c]) < 0.99*vmax {
 				continue
 			}
-			div := 0.0
-			for k := 0; k < kb; k++ {
-				div += m.faceDivergence(m.u[k], m.v[k], j, i, k) * m.dz[k]
+			if sp := math.Hypot(uk[c], vk[c]); sp > vmax {
+				f := vmax / sp
+				uk[c] *= f
+				vk[c] *= f
 			}
-			m.eta[c] -= dt * div
 		}
 	}
 }

@@ -88,10 +88,16 @@ type Model struct {
 	slowU, slowV [][]float64 // slow momentum tendencies carried through subcycles
 	//foam:transient wVel diagnosed from continuity each step before any read
 	wVel [][]float64 // vertical velocity at half levels (nlev+1)
-	//foam:transient scr per-step scratch, fully rewritten before every read
+	//foam:transient scr per-phase scratch, rows written by their owning worker before every read (tracer tendency, smoothing increment, unsplit divergence sum)
 	scr []float64
-	//foam:transient scr2 per-step scratch, fully rewritten before every read
+	//foam:transient scr2 per-phase scratch, rows written by their owning worker before every read (salinity tendency, barotropic divergence, v smoothing increment)
 	scr2 []float64
+	//foam:transient btFx depth-mean forcing of the barotropic system, rewritten by internalStep in every internal step before the barotropic substeps read it
+	//foam:transient btFy depth-mean forcing of the barotropic system, rewritten by internalStep in every internal step before the barotropic substeps read it
+	//foam:units btFx=m/s^2 btFy=m/s^2
+	btFx, btFy []float64
+	// layerWgt[kb*NLev+k] = dz[k]/zh[kb]: layer k's share of a kb-level column.
+	layerWgt []float64
 
 	//foam:units iceFlux=kg/m^2/s
 	iceFlux []float64 // freezing flux diagnosed this step, kg/m^2/s
@@ -101,25 +107,13 @@ type Model struct {
 	//foam:transient lastStepSeconds wall-clock diagnostic for the load-balance harness, never simulation state
 	lastStepSeconds float64
 
-	//foam:transient fft polar-filter FFT workspace; holds no state between rows
-	fft *rowFilter
-	//foam:transient mix vertical-mixing tridiagonal scratch, refilled per column
-	mix *mixScratch // serial-driver vertical-mixing scratch
-
-	// Shared-memory parallel execution (pool.Serial = serial). The
-	// per-worker scratch replaces scr/scr2/fft where concurrent phases
-	// would collide.
+	// Execution: every Step runs the phase driver of shared.go on this
+	// Runner (pool.Serial runs each phase inline).
 	pool pool.Runner
-	//foam:transient wscr per-worker scratch, fully rewritten inside each pool phase
-	wscr [][]float64 // per-worker full-domain scratch (biharmonic lap, tracer tend)
-	//foam:transient wcol per-worker column flux buffers, refilled per column
-	wcol [][]float64 // per-worker column flux buffers (NLev entries)
-	//foam:transient wfilt per-worker FFT workspaces; hold no state between rows
-	wfilt []*rowFilter // per-worker polar-filter FFT workspaces
-	//foam:transient wmix per-worker tridiagonal scratch, refilled per column
-	wmix []*mixScratch // per-worker vertical-mixing scratch
-	//foam:transient shPh pre-bound phase closures and their per-step forcing staging, rebound by bindSharedPhases
-	shPh *sharedPhases // pre-bound pool phases (see shared.go)
+	//foam:transient ws per-worker row buffers, fully rewritten inside each kernel call
+	ws []*workScratch
+	//foam:transient ph pre-bound phase closures and their per-step staging, rebound by SetPool
+	ph *phases
 }
 
 // New builds an ocean model with the given bathymetry (kmt: active levels
@@ -136,7 +130,7 @@ func NewOnGrid(cfg Config, kmt []int, grid *sphere.Grid) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{cfg: cfg, pool: pool.Serial}
+	m := &Model{cfg: cfg}
 	if grid == nil {
 		grid = sphere.NewMercatorGrid(cfg.NLat, cfg.NLon, cfg.LatSouth, cfg.LatNorth)
 	} else if grid.NLat() != cfg.NLat || grid.NLon() != cfg.NLon {
@@ -208,9 +202,10 @@ func NewOnGrid(cfg Config, kmt []int, grid *sphere.Grid) (*Model, error) {
 	m.vbt = make([]float64, n)
 	m.scr = make([]float64, n)
 	m.scr2 = make([]float64, n)
+	m.btFx = make([]float64, n)
+	m.btFy = make([]float64, n)
 	m.iceFlux = make([]float64, n)
-	m.fft = newRowFilter(cfg.NLon)
-	m.mix = newMixScratch(cfg.NLev)
+	m.SetPool(nil)
 	m.initState()
 	return m, nil
 }
@@ -250,6 +245,12 @@ func (m *Model) buildVertical() {
 		m.zh[k+1] = m.zh[k] + m.dz[k]
 		m.zf[k] = m.zh[k] + 0.5*m.dz[k]
 	}
+	m.layerWgt = make([]float64, (nl+1)*nl)
+	for kb := 1; kb <= nl; kb++ {
+		for k := 0; k < kb; k++ {
+			m.layerWgt[kb*nl+k] = m.dz[k] / m.zh[kb]
+		}
+	}
 }
 
 // initState sets an Earth-like rest state: warm tropical surface waters,
@@ -281,8 +282,8 @@ func (m *Model) initState() {
 // adjustment. Call after directly editing T or S.
 func (m *Model) BalanceFreeSurface() {
 	nlat, nlon := m.cfg.NLat, m.cfg.NLon
-	m.density(0, nlat)
-	m.baroclinicPressure(0, nlat)
+	m.density(1, nlat-1)
+	m.baroclinicPressure(m.ws[0], 1, nlat-1)
 	for j := 0; j < nlat; j++ {
 		for i := 0; i < nlon; i++ {
 			c := j*nlon + i
@@ -337,38 +338,23 @@ func (m *Model) Diagnostics() Diagnostics { return m.diag }
 // StepCount returns completed tracer steps.
 func (m *Model) StepCount() int { return m.step }
 
-// SetPool attaches a Runner for shared-memory parallel stepping and
-// allocates the per-worker scratch the phase driver needs. The integration
-// remains bit-identical to the serial path for any worker count (see
-// shared.go). Pass nil to return to the serial driver.
+// SetPool attaches the Runner the phase driver executes on and allocates
+// one set of row buffers per worker. The integration is bit-identical for
+// any Runner and worker count (see shared.go). Pass nil for serial
+// execution.
 func (m *Model) SetPool(p pool.Runner) {
 	if p == nil {
 		p = pool.Serial
 	}
 	m.pool = p
-	m.wscr, m.wcol, m.wfilt, m.wmix, m.shPh = nil, nil, nil, nil, nil
-	if p.Workers() == 1 {
-		return
+	m.ws = make([]*workScratch, p.Workers())
+	for w := range m.ws {
+		m.ws[w] = newWorkScratch(m.cfg)
 	}
-	nw := p.Workers()
-	n := m.cfg.NLat * m.cfg.NLon
-	m.wscr = make([][]float64, nw)
-	m.wcol = make([][]float64, nw)
-	m.wfilt = make([]*rowFilter, nw)
-	m.wmix = make([]*mixScratch, nw)
-	for w := 0; w < nw; w++ {
-		m.wscr[w] = make([]float64, n)
-		m.wcol[w] = make([]float64, m.cfg.NLev)
-		m.wfilt[w] = newRowFilter(m.cfg.NLon)
-		m.wmix[w] = newMixScratch(m.cfg.NLev)
-	}
-	m.shPh = m.bindSharedPhases()
+	m.ph = m.bindPhases()
 }
 
 // Step advances one tracer interval (DtTracer) under the given forcing.
-// This is the serial driver; the parallel driver in parallel.go invokes the
-// same kernels over row blocks, and the shared-memory driver in shared.go
-// re-sequences them as pool phases.
 //
 //foam:hotpath
 func (m *Model) Step(f *Forcing) {
@@ -380,11 +366,7 @@ func (m *Model) Step(f *Forcing) {
 	case ModeOff:
 		// Prescribed surface: the initial state is the forever state.
 	default:
-		if m.wscr != nil {
-			m.stepShared(f)
-		} else {
-			m.stepRows(f, 1, m.cfg.NLat-1, nil)
-		}
+		m.stepPhases(f)
 	}
 	//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 	m.lastStepSeconds = time.Since(t0).Seconds()
@@ -396,46 +378,41 @@ func (m *Model) Step(f *Forcing) {
 // the trace-driven parallel harness.
 func (m *Model) LastStepSeconds() float64 { return m.lastStepSeconds }
 
-// idx returns the flat index.
-func (m *Model) idx(j, i int) int { return j*m.cfg.NLon + i }
-
+// updateDiagnostics recomputes the global numbers in one row-wise pass; each
+// sum runs over the ocean cells in index order (and top-down within a
+// column), which fixes its rounding.
 func (m *Model) updateDiagnostics() {
-	var sumT, areaT, maxSp, ke, ice float64
-	n := m.cfg.NLat * m.cfg.NLon
-	for c := 0; c < n; c++ {
-		if m.mask[c] < 0.5 {
-			continue
-		}
-		j := c / m.cfg.NLon
+	var sumT, areaT, maxSp, ke, ice, meanEta, th, sa float64
+	t0, u0, v0 := m.t[0], m.u[0], m.v[0]
+	for j := 1; j < m.cfg.NLat-1; j++ {
 		w := m.dx[j] * m.dy[j]
-		sumT += m.t[0][c] * w
-		areaT += w
-		sp := math.Hypot(m.u[0][c], m.v[0][c])
-		if sp > maxSp {
-			maxSp = sp
+		c := j * m.cfg.NLon
+		for _, kb := range m.kmtRow(j) {
+			if kb > 0 {
+				sumT += t0[c] * w
+				areaT += w
+				sp := math.Hypot(u0[c], v0[c])
+				if sp > maxSp {
+					maxSp = sp
+				}
+				ke += 0.5 * sp * sp * w
+				ice += m.iceFlux[c] * w
+				meanEta += m.eta[c] * w
+				for k := 0; k < kb; k++ {
+					th += m.t[k][c] * w * m.dz[k]
+					sa += m.s[k][c] * w * m.dz[k]
+				}
+			}
+			c++
 		}
-		ke += 0.5 * sp * sp * w
-		ice += m.iceFlux[c] * w
 	}
-	m.diag.MeanSST = sumT / math.Max(areaT, 1)
+	area := math.Max(areaT, 1)
+	m.diag.MeanSST = sumT / area
 	m.diag.MaxSpeed = maxSp
-	m.diag.MeanKE = ke / math.Max(areaT, 1)
-	m.diag.IceFlux = ice / math.Max(areaT, 1)
-	var meanEta, th, sa float64
-	for c := 0; c < n; c++ {
-		if m.mask[c] < 0.5 {
-			continue
-		}
-		j := c / m.cfg.NLon
-		w := m.dx[j] * m.dy[j]
-		meanEta += m.eta[c] * w
-		for k := 0; k < m.kmt[c]; k++ {
-			th += m.t[k][c] * w * m.dz[k]
-			sa += m.s[k][c] * w * m.dz[k]
-		}
-	}
+	m.diag.MeanKE = ke / area
+	m.diag.IceFlux = ice / area
 	// Report the physically scaled surface height.
-	m.diag.MeanEta = meanEta / math.Max(areaT, 1) / (m.cfg.Slowdown * m.cfg.Slowdown)
+	m.diag.MeanEta = meanEta / area / (m.cfg.Slowdown * m.cfg.Slowdown)
 	m.diag.TotalHeat = th
 	m.diag.TotalSalt = sa
 }

@@ -2,7 +2,10 @@ package ocean
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"foam/internal/spectral"
 )
 
 // testConfig is a small, fast ocean for unit tests.
@@ -346,6 +349,42 @@ func TestRowFilterRemovesHighWavenumbers(t *testing.T) {
 		want := math.Sin(2 * math.Pi * float64(i) / 32 * 2)
 		if math.Abs(row[i]-want) > 1e-9 {
 			t.Fatalf("filter kept high wavenumber at %d: %v vs %v", i, row[i], want)
+		}
+	}
+}
+
+// TestRowFilterMatchesComplexPath pins rowFilter.apply to the complex
+// transform it replaced: widen the row to complex128, ForwardInto, zero the
+// discarded wavenumbers, InverseInto, take the real part — bit for bit.
+func TestRowFilterMatchesComplexPath(t *testing.T) {
+	for _, n := range []int{24, 128} {
+		rf := newRowFilter(n)
+		fft := spectral.NewFFT(n)
+		buf, out := make([]complex128, n), make([]complex128, n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for _, keep := range []int{2, 10, n / 2} {
+			row, want := make([]float64, n), make([]float64, n)
+			for i := range row {
+				row[i] = 20 * rng.NormFloat64()
+				buf[i] = complex(row[i], 0)
+			}
+			copy(want, row)
+			if keep < n/2 {
+				fft.ForwardInto(out, buf, nil)
+				for mIdx := keep + 1; mIdx <= n-keep-1; mIdx++ {
+					out[mIdx] = 0
+				}
+				fft.InverseInto(buf, out, nil)
+				for i := range want {
+					want[i] = real(buf[i])
+				}
+			}
+			rf.apply(row, keep)
+			for i := range row {
+				if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d keep=%d i=%d: split %v != complex %v", n, keep, i, row[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -1,189 +1,162 @@
 package ocean
 
-// Shared-memory parallel stepping. Where parallel.go distributes row blocks
-// over message-passing ranks with halo exchanges, this driver runs the same
-// kernels on a worker pool over the same shared arrays. The decomposition
-// rules that make the result bit-identical to the serial driver for any
-// worker count:
+// The step driver. One tracer step is one fixed sequence of phases; each
+// phase runs a group of row kernels over a partition of the interior rows
+// on the model's pool.Runner. pool.Serial executes a phase inline over all
+// rows, a worker pool (or the ranked executor's rank pool) splits it into
+// row blocks, and both walk the same sequence, so the drivers cannot drift.
+// The decomposition rules that make the result bit-identical for any
+// Runner and worker count:
 //
-//   - Every kernel invocation becomes a phase whose row ranges partition the
-//     domain: each row is written by exactly one worker, with the same
-//     per-cell operation order as the serial sweep. pool.Run's barrier
-//     separates phases, standing in for the serial driver's sequencing (and
-//     for the mp driver's halo exchanges — in shared memory the "exchange"
-//     is free because neighbours read the same arrays).
-//   - Kernels whose serial form used a shared scratch buffer either get a
-//     per-worker buffer (biharmonic lap, tracer tendency, vertical column
-//     flux, polar-filter FFT workspace, mixing columns) or write the shared
-//     buffer owner-only by row with a barrier before readers (barotropic
-//     divergence, smoothing increments).
-//   - The horizontal tracer tendency is the one cross-row accumulation: it
-//     is split into a flux-tendency phase into per-worker buffers (each
-//     worker revisits the faces of its rows in serial order, so every cell's
-//     sum has the serial FP order) and an apply phase after the barrier.
+//   - Each row is written by exactly one worker, with the same per-cell
+//     operation order whatever the blocking. pool.Run's barrier separates
+//     phases: a kernel that reads neighbour rows of a field starts only
+//     after the phase that wrote that field has finished everywhere.
+//   - Kernels grouped into one phase only read neighbour rows of fields the
+//     phase does not write (verticalVelocity reads u, v across rows; the
+//     column kernels that follow it write w, T, S, rho, pbc on own rows).
+//   - Row buffers are per worker (workScratch); the shared 2-D scratch
+//     arrays (scr, scr2, btFx, btFy) are written owner-only by row, with a
+//     barrier before any neighbour-row read (barotropic divergence,
+//     smoothing increments). Rolling row windows (face velocities, tracer
+//     fluxes, Laplacians) are re-primed at each block's first row, so a face
+//     on a block seam is computed by both neighbours, identically.
 //
-// Column-local kernels (mixing, convective adjustment, pressure, EOS) are
-// trivially order-preserving; they parallelize by rows unchanged.
-//
-// Every phase body is bound ONCE in bindSharedPhases and reused each step,
-// with per-step inputs staged through sharedPhases fields: a closure
-// literal at a pool.Run call site is heap-allocated on every call (see
-// internal/pool's allocation contract), which would break the
-// steady-state zero-allocation guarantee of the coupled step.
+// Every phase body is bound ONCE in bindPhases and reused each step, with
+// per-step inputs staged through the phases fields: a closure literal at a
+// pool.Run call site is heap-allocated on every call (see internal/pool's
+// allocation contract), which would break the steady-state zero-allocation
+// guarantee of the coupled step.
 
-// sharedPhases carries the pre-bound phase closures of the shared-memory
-// driver and the staged per-phase parameters.
-type sharedPhases struct {
+// phases carries the pre-bound phase closures and their staged parameters.
+type phases struct {
 	f   *Forcing  // current forcing
-	fld []float64 // field being smoothed (barotropic / velocity phases)
-	k   int       // level of fld / q
-	q   []float64 // tracer level being transported
+	k   int       // level of the per-level phases
+	fld []float64 // barotropic field being smoothed
 
-	vertVelFull   func(w, lo, hi int)
-	slowMomBiharm func(w, lo, hi int)
-	tracerTend    func(w, lo, hi int)
-	tracerApply   func(w, lo, hi int)
-	surfForce     func(w, lo, hi int)
-	densityFull   func(w, lo, hi int)
-	vertMix       func(w, lo, hi int)
-	convAdj       func(w, lo, hi int)
-	freeze        func(w, lo, hi int)
-	vertTracer    func(w, lo, hi int)
-	baroPress     func(w, lo, hi int)
-	internal      func(w, lo, hi int)
-	btDiv         func(w, lo, hi int)
-	btMom         func(w, lo, hi int)
-	btCont        func(w, lo, hi int)
-	btSmoothC     func(w, lo, hi int)
-	btSmoothA     func(w, lo, hi int)
-	coupleBt      func(w, lo, hi int)
-	unsplitFS     func(w, lo, hi int)
-	svC           func(w, lo, hi int)
-	svA           func(w, lo, hi int)
-	polar         func(w, lo, hi int)
-	clamp         func(w, lo, hi int)
+	slow        func(w, lo, hi int)
+	tracerTend  func(w, lo, hi int)
+	tracerApply func(w, lo, hi int)
+	column      func(w, lo, hi int)
+	fast        func(w, lo, hi int)
+	internal    func(w, lo, hi int)
+	btDiv       func(w, lo, hi int)
+	btMom       func(w, lo, hi int)
+	btCont      func(w, lo, hi int)
+	btSmoothC   func(w, lo, hi int)
+	btSmoothA   func(w, lo, hi int)
+	coupleBt    func(w, lo, hi int)
+	unsplitFS   func(w, lo, hi int)
+	smoothC     func(w, lo, hi int)
+	smoothA     func(w, lo, hi int)
+	finish      func(w, lo, hi int)
 }
 
-// bindSharedPhases builds the phase closures against this model's
-// per-worker scratch. Interior phases receive block ranges over nlat-2 rows
-// and shift by one: they write rows [1, nlat-1) while the closed boundary
-// rows stay untouched, as in the serial driver. Full phases cover every
-// row, matching the serial ghost-extended ranges ge0=0, ge1=nlat.
+// bindPhases builds the phase closures against this model's per-worker
+// scratch. Phases receive block ranges over the NLat-2 interior rows and
+// shift by one: they write rows [1, NLat-1) while the closed boundary rows
+// keep their all-land zeros.
 //
 //foam:hotphases
-func (m *Model) bindSharedPhases() *sharedPhases {
-	ph := &sharedPhases{}
+func (m *Model) bindPhases() *phases {
+	ph := &phases{}
 	dt := m.cfg.DtTracer
 	dtf := m.cfg.DtInternal
 	dtb := m.cfg.DtBaro
 
-	ph.vertVelFull = func(_, j0, j1 int) { m.verticalVelocity(j0, j1) }
-	ph.slowMomBiharm = func(w, r0, r1 int) {
-		m.slowMomentumCells(ph.f, 1+r0, 1+r1)
-		if !m.cfg.NoBiharmonic {
-			m.biharmonic(m.wscr[w], 1+r0, 1+r1)
-		}
+	// Long step: w and the slow momentum tendencies it advects with.
+	ph.slow = func(w, r0, r1 int) {
+		m.verticalVelocity(m.ws[w], 1+r0, 1+r1)
+		m.slowMomentum(m.ws[w], ph.f, 1+r0, 1+r1)
 	}
-	ph.tracerTend = func(w, r0, r1 int) { m.tracerFluxTend(m.wscr[w], ph.q, ph.k, 1+r0, 1+r1, dt) }
-	ph.tracerApply = func(w, r0, r1 int) { m.tracerApply(m.wscr[w], ph.q, ph.k, 1+r0, 1+r1, dt) }
-	ph.surfForce = func(_, r0, r1 int) { m.surfaceTracerForcing(ph.f, 1+r0, 1+r1, dt) }
-	ph.densityFull = func(_, j0, j1 int) { m.density(j0, j1) }
-	ph.vertMix = func(w, r0, r1 int) { m.verticalMixing(m.wmix[w], 1+r0, 1+r1, dt) }
-	ph.convAdj = func(_, r0, r1 int) { m.convectiveAdjust(1+r0, 1+r1) }
-	ph.freeze = func(_, r0, r1 int) { m.freezeClamp(1+r0, 1+r1, dt) }
-	ph.vertTracer = func(w, j0, j1 int) { m.verticalTracerStep(m.wcol[w], j0, j1, dtf) }
-	ph.baroPress = func(_, j0, j1 int) { m.baroclinicPressure(j0, j1) }
-	ph.internal = func(_, r0, r1 int) { m.internalStep(1+r0, 1+r1, dtf) }
-	ph.btDiv = func(_, j0, j1 int) { m.btDivergence(j0, j1) }
+	ph.tracerTend = func(w, r0, r1 int) { m.tracerTend(m.ws[w], ph.k, 1+r0, 1+r1) }
+	ph.tracerApply = func(_, r0, r1 int) { m.tracerApply(ph.k, 1+r0, 1+r1, dt) }
+	// Column physics at the long step. Density is refreshed before the
+	// Richardson mixing so it reflects the just-advected tracers (and so no
+	// hidden state survives a restart).
+	ph.column = func(w, r0, r1 int) {
+		m.surfaceTracerForcing(ph.f, 1+r0, 1+r1, dt)
+		m.density(1+r0, 1+r1)
+		m.verticalMixing(m.ws[w].mix, 1+r0, 1+r1, dt)
+		m.convectiveAdjust(1+r0, 1+r1)
+		m.freezeClamp(1+r0, 1+r1, dt)
+	}
+	// Internal gravity-wave loop, buoyancy half: vertical advection of the
+	// stratification, then density and pressure, refreshed every subcycle so
+	// internal waves are integrated at the short step where they are stable.
+	ph.fast = func(w, r0, r1 int) {
+		m.verticalVelocity(m.ws[w], 1+r0, 1+r1)
+		m.verticalTracerStep(m.ws[w], 1+r0, 1+r1, dtf)
+		m.density(1+r0, 1+r1)
+		m.baroclinicPressure(m.ws[w], 1+r0, 1+r1)
+	}
+	ph.internal = func(w, r0, r1 int) { m.internalStep(m.ws[w], 1+r0, 1+r1, dtf) }
+	ph.btDiv = func(w, r0, r1 int) { m.btDivergence(m.ws[w], 1+r0, 1+r1) }
 	ph.btMom = func(_, r0, r1 int) { m.btMomentum(1+r0, 1+r1, dtb) }
-	ph.btCont = func(_, r0, r1 int) { m.btContinuity(1+r0, 1+r1, dtb) }
+	ph.btCont = func(w, r0, r1 int) { m.btContinuity(m.ws[w], 1+r0, 1+r1, dtb) }
 	ph.btSmoothC = func(_, r0, r1 int) { m.btSmoothCompute(ph.fld, 1+r0, 1+r1) }
-	ph.btSmoothA = func(_, r0, r1 int) { m.btSmoothApply(ph.fld, 1+r0, 1+r1) }
-	ph.coupleBt = func(_, r0, r1 int) { m.coupleBarotropic(1+r0, 1+r1) }
-	ph.unsplitFS = func(_, r0, r1 int) { m.unsplitFreeSurface(ph.f, 1+r0, 1+r1, dtf) }
-	ph.svC = func(_, r0, r1 int) { m.svCompute(ph.fld, ph.k, 1+r0, 1+r1) }
-	ph.svA = func(_, r0, r1 int) { m.svApply(ph.fld, ph.k, 1+r0, 1+r1) }
-	ph.polar = func(w, r0, r1 int) { m.polarFilter(m.wfilt[w], 1+r0, 1+r1) }
-	ph.clamp = func(_, r0, r1 int) { m.clampVelocities(1+r0, 1+r1) }
+	ph.btSmoothA = func(_, r0, r1 int) { m.smoothApply(ph.fld, m.scr, 0, 1+r0, 1+r1) }
+	ph.coupleBt = func(w, r0, r1 int) { m.coupleBarotropic(m.ws[w], 1+r0, 1+r1) }
+	ph.unsplitFS = func(w, r0, r1 int) { m.unsplitFreeSurface(m.ws[w], 1+r0, 1+r1, dtf) }
+	ph.smoothC = func(_, r0, r1 int) { m.smoothVelocities(ph.k, 1+r0, 1+r1) }
+	ph.smoothA = func(_, r0, r1 int) {
+		m.smoothApply(m.u[ph.k], m.scr, ph.k, 1+r0, 1+r1)
+		m.smoothApply(m.v[ph.k], m.scr2, ph.k, 1+r0, 1+r1)
+	}
+	// The polar filter keeps the converging-meridian rows stable; the
+	// velocity limiter follows it.
+	ph.finish = func(w, r0, r1 int) {
+		m.polarFilter(m.ws[w].filt, 1+r0, 1+r1)
+		m.clampVelocities(1+r0, 1+r1)
+	}
 	return ph
 }
 
-func (m *Model) stepShared(f *Forcing) {
-	nlat := m.cfg.NLat
-	p := m.pool
-	ph := m.shPh
+// stepPhases advances the full model one tracer interval: slow tendencies,
+// horizontal transport and column physics at the long step, then the fast
+// subcycles — the "fastest parts of the internal dynamics" of the paper's
+// Section 4.2: the internal gravity-wave loop (velocity <- pressure
+// gradients, buoyancy <- vertical advection of the stratification) plus the
+// split 2-D barotropic system on the fastest of the three time levels.
+func (m *Model) stepPhases(f *Forcing) {
+	rows, nlev := m.cfg.NLat-2, m.cfg.NLev
+	p, ph := m.pool, m.ph
 	ph.f = f
 
-	// 1.-2. Slow tendencies, horizontal transport and column physics at the
-	// long tracer step (same sequence as stepRows).
-	p.Run(nlat, ph.vertVelFull)
-	p.Run(nlat-2, ph.slowMomBiharm)
-	m.horizontalTracerShared()
-	p.Run(nlat-2, ph.surfForce)
-	p.Run(nlat, ph.densityFull)
-	p.Run(nlat-2, ph.vertMix)
-	p.Run(nlat-2, ph.convAdj)
-	p.Run(nlat-2, ph.freeze)
+	p.Run(rows, ph.slow)
+	// The tendency reads tracer values on neighbour rows, so the apply of a
+	// level waits for every worker's tendency.
+	for ph.k = 0; ph.k < nlev; ph.k++ {
+		p.Run(rows, ph.tracerTend)
+		p.Run(rows, ph.tracerApply)
+	}
+	p.Run(rows, ph.column)
 
-	// 3. Fast subcycles.
-	nsub := m.cfg.Subcycles()
-	nbaro := m.cfg.BaroSubcycles()
-	for n := 0; n < nsub; n++ {
-		p.Run(nlat, ph.vertVelFull)
-		p.Run(nlat, ph.vertTracer)
-		p.Run(nlat, ph.densityFull)
-		p.Run(nlat, ph.baroPress)
-		p.Run(nlat-2, ph.internal)
+	for n := 0; n < m.cfg.Subcycles(); n++ {
+		p.Run(rows, ph.fast)
+		p.Run(rows, ph.internal)
 		if m.cfg.Split {
-			for b := 0; b < nbaro; b++ {
-				// Forward-backward barotropic step as barrier-separated
-				// sub-phases (divergence -> momentum -> continuity ->
-				// per-field smoothing), mirroring the sync points of the
-				// mp driver.
-				p.Run(nlat, ph.btDiv)
-				p.Run(nlat-2, ph.btMom)
-				p.Run(nlat-2, ph.btCont)
+			for b := 0; b < m.cfg.BaroSubcycles(); b++ {
+				p.Run(rows, ph.btDiv)
+				p.Run(rows, ph.btMom)
+				p.Run(rows, ph.btCont)
 				for _, fld := range [3][]float64{m.eta, m.ubt, m.vbt} {
 					ph.fld = fld
-					p.Run(nlat-2, ph.btSmoothC)
-					p.Run(nlat-2, ph.btSmoothA)
+					p.Run(rows, ph.btSmoothC)
+					p.Run(rows, ph.btSmoothA)
 				}
 			}
-			p.Run(nlat-2, ph.coupleBt)
+			p.Run(rows, ph.coupleBt)
 		} else {
-			p.Run(nlat-2, ph.unsplitFS)
+			p.Run(rows, ph.unsplitFS)
 		}
-		// Velocity smoothing reads just-updated neighbour velocities, so
-		// each level/component runs as a compute phase into m.scr
-		// (owner-only rows) and an apply phase after the barrier.
-		for k := 0; k < m.cfg.NLev; k++ {
-			ph.k = k
-			for _, fld := range [2][]float64{m.u[k], m.v[k]} {
-				ph.fld = fld
-				p.Run(nlat-2, ph.svC)
-				p.Run(nlat-2, ph.svA)
-			}
+		// Velocity smoothing reads just-updated neighbour velocities: the
+		// increments of a level are stored, then added after the barrier.
+		for ph.k = 0; ph.k < nlev; ph.k++ {
+			p.Run(rows, ph.smoothC)
+			p.Run(rows, ph.smoothA)
 		}
 	}
-
-	// 6.-7. Polar filter (row-local, per-worker FFT workspace) and clamp.
-	p.Run(nlat-2, ph.polar)
-	p.Run(nlat-2, ph.clamp)
-	ph.f, ph.fld, ph.q = nil, nil, nil
-}
-
-// horizontalTracerShared runs the horizontal tracer transport as a
-// flux-tendency phase into per-worker buffers followed by an apply phase,
-// per tracer and level. The apply must not overlap the tendency computation
-// of any worker because the tendency reads tracer values on neighbour rows.
-func (m *Model) horizontalTracerShared() {
-	nlat := m.cfg.NLat
-	ph := m.shPh
-	for _, tr := range [2][][]float64{m.t, m.s} {
-		for k := 0; k < m.cfg.NLev; k++ {
-			ph.q, ph.k = tr[k], k
-			m.pool.Run(nlat-2, ph.tracerTend)
-			m.pool.Run(nlat-2, ph.tracerApply)
-		}
-	}
+	p.Run(rows, ph.finish)
+	ph.f, ph.fld = nil, nil
 }

@@ -610,6 +610,47 @@ func (f *FFT) transformSplitNoAlias(dstRe, dstIm, srcRe, srcIm []float64, s *FFT
 	f.iterSplit(dstRe, dstIm, srcRe, srcIm, s, inverse)
 }
 
+// ForwardSplitInto is ForwardInto on split re/im planes: dst = DFT(src),
+// unnormalized, through the iterative split butterflies — bit-identical to
+// the complex path plane for plane. All four planes have length n; dst,
+// src and the scratch must not overlap, and src is only read.
+//
+//foam:hotpath
+func (f *FFT) ForwardSplitInto(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch) {
+	f.checkSplitPlanes(dstRe, dstIm, srcRe, srcIm)
+	f.transformSplitNoAlias(dstRe, dstIm, srcRe, srcIm, s, false)
+}
+
+// InverseSplitInto is InverseInto on split re/im planes, including the 1/n
+// normalization, which reconstructs the complex product so each plane
+// rounds exactly as InverseInto's dst[i] *= complex(1/n, 0).
+//
+//foam:hotpath
+func (f *FFT) InverseSplitInto(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch) {
+	f.checkSplitPlanes(dstRe, dstIm, srcRe, srcIm)
+	f.transformSplitNoAlias(dstRe, dstIm, srcRe, srcIm, s, true)
+	inv := complex(1/float64(f.n), 0)
+	for i := range dstRe {
+		v := complex(dstRe[i], dstIm[i]) * inv
+		dstRe[i], dstIm[i] = real(v), imag(v)
+	}
+}
+
+// checkSplitPlanes panics on a plane of the wrong length or a dst plane
+// sharing its first element with a src plane.
+func (f *FFT) checkSplitPlanes(dstRe, dstIm, srcRe, srcIm []float64) {
+	if len(dstRe) != f.n || len(dstIm) != f.n || len(srcRe) != f.n || len(srcIm) != f.n {
+		panic("spectral: FFT buffer length mismatch")
+	}
+	for _, d := range [2][]float64{dstRe, dstIm} {
+		for _, s := range [2][]float64{srcRe, srcIm} {
+			if &d[0] == &s[0] {
+				panic("spectral: split FFT dst/src must not alias")
+			}
+		}
+	}
+}
+
 func (f *FFT) direct(dst, src []complex128, inverse bool) {
 	tmp := make([]complex128, f.n)
 	for k := 0; k < f.n; k++ {

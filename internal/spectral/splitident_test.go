@@ -439,3 +439,41 @@ func TestFFTSplitRealBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestFFTSplitPlanesBitIdentical pins the exported split-plane pair to the
+// complex entry points: ForwardSplitInto/InverseSplitInto must reproduce
+// ForwardInto/InverseInto bit for bit, on smooth lengths (the model's 48,
+// 64 and 128-point rows) and on a non-smooth one (the direct fallback).
+func TestFFTSplitPlanesBitIdentical(t *testing.T) {
+	for _, n := range []int{48, 64, 128, 22} {
+		f := NewFFT(n)
+		s := f.NewScratch()
+		rng := rand.New(rand.NewSource(int64(n)))
+		src := make([]complex128, n)
+		srcRe, srcIm := make([]float64, n), make([]float64, n)
+		for i := range src {
+			srcRe[i], srcIm[i] = rng.NormFloat64(), rng.NormFloat64()
+			if i%5 == 0 {
+				srcIm[i] = 0 // real-input rows are what the ocean filter feeds
+			}
+			src[i] = complex(srcRe[i], srcIm[i])
+		}
+		want := make([]complex128, n)
+		gotRe, gotIm := make([]float64, n), make([]float64, n)
+		check := func(what string) {
+			t.Helper()
+			for i := range want {
+				if math.Float64bits(gotRe[i]) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(gotIm[i]) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("n=%d %s i=%d: split (%v,%v) != complex %v", n, what, i, gotRe[i], gotIm[i], want[i])
+				}
+			}
+		}
+		f.ForwardInto(want, src, s)
+		f.ForwardSplitInto(gotRe, gotIm, srcRe, srcIm, s)
+		check("forward")
+		f.InverseInto(want, src, s)
+		f.InverseSplitInto(gotRe, gotIm, srcRe, srcIm, s)
+		check("inverse")
+	}
+}
