@@ -28,6 +28,9 @@ func paperModel(tb testing.TB, workers int) (*Model, *Forcing, *pool.Pool) {
 // the reduced configuration, and row buffers sized by NLon or per-worker
 // scratch that is lazily grown would show up only here.
 func TestStepAllocsPaperResolution(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ten paper-resolution steps; skipped in -short")
+	}
 	for _, workers := range []int{1, 3} {
 		m, f, p := paperModel(t, workers)
 		if n := testing.AllocsPerRun(2, func() { m.Step(f) }); n != 0 {

@@ -66,9 +66,9 @@ func (m *Model) polarFilter(rf *rowFilter, j0, j1 int) {
 		if keep < 2 {
 			keep = 2
 		}
-		kr := m.kmt[j*nlon : (j+1)*nlon]
+		kr := m.kmtRow(j)
 		filterField := func(fld []float64, k int) {
-			fr := fld[j*nlon : (j+1)*nlon]
+			fr := m.rowOf(fld, j)
 			var mean float64
 			var cnt int
 			for i, kb := range kr {

@@ -214,6 +214,7 @@ func (m *Model) slowMomentum(ws *workScratch, f *Forcing, j0, j1 int) {
 	// del^4 damping, row-scaled so the two-grid-interval mode decays by
 	// BiharmCoef per tracer step.
 	coef := m.cfg.BiharmCoef / (16 * dt)
+	laps := viscous || biharm
 	lu, lv, l2u, l2v := ws.r[0:3], ws.r[3:6], ws.r[6], ws.r[7]
 	for k := 0; k < nlev; k++ {
 		uk, vk := m.u[k], m.v[k]
@@ -224,7 +225,7 @@ func (m *Model) slowMomentum(ws *workScratch, f *Forcing, j0, j1 int) {
 		if k+1 < nlev {
 			wMaxB, hzB = 0.45*math.Min(m.dz[k], m.dz[k+1])/dt, 0.5*(m.dz[k]+m.dz[k+1])
 		}
-		if viscous || biharm {
+		if laps {
 			for j := j0 - 1; j <= j0; j++ {
 				m.lapRow(lu[j%3], uk, j, k, 1)
 				m.lapRow(lv[j%3], vk, j, k, 1)
@@ -232,7 +233,7 @@ func (m *Model) slowMomentum(ws *workScratch, f *Forcing, j0, j1 int) {
 		}
 		for j := j0; j < j1; j++ {
 			ks, kr, kn := m.kmtRow(j-1), m.kmtRow(j), m.kmtRow(j+1)
-			if viscous || biharm {
+			if laps {
 				m.lapRow(lu[(j+1)%3], uk, j+1, k, 1)
 				m.lapRow(lv[(j+1)%3], vk, j+1, k, 1)
 			}
@@ -416,14 +417,14 @@ func (m *Model) tracerTend(ws *workScratch, k, j0, j1 int) {
 			f.gs, f.gn = f.gn, f.gs
 			m.eastFlux(f.x, ws.fe, f.q, j, k)
 			m.northFlux(f.gn, ws.fn, f.q, j, k)
-			qr, out := m.rowOf(f.q, j), m.rowOf(f.out, j)
+			qr, out, x, gs, gn := m.rowOf(f.q, j), m.rowOf(f.out, j), f.x, f.gs, f.gn
 			for iw, i := len(kr)-1, 0; i < len(kr); iw, i = i, i+1 {
 				if k < kr[i] {
 					tend := 0.0
-					tend += f.x[iw]
-					tend -= f.x[i]
-					tend += f.gs[i] / dyc
-					tend -= f.gn[i] / dyc
+					tend += x[iw]
+					tend -= x[i]
+					tend += gs[i] / dyc
+					tend -= gn[i] / dyc
 					out[i] = tend + qr[i]*ws.div[i]
 				}
 			}
@@ -789,15 +790,20 @@ func (m *Model) btContinuity(ws *workScratch, j0, j1 int, dt float64) {
 	}
 }
 
-// btSmoothCompute stores in m.scr the increment of a light grid-Laplacian
-// smoothing of one barotropic field. The unstaggered grid supports a
-// two-grid-interval null mode in the (eta, ubt, vbt) system that the
-// centered gradients cannot feel; the smoothing removes it (the role the
-// paper gives its del^4 dissipation). The increment reads neighbour rows
-// that smoothApply overwrites, so a barrier separates the two.
-func (m *Model) btSmoothCompute(fld []float64, j0, j1 int) {
+// smoothIncrement stores in inc the increment of a grid-Laplacian smoothing
+// of the level-k field fld. The unstaggered grid supports two-grid-interval
+// null modes that the centered gradients cannot feel. In the barotropic
+// system (eta, ubt, vbt) a light smoothing removes it (the role the paper
+// gives its del^4 dissipation). In the 3-D velocity the mode lies in the
+// null space of both the centered pressure gradient and the face
+// divergence, so no physical term restrains it; without the smoothing (or
+// an equivalently strong del^4) the nonlinear terms pump it at density
+// fronts. The damping is strongly scale-selective: ~8*scale per
+// application at 2*dx, O(k^2 dx^2) elsewhere. The increment reads neighbour
+// rows that smoothApply overwrites, so a barrier separates the two.
+func (m *Model) smoothIncrement(inc, fld []float64, k int, scale float64, j0, j1 int) {
 	for j := j0; j < j1; j++ {
-		m.lapRow(m.rowOf(m.scr, j), fld, j, 0, 0.02)
+		m.lapRow(m.rowOf(inc, j), fld, j, k, scale)
 	}
 }
 
@@ -878,21 +884,6 @@ func (m *Model) unsplitFreeSurface(ws *workScratch, j0, j1 int, dt float64) {
 				er[i] -= dt * acc[i]
 			}
 		}
-	}
-}
-
-// smoothVelocities stores in m.scr and m.scr2 the grid-scale smoothing
-// increments of u and v at level k. The unstaggered grid's
-// two-grid-interval velocity mode lies in the null space of both the
-// centered pressure gradient and the face divergence, so no physical term
-// restrains it; without this (or an equivalently strong del^4) the
-// nonlinear terms pump it at density fronts. The damping is strongly
-// scale-selective: ~0.3/step at 2*dx, O(k^2 dx^2) elsewhere.
-func (m *Model) smoothVelocities(k, j0, j1 int) {
-	const smooth3d = 0.04
-	for j := j0; j < j1; j++ {
-		m.lapRow(m.rowOf(m.scr, j), m.u[k], j, k, smooth3d)
-		m.lapRow(m.rowOf(m.scr2, j), m.v[k], j, k, smooth3d)
 	}
 }
 

@@ -91,6 +91,9 @@ func (m *Model) convectiveAdjust(j0, j1 int) {
 	nlon := m.cfg.NLon
 	for c := j0 * nlon; c < j1*nlon; c++ {
 		kb := m.kmt[c]
+		if kb < 2 {
+			continue
+		}
 		// Iterate passes until the column is statically stable (a lower
 		// pair mixing can re-destabilize the pair above it).
 		for pass := 0; pass < 3*kb; pass++ {

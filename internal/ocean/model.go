@@ -112,7 +112,7 @@ type Model struct {
 	pool pool.Runner
 	//foam:transient ws per-worker row buffers, fully rewritten inside each kernel call
 	ws []*workScratch
-	//foam:transient ph pre-bound phase closures and their per-step staging, rebound by SetPool
+	//foam:transient ph pre-bound phase closures and their per-step staging, bound once at construction
 	ph *phases
 }
 
@@ -205,6 +205,7 @@ func NewOnGrid(cfg Config, kmt []int, grid *sphere.Grid) (*Model, error) {
 	m.btFx = make([]float64, n)
 	m.btFy = make([]float64, n)
 	m.iceFlux = make([]float64, n)
+	m.ph = m.bindPhases()
 	m.SetPool(nil)
 	m.initState()
 	return m, nil
@@ -338,8 +339,8 @@ func (m *Model) Diagnostics() Diagnostics { return m.diag }
 // StepCount returns completed tracer steps.
 func (m *Model) StepCount() int { return m.step }
 
-// SetPool attaches the Runner the phase driver executes on and allocates
-// one set of row buffers per worker. The integration is bit-identical for
+// SetPool attaches the Runner the phase driver executes on and keeps one
+// set of row buffers per worker. The integration is bit-identical for
 // any Runner and worker count (see shared.go). Pass nil for serial
 // execution.
 func (m *Model) SetPool(p pool.Runner) {
@@ -347,11 +348,13 @@ func (m *Model) SetPool(p pool.Runner) {
 		p = pool.Serial
 	}
 	m.pool = p
+	if len(m.ws) == p.Workers() {
+		return
+	}
 	m.ws = make([]*workScratch, p.Workers())
 	for w := range m.ws {
 		m.ws[w] = newWorkScratch(m.cfg)
 	}
-	m.ph = m.bindPhases()
 }
 
 // Step advances one tracer interval (DtTracer) under the given forcing.

@@ -135,3 +135,32 @@ func TestSlowdownInvariance(t *testing.T) {
 		t.Fatalf("slowdown changed the circulation: pattern correlation %v", corr)
 	}
 }
+
+// TestPowByMultiplication: verticalMixing raises 1+5Ri to the second or
+// third power by multiplication. That is only admissible because it is
+// bit-equal to the math.Pow it replaced, over the whole range the
+// Richardson number can produce (Ri >= 0, up to N^2/1e-10 in a sheared
+// column at rest) — checked here on a dense logarithmic sweep, on random
+// draws and on the endpoints.
+func TestPowByMultiplication(t *testing.T) {
+	check := func(ri float64) {
+		t.Helper()
+		x := 1 + 5*ri
+		if got, want := x*x, math.Pow(x, 2); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Ri=%v: x*x = %v, math.Pow(x, 2) = %v", ri, got, want)
+		}
+		if got, want := x*(x*x), math.Pow(x, 3); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Ri=%v: x*(x*x) = %v, math.Pow(x, 3) = %v", ri, got, want)
+		}
+	}
+	for _, ri := range []float64{0, math.SmallestNonzeroFloat64, 1e-300, 0.25, 1, 1e12, 1e60, math.Inf(1)} {
+		check(ri)
+	}
+	for e := -30.0; e <= 30; e += 1.0 / 64 {
+		check(math.Pow(10, e))
+	}
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n < 200000; n++ {
+		check(math.Exp(rng.Float64()*60 - 30))
+	}
+}

@@ -52,10 +52,10 @@ type phases struct {
 	finish      func(w, lo, hi int)
 }
 
-// bindPhases builds the phase closures against this model's per-worker
-// scratch. Phases receive block ranges over the NLat-2 interior rows and
-// shift by one: they write rows [1, NLat-1) while the closed boundary rows
-// keep their all-land zeros.
+// bindPhases builds the phase closures, once per model; they pick up the
+// per-worker scratch of whatever Runner is attached. Phases receive block
+// ranges over the NLat-2 interior rows and shift by one: they write rows
+// [1, NLat-1) while the closed boundary rows keep their all-land zeros.
 //
 //foam:hotphases
 func (m *Model) bindPhases() *phases {
@@ -94,11 +94,14 @@ func (m *Model) bindPhases() *phases {
 	ph.btDiv = func(w, r0, r1 int) { m.btDivergence(m.ws[w], 1+r0, 1+r1) }
 	ph.btMom = func(_, r0, r1 int) { m.btMomentum(1+r0, 1+r1, dtb) }
 	ph.btCont = func(w, r0, r1 int) { m.btContinuity(m.ws[w], 1+r0, 1+r1, dtb) }
-	ph.btSmoothC = func(_, r0, r1 int) { m.btSmoothCompute(ph.fld, 1+r0, 1+r1) }
+	ph.btSmoothC = func(_, r0, r1 int) { m.smoothIncrement(m.scr, ph.fld, 0, 0.02, 1+r0, 1+r1) }
 	ph.btSmoothA = func(_, r0, r1 int) { m.smoothApply(ph.fld, m.scr, 0, 1+r0, 1+r1) }
 	ph.coupleBt = func(w, r0, r1 int) { m.coupleBarotropic(m.ws[w], 1+r0, 1+r1) }
 	ph.unsplitFS = func(w, r0, r1 int) { m.unsplitFreeSurface(m.ws[w], 1+r0, 1+r1, dtf) }
-	ph.smoothC = func(_, r0, r1 int) { m.smoothVelocities(ph.k, 1+r0, 1+r1) }
+	ph.smoothC = func(_, r0, r1 int) {
+		m.smoothIncrement(m.scr, m.u[ph.k], ph.k, 0.04, 1+r0, 1+r1)
+		m.smoothIncrement(m.scr2, m.v[ph.k], ph.k, 0.04, 1+r0, 1+r1)
+	}
 	ph.smoothA = func(_, r0, r1 int) {
 		m.smoothApply(m.u[ph.k], m.scr, ph.k, 1+r0, 1+r1)
 		m.smoothApply(m.v[ph.k], m.scr2, ph.k, 1+r0, 1+r1)
