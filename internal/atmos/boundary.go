@@ -119,6 +119,7 @@ type UniformOcean struct {
 	SST    float64
 	CCM3   bool
 	albedo float64
+	out    *SurfaceExchange // the reply, reused every step (one boundary serves one model)
 }
 
 // NewUniformOcean creates a data ocean at the given SST in kelvin.
@@ -126,9 +127,13 @@ func NewUniformOcean(sst float64) *UniformOcean {
 	return &UniformOcean{SST: sst, CCM3: true, albedo: 0.07}
 }
 
-// Exchange implements Boundary.
+// Exchange implements Boundary. Like the coupler's, the returned exchange
+// is owned by the boundary and overwritten by the next call.
 func (o *UniformOcean) Exchange(in *LowestLevel, dt float64) *SurfaceExchange {
-	out := NewSurfaceExchange(in.NCell)
+	if o.out == nil || len(o.out.TSurf) != in.NCell {
+		o.out = NewSurfaceExchange(in.NCell)
+	}
+	out := o.out
 	for c := 0; c < in.NCell; c++ {
 		wind := math.Hypot(in.U[c], in.V[c])
 		z := in.Z[c]

@@ -49,6 +49,7 @@ type work struct {
 	synthSpecs [][]complex128 // [cur.vort..., cur.div..., cur.temp...]
 	anaGrids   [][]float64    // [eG..., tSrc...]
 	anaSpecs   [][]complex128 // [specE..., nt...]
+	diagGrids  [][]float64    // [tg..., diagG]: updateDiagnostics, between steps
 
 	// ws0 serves the remaining single-field transform calls; wsMany is
 	// sized for the widest fused batch (3·nlev fields). All transforms
@@ -184,6 +185,7 @@ func newWork(m *Model) *work {
 	w.diagG = make([]float64, ncell)
 	w.diagU = make([]float64, ncell)
 	w.diagV = make([]float64, ncell)
+	w.diagGrids = append(append(make([][]float64, 0, nlev+1), w.tg...), w.diagG)
 
 	m.bindPhases(w)
 	return w
@@ -571,23 +573,27 @@ func (m *Model) vadv(x [][]float64, k, c int) float64 {
 // allocating: grid scratch comes from the step workspace.
 func (m *Model) updateDiagnostics() {
 	w := m.ensureWork()
-	ws := w.ws0
-	m.tr.SynthesizeInto(w.diagG, m.cur.lnps, ws)
+	nlev := m.cfg.NLev
+	// Every level's temperature and ln(ps) in one fused pass; the dynamics'
+	// grid temperatures are free scratch between steps.
+	specs := w.synthSpecs[:nlev+1]
+	copy(specs, m.cur.temp)
+	specs[nlev] = m.cur.lnps
+	m.tr.SynthesizeManyInto(w.diagGrids, specs, w.wsMany)
 	for c := range w.diagG {
 		w.diagG[c] = math.Exp(w.diagG[c])
 	}
 	m.diag.MeanPs = m.grid.AreaMean(w.diagG)
 	tsum, wsum := 0.0, 0.0
-	for k := 0; k < m.cfg.NLev; k++ {
-		m.tr.SynthesizeInto(w.diagG, m.cur.temp[k], ws)
-		mean := m.grid.AreaMean(w.diagG)
+	for k := 0; k < nlev; k++ {
+		mean := m.grid.AreaMean(w.tg[k])
 		tsum += mean * m.vg.DSig[k]
 		wsum += m.vg.DSig[k]
 	}
 	m.diag.MeanT = tsum / wsum
 	// Wind maximum at a mid-tropospheric level.
-	k := m.cfg.NLev * 3 / 4
-	m.tr.SynthesizeUVInto(w.diagU, w.diagV, m.cur.vort[k], m.cur.div[k], ws)
+	k := nlev * 3 / 4
+	m.tr.SynthesizeUVInto(w.diagU, w.diagV, m.cur.vort[k], m.cur.div[k], w.ws0)
 	mx, ke := 0.0, 0.0
 	for j := 0; j < m.cfg.NLat; j++ {
 		inv := 1 / math.Sqrt(m.geom.oneMu2[j])

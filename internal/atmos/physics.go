@@ -131,12 +131,12 @@ func (m *Model) bindPhysicsPhases(w *work) {
 				//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 				tRow = time.Now()
 			}
-			lat := w.lats[j]
+			sinLat, cosLat := math.Sin(w.lats[j]), math.Cos(w.lats[j])
 			for i := 0; i < nlon; i++ {
 				c := j*nlon + i
 				lon := 2 * math.Pi * float64(i) / float64(nlon)
 				h := 2*math.Pi*frac + lon - math.Pi
-				cz := math.Sin(lat)*math.Sin(decl) + math.Cos(lat)*math.Cos(decl)*math.Cos(h)
+				cz := sinLat*math.Sin(decl) + cosLat*math.Cos(decl)*math.Cos(h)
 				if cz < 0 {
 					cz = 0
 				}
@@ -152,13 +152,14 @@ func (m *Model) bindPhysicsPhases(w *work) {
 
 	// Lowest-level state for the surface.
 	w.phLowest = func(_, cLo, cHi int) {
+		lnLow := m.vg.lnLow[kb] // ln(1/sigma_kb): Half[nlev] is exactly 1
 		for c := cLo; c < cHi; c++ {
 			phy.low.T[c] = phy.tg[kb][c]
 			phy.low.Q[c] = phy.qg[kb][c]
 			phy.low.U[c] = phy.ug[kb][c]
 			phy.low.V[c] = phy.vg[kb][c]
 			phy.low.Ps[c] = phy.ps[c]
-			phy.low.Z[c] = RDry * phy.tg[kb][c] / sphere.Gravity * math.Log(1/m.vg.Full[kb])
+			phy.low.Z[c] = RDry * phy.tg[kb][c] / sphere.Gravity * lnLow
 			phy.low.SWDown[c] = phy.swdn[c]
 			phy.low.LWDown[c] = phy.lwdn[c]
 			phy.low.RainRate[c] = phy.rain[c]
@@ -328,6 +329,7 @@ func (m *Model) physicsStep(plus *specState) {
 type radScratch struct {
 	dtau, cld, wq []float64
 	up, dn        []float64
+	trans, emit   []float64 // layer transmissivity exp(-dtau) and blackbody emission
 }
 
 //foam:coldpath
@@ -335,7 +337,16 @@ func newRadScratch(nl int) *radScratch {
 	return &radScratch{
 		dtau: make([]float64, nl), cld: make([]float64, nl), wq: make([]float64, nl),
 		up: make([]float64, nl+1), dn: make([]float64, nl+1),
+		trans: make([]float64, nl), emit: make([]float64, nl),
 	}
+}
+
+// pow4 is math.Pow(x, 4) for finite positive x of ordinary magnitude: Pow
+// squares the mantissa twice with the same two roundings, and scaling by a
+// power of two is exact (TestPow4ByMultiplication pins the equality).
+func pow4(x float64) float64 {
+	x2 := x * x
+	return x2 * x2
 }
 
 // radiationColumn computes the radiative heating profile and surface fluxes
@@ -377,16 +388,17 @@ func (m *Model) radiationColumn(c int, cosz float64, rs *radScratch) {
 	// Longwave two-stream with linear-in-layer emission.
 	up := rs.up
 	dn := rs.dn
+	trans, emit := rs.trans, rs.emit
 	dn[0] = 0
 	for k := 0; k < nlev; k++ {
 		e := math.Exp(-dtau[k])
-		b := StefBo * math.Pow(phy.tg[k][c], 4)
+		b := StefBo * pow4(phy.tg[k][c])
+		trans[k], emit[k] = e, b
 		dn[k+1] = dn[k]*e + b*(1-e)
 	}
-	up[nlev] = StefBo * math.Pow(ts, 4)
+	up[nlev] = StefBo * pow4(ts)
 	for k := nlev - 1; k >= 0; k-- {
-		e := math.Exp(-dtau[k])
-		b := StefBo * math.Pow(phy.tg[k][c], 4)
+		e, b := trans[k], emit[k]
 		up[k] = up[k+1]*e + b*(1-e)
 	}
 	phy.lwdn[c] = dn[nlev]
@@ -423,6 +435,11 @@ type column struct {
 	T, Q, U, V []float64
 	p, dp, z   []float64
 	ps         float64
+	// Exner tables of the loaded column: ex[k] = (p_k/P00)^kappa on every
+	// level and exInv[k] = (P00/p_k)^kappa on the boundary-layer levels
+	// kTop..nl-1 — its own math.Pow, not 1/ex[k], which rounds differently.
+	ex, exInv []float64
+	kTop      int // first level of the boundary-layer diffusion
 
 	sub, diag, sup, rhs []float64
 	buoy, dTd           []float64
@@ -430,7 +447,8 @@ type column struct {
 
 //foam:coldpath
 func newColumn(nl int) *column {
-	return &column{nl: nl,
+	return &column{nl: nl, kTop: nl - nl/3 - 1,
+		ex: make([]float64, nl), exInv: make([]float64, nl),
 		T: make([]float64, nl), Q: make([]float64, nl),
 		U: make([]float64, nl), V: make([]float64, nl),
 		p: make([]float64, nl), dp: make([]float64, nl), z: make([]float64, nl),
@@ -449,18 +467,16 @@ func (col *column) load(m *Model, c int) {
 		col.V[k] = phy.vg[k][c]
 		col.p[k] = m.vg.Full[k] * col.ps
 		col.dp[k] = m.vg.DSig[k] * col.ps
+		col.ex[k] = math.Pow(col.p[k]/P00, Kappa)
+		if k >= col.kTop {
+			col.exInv[k] = math.Pow(P00/col.p[k], Kappa)
+		}
 	}
 	// Heights by hypsometric integration from the surface.
 	zh := 0.0
 	for k := col.nl - 1; k >= 0; k-- {
-		var lower float64
-		if k == col.nl-1 {
-			lower = 1.0
-		} else {
-			lower = m.vg.Half[k+1]
-		}
-		col.z[k] = zh + RDry*col.T[k]/sphere.Gravity*math.Log(lower/m.vg.Full[k])
-		zh = col.z[k] + RDry*col.T[k]/sphere.Gravity*math.Log(m.vg.Full[k]/m.vg.Half[k])
+		col.z[k] = zh + RDry*col.T[k]/sphere.Gravity*m.vg.lnLow[k]
+		zh = col.z[k] + RDry*col.T[k]/sphere.Gravity*m.vg.lnUp[k]
 	}
 }
 
@@ -488,7 +504,7 @@ func (col *column) diffuseField(x []float64, isTheta bool, kTop, n int, kmix, dt
 		k := kTop + r
 		v := x[k]
 		if isTheta {
-			v = x[k] * math.Pow(P00/col.p[k], Kappa)
+			v = x[k] * col.exInv[k]
 		}
 		rhs[r] = v
 		diag[r] = 1
@@ -510,7 +526,7 @@ func (col *column) diffuseField(x []float64, isTheta bool, kTop, n int, kmix, dt
 	for r := 0; r < n; r++ {
 		k := kTop + r
 		if isTheta {
-			x[k] = rhs[r] * math.Pow(col.p[k]/P00, Kappa)
+			x[k] = rhs[r] * col.ex[k]
 		} else {
 			x[k] = rhs[r]
 		}
@@ -533,7 +549,7 @@ func (col *column) surfaceAndDiffusion(m *Model, c int, ex *SurfaceExchange, dt 
 	// K-profile: strong mixing where the column is statically unstable
 	// relative to the surface layer, weak elsewhere; active in the lowest
 	// third of the model levels.
-	kTop := nl - nl/3 - 1
+	kTop := col.kTop
 	n := nl - kTop
 	if n < 2 {
 		return
@@ -557,8 +573,7 @@ func (col *column) dryAdjust() {
 	nl := col.nl
 	for pass := 0; pass < 2; pass++ {
 		for k := nl - 1; k > 0; k-- {
-			cLow := math.Pow(col.p[k]/P00, Kappa)
-			cUp := math.Pow(col.p[k-1]/P00, Kappa)
+			cLow, cUp := col.ex[k], col.ex[k-1]
 			thLow := col.T[k] / cLow
 			thUp := col.T[k-1] / cUp
 			if thLow > thUp+1e-4 {
@@ -595,8 +610,7 @@ func (col *column) hackShallow(m *Model, c int, dt float64) {
 	for k := nl - 1; k > nl/2; k-- {
 		hLow := Cp*col.T[k] + sphere.Gravity*col.z[k] + LVap*col.Q[k]
 		hUp := Cp*col.T[k-1] + sphere.Gravity*col.z[k-1] + LVap*col.Q[k-1]
-		qsLow := SatHum(col.T[k], col.p[k])
-		if hLow > hUp+200 && col.Q[k] > 0.7*qsLow {
+		if hLow > hUp+200 && col.Q[k] > 0.7*SatHum(col.T[k], col.p[k]) {
 			// Exchange a fraction of the instability between the layers,
 			// conserving column moist static energy and water.
 			w1, w2 := col.dp[k], col.dp[k-1]
@@ -625,20 +639,23 @@ func (col *column) zmDeep(m *Model, c int, dt float64) bool {
 		buoy[k] = 0
 	}
 	cape := 0.0
+	qs := SatHum(tp, col.p[kb]) // parcel saturation at the level it leaves
 	for k := kb - 1; k >= 0; k-- {
 		// Lift: dry adiabatic unless saturated, then pseudoadiabatic.
 		dlnp := math.Log(col.p[k] / col.p[k+1]) // negative going up
-		qs := SatHum(tp, col.p[k+1])
-		if qp >= qs {
+		moist := qp >= qs
+		if moist {
 			// Moist ascent: reduced lapse via latent heating factor.
 			gamma := (1 + LVap*qs/(RDry*tp)) / (1 + LVap*LVap*qs*EpsWV/(Cp*RDry*tp*tp))
 			tp += Kappa * tp * gamma * dlnp
-			qsNew := SatHum(tp, col.p[k])
-			if qsNew < qp {
-				qp = qsNew
-			}
 		} else {
 			tp += Kappa * tp * dlnp
+		}
+		// Saturation at arrival: caps the moist parcel now and, tp being
+		// final, is the saturation it leaves with on the next lift.
+		qs = SatHum(tp, col.p[k])
+		if moist && qs < qp {
+			qp = qs
 		}
 		b := tp*(1+0.61*qp) - col.T[k]*(1+0.61*col.Q[k])
 		buoy[k] = b

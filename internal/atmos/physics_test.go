@@ -2,6 +2,7 @@ package atmos
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"foam/internal/spectral"
@@ -307,5 +308,24 @@ func TestMoistureAdvectionConservesUnderSolidRotation(t *testing.T) {
 	}
 	if corr := num / math.Sqrt(d1*d2); corr > 0.9 {
 		t.Fatalf("blob did not move: correlation %v", corr)
+	}
+}
+
+// TestPow4ByMultiplication proves the substitution radiationColumn makes:
+// (x*x)*(x*x) equals math.Pow(x, 4) bit for bit over the temperature range
+// (and well beyond it), so the blackbody emission keeps its rounding.
+func TestPow4ByMultiplication(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	check := func(x float64) {
+		if got, want := pow4(x), math.Pow(x, 4); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pow4(%v) = %v, math.Pow = %v", x, got, want)
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		check(150 + 200*rng.Float64())        // the model's temperatures
+		check(math.Exp(20*rng.Float64() - 5)) // 0.007 .. 3e6
+	}
+	for x := 150.0; x <= 350; x = math.Nextafter(x, 400) + 1e-3 {
+		check(x)
 	}
 }

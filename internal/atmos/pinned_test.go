@@ -46,7 +46,7 @@ var atmosPinnedCases = []atmosPinnedCase{
 // supersaturated and dry columns (condensation, re-evaporation, shallow and
 // deep convection), sub-freezing low levels (snow), superadiabatic pairs
 // (dry adjustment) and a wave field on every level of both time levels.
-func atmosPinnedStart(t *testing.T, tc atmosPinnedCase) *Model {
+func atmosPinnedStart(t testing.TB, tc atmosPinnedCase) *Model {
 	cfg := ConfigForTruncation(spectral.Rhomboidal(tc.m), tc.nlev)
 	cfg.Physics = tc.physics
 	cfg.Adiabatic = tc.adiabatic

@@ -37,6 +37,10 @@ type VGrid struct {
 	DSig  []float64   // layer thickness Half[k+1]-Half[k]
 	hydro [][]float64 // hydrostatic matrix G: Phi_k = Phi_s + sum_l G[k][l]*T_l
 	aMat  [][]float64 // thermo coupling A: linear dT/dt = -A . D (per level)
+	// Hypsometric log-thickness of each half layer: lnLow[k] from the half
+	// level below up to full level k, lnUp[k] from there to the half level
+	// above (+Inf is never produced: Half[0] = sigmaTop > 0).
+	lnLow, lnUp []float64
 }
 
 // NewVGrid builds an nl-level stretched sigma grid. The smoothstep
@@ -61,9 +65,13 @@ func NewVGrid(nl int, sigmaTop float64) *VGrid {
 	v.Half[nl] = 1
 	v.Full = make([]float64, nl)
 	v.DSig = make([]float64, nl)
+	v.lnLow = make([]float64, nl)
+	v.lnUp = make([]float64, nl)
 	for k := 0; k < nl; k++ {
 		v.Full[k] = 0.5 * (v.Half[k] + v.Half[k+1])
 		v.DSig[k] = v.Half[k+1] - v.Half[k]
+		v.lnLow[k] = math.Log(v.Half[k+1] / v.Full[k])
+		v.lnUp[k] = math.Log(v.Full[k] / v.Half[k])
 	}
 	v.buildHydro()
 	v.buildThermo()

@@ -353,36 +353,36 @@ func TestRowFilterRemovesHighWavenumbers(t *testing.T) {
 	}
 }
 
-// TestRowFilterMatchesComplexPath pins rowFilter.apply to the complex
-// transform it replaced: widen the row to complex128, ForwardInto, zero the
-// discarded wavenumbers, InverseInto, take the real part — bit for bit.
-func TestRowFilterMatchesComplexPath(t *testing.T) {
+// TestRowFilterMatchesSplitTransform pins rowFilter.apply to the transform
+// it wraps: forward split transform of the row over a zero imaginary plane,
+// zero the discarded wavenumbers on both planes, inverse, take the real
+// plane — bit for bit, on fresh planes. The complex reference the split pair
+// itself is pinned to lives in spectral (TestFFTSplitPlanesBitIdentical).
+func TestRowFilterMatchesSplitTransform(t *testing.T) {
 	for _, n := range []int{24, 128} {
 		rf := newRowFilter(n)
 		fft := spectral.NewFFT(n)
-		buf, out := make([]complex128, n), make([]complex128, n)
+		scr := fft.NewScratch()
+		specRe, specIm := make([]float64, n), make([]float64, n)
+		zero, drop := make([]float64, n), make([]float64, n)
 		rng := rand.New(rand.NewSource(int64(n)))
 		for _, keep := range []int{2, 10, n / 2} {
 			row, want := make([]float64, n), make([]float64, n)
 			for i := range row {
 				row[i] = 20 * rng.NormFloat64()
-				buf[i] = complex(row[i], 0)
 			}
 			copy(want, row)
 			if keep < n/2 {
-				fft.ForwardInto(out, buf, nil)
+				fft.ForwardSplitInto(specRe, specIm, row, zero, scr)
 				for mIdx := keep + 1; mIdx <= n-keep-1; mIdx++ {
-					out[mIdx] = 0
+					specRe[mIdx], specIm[mIdx] = 0, 0
 				}
-				fft.InverseInto(buf, out, nil)
-				for i := range want {
-					want[i] = real(buf[i])
-				}
+				fft.InverseSplitInto(want, drop, specRe, specIm, scr)
 			}
 			rf.apply(row, keep)
 			for i := range row {
 				if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d keep=%d i=%d: split %v != complex %v", n, keep, i, row[i], want[i])
+					t.Fatalf("n=%d keep=%d i=%d: filter %v != transform %v", n, keep, i, row[i], want[i])
 				}
 			}
 		}

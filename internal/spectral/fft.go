@@ -2,8 +2,7 @@
 // atmosphere: a mixed-radix FFT, associated Legendre functions, and
 // spherical-harmonic analysis/synthesis under rhomboidal (or triangular)
 // truncation, together with the derivative operators the dynamical core
-// needs. A transpose-based distributed transform mirrors the parallel
-// spectral transform algorithms of Foster and Worley cited by the paper.
+// needs.
 //
 //foam:deterministic
 package spectral
@@ -15,30 +14,32 @@ import (
 )
 
 // FFT computes forward and inverse discrete Fourier transforms of a fixed
-// length n. Lengths whose prime factors are 2, 3, or 5 use an O(n log n)
-// mixed-radix Cooley-Tukey algorithm; other lengths fall back to a direct
-// O(n^2) transform (correct, just slower — the model grids are all
-// 2/3/5-smooth).
+// length n on split re/im planes. Lengths whose prime factors are 2, 3, or
+// 5 use an O(n log n) mixed-radix Cooley-Tukey algorithm; other lengths
+// fall back to a direct O(n^2) transform (correct, just slower — the model
+// grids are all 2/3/5-smooth).
 // An FFT is safe for concurrent use: all fields are read-only after NewFFT
-// and working storage is allocated per call.
+// and working storage comes from the caller's FFTScratch.
 type FFT struct {
 	n       int
 	factors []int
 	twiddle []complex128 // e^{-2*pi*i*k/n} for k in [0,n)
-	stages  []fftStage   // per-depth split twiddle tables (split path)
-	perm    []int        // mixed-radix digit reversal: leaf i reads input perm[i]
+	stages  []fftStage   // per-depth split twiddle tables
+	leafPos []int        // leafPos[j0]: start of the leaf block that reads src[j0+r*n/p]
 }
 
 // fftStage holds the precomputed butterfly twiddles for one recursion depth
-// of the mixed-radix transform in split re/im layout. At depth d the
-// combine step of a size-long block multiplies subsequence r's entry idx by
-// twiddle[(r*idx*twStep) % n]; the table flattens that lookup to
-// tw{Re,Im}[r*size+idx], removing the modulo and the conjugation branch
-// from the innermost loop (cwIm is the pre-negated imaginary part the
-// inverse transform uses, exactly cmplx.Conj of the forward twiddle).
+// of the mixed-radix transform. At depth d the combine step of a size-long
+// block multiplies subsequence r's entry idx by twiddle[(r*idx*twStep) % n];
+// the tables flatten that lookup into one record per output,
+// tw[2(p-1)*idx:] = (re, im) of r = 1..p-1, so the innermost loop reads its
+// twiddles as one sequential stream with no modulo and no conjugation
+// branch (cw holds exactly cmplx.Conj of each twiddle, for the inverse).
+// r = 0 has no entry: its twiddle is twiddle[0] = (1, -0) at every idx of
+// every stage, and the kernels add that term instead of multiplying it.
 type fftStage struct {
-	p, m, size       int
-	twRe, twIm, cwIm []float64 // length p*size each, indexed r*size+idx
+	p, m, size int
+	tw, cw     []float64 // length 2(p-1)*size each
 }
 
 // NewFFT creates a transform of length n.
@@ -64,31 +65,30 @@ func NewFFT(n int) *FFT {
 	size := n
 	for _, p := range f.factors {
 		st := fftStage{p: p, m: size / p, size: size,
-			twRe: make([]float64, p*size),
-			twIm: make([]float64, p*size),
-			cwIm: make([]float64, p*size),
+			tw: make([]float64, 2*(p-1)*size),
+			cw: make([]float64, 2*(p-1)*size),
 		}
 		twStep := n / size
-		for r := 0; r < p; r++ {
-			for idx := 0; idx < size; idx++ {
+		for idx := 0; idx < size; idx++ {
+			for r := 1; r < p; r++ {
 				w := f.twiddle[(r*idx*twStep)%n]
-				st.twRe[r*size+idx] = real(w)
-				st.twIm[r*size+idx] = imag(w)
-				st.cwIm[r*size+idx] = imag(cmplx.Conj(w))
+				o := 2 * (idx*(p-1) + r - 1)
+				st.tw[o], st.tw[o+1] = real(w), imag(w)
+				st.cw[o], st.cw[o+1] = real(w), imag(cmplx.Conj(w))
 			}
 		}
 		f.stages = append(f.stages, st)
 		size = st.m
 	}
 	if f.factors != nil {
-		// Digit-reversal permutation: where recurse's decimation-in-time
-		// leaves would read their input. perm[dst] = src so the iterative
-		// split transform starts from the same leaf ordering.
-		f.perm = make([]int, n)
+		// Mixed-radix digit reversal, kept at leaf-block granularity: the
+		// decimation-in-time leaf that starts at output offset dstOff reads
+		// src[srcOff], src[srcOff+stride], ... with stride = n/p.
+		f.leafPos = make([]int, n/f.factors[len(f.factors)-1])
 		var build func(dstOff, srcOff, stride, depth, size int)
 		build = func(dstOff, srcOff, stride, depth, size int) {
-			if size == 1 {
-				f.perm[dstOff] = srcOff
+			if depth == len(f.factors)-1 {
+				f.leafPos[srcOff] = dstOff
 				return
 			}
 			p := f.factors[depth]
@@ -105,73 +105,15 @@ func NewFFT(n int) *FFT {
 // N returns the transform length.
 func (f *FFT) N() int { return f.n }
 
-// Forward computes dst[k] = sum_j src[j] * e^{-2*pi*i*j*k/n}. dst and src
-// must both have length n and may alias.
-func (f *FFT) Forward(dst, src []complex128) {
-	f.transform(dst, src, false)
-}
-
-// Inverse computes dst[j] = (1/n) * sum_k src[k] * e^{+2*pi*i*j*k/n}.
-func (f *FFT) Inverse(dst, src []complex128) {
-	f.transform(dst, src, true)
-	inv := complex(1/float64(f.n), 0)
-	for i := range dst {
-		dst[i] *= inv
-	}
-}
-
-func (f *FFT) transform(dst, src []complex128, inverse bool) {
-	if len(dst) != f.n || len(src) != f.n {
-		panic("spectral: FFT buffer length mismatch")
-	}
-	if f.factors == nil {
-		f.direct(dst, src, inverse)
-		return
-	}
-	work := make([]complex128, f.n)
-	copy(work, src)
-	f.recurse(dst, work, f.n, 1, 0, inverse)
-}
-
-// transformNoAlias is transform for callers that guarantee dst and src do
-// not overlap: recurse only reads src, so the defensive copy (and the
-// direct path's tmp buffer) can be skipped. The arithmetic is identical to
-// transform, so results are bit-identical.
-func (f *FFT) transformNoAlias(dst, src []complex128, inverse bool) {
-	if len(dst) != f.n || len(src) != f.n {
-		panic("spectral: FFT buffer length mismatch")
-	}
-	if f.factors == nil {
-		for k := 0; k < f.n; k++ {
-			sum := complex(0, 0)
-			for j := 0; j < f.n; j++ {
-				t := (j * k) % f.n
-				w := f.twiddle[t]
-				if inverse {
-					w = cmplx.Conj(w)
-				}
-				sum += w * src[j]
-			}
-			dst[k] = sum
-		}
-		return
-	}
-	f.recurse(dst, src, f.n, 1, 0, inverse)
-}
-
-// FFTScratch holds the working storage of the allocation-free *Into FFT
-// entry points. One scratch serves one concurrent caller; per-worker use
-// requires one scratch per worker (see Workspace).
+// FFTScratch holds the working storage of the *SplitInto entry points: the
+// synthesis staging planes (buf), the real entry points' output planes
+// (out) and the ping-pong planes of the stage sweep (cp). One scratch
+// serves one concurrent caller; per-worker use requires one scratch per
+// worker (see Workspace).
 type FFTScratch struct {
-	a, b []complex128 // length n each; never aliased with caller buffers
-
-	// Split-complex working storage for the *SplitInto entry points:
-	// staging (buf), output (out), combine scratch (cp), and a
-	// permanently-zero imaginary plane real-input analysis reads.
 	bufRe, bufIm []float64
 	outRe, outIm []float64
 	cpRe, cpIm   []float64
-	zeroIm       []float64 // all +0; never written after NewScratch
 }
 
 // NewScratch allocates scratch sized for this transform length.
@@ -179,417 +121,478 @@ type FFTScratch struct {
 //foam:coldpath
 func (f *FFT) NewScratch() *FFTScratch {
 	return &FFTScratch{
-		a: make([]complex128, f.n), b: make([]complex128, f.n),
 		bufRe: make([]float64, f.n), bufIm: make([]float64, f.n),
 		outRe: make([]float64, f.n), outIm: make([]float64, f.n),
 		cpRe: make([]float64, f.n), cpIm: make([]float64, f.n),
-		zeroIm: make([]float64, f.n),
 	}
 }
 
-// ForwardInto is Forward without per-call allocation. dst and src must not
-// alias each other or the scratch buffers.
+// fftRole tells the stage sweep what its caller will and will not read, so
+// the kernels can skip work whose result is provably discarded or whose
+// operand is a structural zero. Every skipped operation is exact (see
+// iterSplit); nothing that rounds is touched.
+type fftRole struct {
+	inverse bool
+	// live: source entries j with live < j < n-live are structural zeros
+	// the caller has not even written (the synthesis gap above mmax); n
+	// means every entry is read.
+	live int
+	// nout: only outputs [0,nout) of the last stage are read (analysis
+	// keeps 0..mmax); n means all.
+	nout int
+	// reOnly: the caller reads only the real plane of the last stage
+	// (synthesis of a real row).
+	reOnly bool
+}
+
+// fftTiny bounds the one case where an unread imaginary lane still decides
+// a bit: a negative real output so small that scaling it by 1/n underflows
+// to -0, whose sign then survives or not depending on the sign of the
+// imaginary lane's zero product. n*2^-1075 is far below it for any n.
+const fftTiny = 0x1p-1000
+
+// iterSplit is the mixed-radix decimation-in-time transform on the split
+// re/im layout: the leaf stage reads src through the digit reversal, then
+// the stages combine bottom-up over the same contiguous blocks the
+// reference recursion (fft_ref_test.go) produces, ping-ponging between the
+// x and y planes so that the last stage lands in x. src is only read; x, y
+// and src must not overlap.
+//
+// The butterfly arithmetic mirrors the complex reference operation for
+// operation — each product's real and imaginary parts are two rounded
+// multiplies combined by one rounded add/sub, accumulated r-ascending from
+// +0 (gc lowers complex128 multiply to exactly these ops; the float64
+// conversions pin the product rounding against fused multiply-add
+// contraction) — minus the operations that cannot change a bit:
+//
+//   - the r = 0 twiddle of every stage is exactly (1, ±0), so its term is
+//     t - (±0·t') = t or a zero, and the accumulator takes 0 + t;
+//   - a term whose input is a structural zero (fftRole.live), and the ·tIm
+//     products of a real row (srcIm == nil), are ±0: an accumulator that
+//     starts at +0 never becomes -0 under round-to-nearest, so adding ±0
+//     never changes it;
+//   - outputs and lanes the caller does not read (fftRole.nout, reOnly)
+//     are not computed, except the imaginary lane of a real output inside
+//     (-fftTiny, 0).
+//
+// All of it assumes finite inputs.
 //
 //foam:hotpath
-func (f *FFT) ForwardInto(dst, src []complex128, s *FFTScratch) {
-	checkNoAliasC(dst, src, "ForwardInto dst/src")
-	f.transformNoAlias(dst, src, false)
-}
-
-// InverseInto is Inverse without per-call allocation. dst and src must not
-// alias each other or the scratch buffers.
-//
-//foam:hotpath
-func (f *FFT) InverseInto(dst, src []complex128, s *FFTScratch) {
-	checkNoAliasC(dst, src, "InverseInto dst/src")
-	f.transformNoAlias(dst, src, true)
-	inv := complex(1/float64(f.n), 0)
-	for i := range dst {
-		dst[i] *= inv
+func (f *FFT) iterSplit(xRe, xIm, yRe, yIm, srcRe, srcIm []float64, role fftRole) {
+	last := len(f.stages) - 1
+	if last%2 == 1 {
+		xRe, xIm, yRe, yIm = yRe, yIm, xRe, xIm
 	}
-}
-
-// checkNoAliasC panics when two complex slices share their first element —
-// the aliasing the no-copy paths cannot tolerate.
-func checkNoAliasC(a, b []complex128, what string) {
-	if len(a) > 0 && len(b) > 0 && &a[0] == &b[0] {
-		panic("spectral: " + what + " must not alias")
-	}
-}
-
-// recurse performs a decimation-in-time mixed-radix FFT of length size over
-// work[off], work[off+stride], ... writing the result contiguously into
-// dst[0:size] of the caller's region. depth indexes into f.factors.
-func (f *FFT) recurse(dst, work []complex128, size, stride, depth int, inverse bool) {
-	if size == 1 {
-		dst[0] = work[0]
-		return
-	}
-	p := f.factors[depth]
-	m := size / p
-	// Transform the p interleaved subsequences.
-	for r := 0; r < p; r++ {
-		f.recurse(dst[r*m:(r+1)*m], work[r*stride:], m, stride*p, depth+1, inverse)
-	}
-	// Combine: X[k + q*m] = sum_r W^{r(k+qm)} * Sub_r[k].
-	var tmp [5]complex128 // radices are at most 5
-	twStep := f.n / size
-	for k := 0; k < m; k++ {
-		for r := 0; r < p; r++ {
-			tmp[r] = dst[r*m+k]
-		}
-		for q := 0; q < p; q++ {
-			idx := k + q*m
-			sum := complex(0, 0)
-			for r := 0; r < p; r++ {
-				t := (r * idx * twStep) % f.n
-				w := f.twiddle[t]
-				if inverse {
-					w = cmplx.Conj(w)
-				}
-				sum += w * tmp[r]
-			}
-			dst[idx] = sum
-		}
-	}
-}
-
-// fftStripMin is the subsequence length above which a combine stage
-// switches from the gather/scatter butterfly (tmp registers per output
-// group) to streaming strip accumulation through scratch. Small stages —
-// every stage of the model's 48- and 64-point transforms — stay on the
-// register path, which has no copies and no per-strip slicing.
-const fftStripMin = 16
-
-// iterSplit is the mixed-radix transform on the split re/im layout,
-// iterative where recurse is recursive: the digit-reversal permutation
-// plays the leaves, then the stages combine bottom-up over the same
-// contiguous blocks the recursion would produce. The butterfly arithmetic
-// mirrors the complex path operation for operation — product real/imag
-// parts are each two rounded multiplies combined by one rounded add/sub,
-// then accumulated in the same r-ascending order — so results are
-// bit-identical on gc (which lowers complex128 multiply to exactly these
-// ops; the float64 conversions pin the product rounding against fused
-// multiply-add contraction). The per-butterfly modulo and conjugation
-// branch of the complex path are gone: stage tables hold the twiddles in
-// traversal order, pre-conjugated for the inverse.
-//
-//foam:hotpath
-func (f *FFT) iterSplit(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch, inverse bool) {
-	n := f.n
-	for i, pi := range f.perm {
-		dstRe[i] = srcRe[pi]
-		dstIm[i] = srcIm[pi]
-	}
-	var tRe, tIm [5]float64 // radices are at most 5
-	for d := len(f.stages) - 1; d >= 0; d-- {
+	for d := last; d >= 0; d-- {
 		st := &f.stages[d]
-		p, m, size := st.p, st.m, st.size
-		twR := st.twRe
-		twI := st.twIm
-		if inverse {
-			twI = st.cwIm
+		tw := st.tw
+		if role.inverse {
+			tw = st.cw
 		}
-		if m < fftStripMin {
-			// Register path: each output group's p inputs are gathered
-			// into registers, the p outputs accumulate r-ascending (as
-			// recurse's local sum does) and store back in place. The
-			// radix-specialized kernels below unroll both butterfly loops.
-			switch p {
-			case 4:
-				fftButterfly4(dstRe[:n], dstIm[:n], twR, twI, m, size)
-			case 3:
-				fftButterfly3(dstRe[:n], dstIm[:n], twR, twI, m, size)
+		if d == last {
+			lo, hi := role.live, f.n-role.live
+			switch st.p {
 			case 2:
-				fftButterfly2(dstRe[:n], dstIm[:n], twR, twI, m, size)
+				fftLeaf2(xRe, xIm, srcRe, srcIm, tw, f.leafPos, lo, hi)
+			case 3:
+				fftLeaf3(xRe, xIm, srcRe, srcIm, tw, f.leafPos, lo, hi)
+			case 4:
+				fftLeaf4(xRe, xIm, srcRe, srcIm, tw, f.leafPos, lo, hi)
 			case 5:
-				fftButterfly5(dstRe[:n], dstIm[:n], twR, twI, m, size)
-			default:
-				for b := 0; b < n; b += size {
-					for k := 0; k < m; k++ {
-						for r := 0; r < p; r++ {
-							tRe[r] = dstRe[b+r*m+k]
-							tIm[r] = dstIm[b+r*m+k]
-						}
-						for q := 0; q < p; q++ {
-							idx := k + q*m
-							var sr, si float64
-							for r := 0; r < p; r++ {
-								wr, wi := twR[r*size+idx], twI[r*size+idx]
-								sr += float64(wr*tRe[r]) - float64(wi*tIm[r])
-								si += float64(wr*tIm[r]) + float64(wi*tRe[r])
-							}
-							dstRe[b+idx] = sr
-							dstIm[b+idx] = si
-						}
-					}
-				}
+				fftLeaf5(xRe, xIm, srcRe, srcIm, tw, f.leafPos, lo, hi)
 			}
 			continue
 		}
-		// Strip path: move the stage input to scratch, zero the outputs,
-		// and accumulate r-ascending over contiguous m-long strips.
-		scrRe, scrIm := s.cpRe[:n], s.cpIm[:n]
-		copy(scrRe, dstRe[:n])
-		copy(scrIm, dstIm[:n])
-		for i := 0; i < n; i++ {
-			dstRe[i] = 0
-			dstIm[i] = 0
+		nout, full := st.size, true
+		if d == 0 {
+			nout, full = role.nout, !role.reOnly
 		}
-		for b := 0; b < n; b += size {
-			for r := 0; r < p; r++ {
-				subR := scrRe[b+r*m : b+r*m+m]
-				subI := scrIm[b+r*m : b+r*m+m]
-				for q := 0; q < p; q++ {
-					off := r*size + q*m
-					wR := twR[off : off+m]
-					wI := twI[off : off+m]
-					dR := dstRe[b+q*m : b+q*m+m]
-					dI := dstIm[b+q*m : b+q*m+m]
-					for k := 0; k < m; k++ {
-						wr, wi := wR[k], wI[k]
-						tre, tim := subR[k], subI[k]
-						dR[k] += float64(wr*tre) - float64(wi*tim)
-						dI[k] += float64(wr*tim) + float64(wi*tre)
-					}
-				}
+		switch st.p {
+		case 2:
+			fftStage2(yRe, yIm, xRe, xIm, tw, st.m, st.size, nout, full)
+		case 3:
+			fftStage3(yRe, yIm, xRe, xIm, tw, st.m, st.size, nout, full)
+		case 4:
+			fftStage4(yRe, yIm, xRe, xIm, tw, st.m, st.size, nout, full)
+		case 5:
+			fftStage5(yRe, yIm, xRe, xIm, tw, st.m, st.size, nout, full)
+		}
+		xRe, xIm, yRe, yIm = yRe, yIm, xRe, xIm
+	}
+}
+
+// The fftLeafP kernels are the first stage: m = 1, so the block at output
+// offset pos[j0] combines src[j0+r*S], S = n/p, under the p×p twiddle
+// matrix, r unrolled and ascending, the r = 0 term a plain add. A real row
+// (sIm == nil, every entry live) pays one multiply per lane; on complex
+// input a term whose source index lies strictly between lo and hi is a
+// structural zero and is skipped, never read.
+
+//foam:hotpath
+func fftLeaf2(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
+	S := len(pos)
+	if sIm == nil {
+		for j0, o := range pos {
+			t0, t1 := sRe[j0], sRe[j0+S]
+			for q := 0; q < 2; q++ {
+				w := (*[2]float64)(tw[2*q:])
+				sr := 0 + t0
+				sr += float64(w[0] * t1)
+				si := 0 + float64(w[1]*t1)
+				dRe[o+q], dIm[o+q] = sr, si
+			}
+		}
+		return
+	}
+	for j0, o := range pos {
+		var t0r, t0i, t1r, t1i float64
+		if j0 <= lo || j0 >= hi {
+			t0r, t0i = sRe[j0], sIm[j0]
+		}
+		j1 := j0 + S
+		l1 := j1 <= lo || j1 >= hi
+		if l1 {
+			t1r, t1i = sRe[j1], sIm[j1]
+		}
+		for q := 0; q < 2; q++ {
+			w := (*[2]float64)(tw[2*q:])
+			sr, si := 0+t0r, 0+t0i
+			if l1 {
+				sr += float64(w[0]*t1r) - float64(w[1]*t1i)
+				si += float64(w[0]*t1i) + float64(w[1]*t1r)
+			}
+			dRe[o+q], dIm[o+q] = sr, si
+		}
+	}
+}
+
+//foam:hotpath
+func fftLeaf3(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
+	S := len(pos)
+	if sIm == nil {
+		for j0, o := range pos {
+			t0, t1, t2 := sRe[j0], sRe[j0+S], sRe[j0+2*S]
+			for q := 0; q < 3; q++ {
+				w := (*[4]float64)(tw[4*q:])
+				sr := 0 + t0
+				sr += float64(w[0] * t1)
+				sr += float64(w[2] * t2)
+				si := 0 + float64(w[1]*t1)
+				si += float64(w[3] * t2)
+				dRe[o+q], dIm[o+q] = sr, si
+			}
+		}
+		return
+	}
+	for j0, o := range pos {
+		var t0r, t0i, t1r, t1i, t2r, t2i float64
+		if j0 <= lo || j0 >= hi {
+			t0r, t0i = sRe[j0], sIm[j0]
+		}
+		j1 := j0 + S
+		l1 := j1 <= lo || j1 >= hi
+		if l1 {
+			t1r, t1i = sRe[j1], sIm[j1]
+		}
+		j2 := j0 + 2*S
+		l2 := j2 <= lo || j2 >= hi
+		if l2 {
+			t2r, t2i = sRe[j2], sIm[j2]
+		}
+		for q := 0; q < 3; q++ {
+			w := (*[4]float64)(tw[4*q:])
+			sr, si := 0+t0r, 0+t0i
+			if l1 {
+				sr += float64(w[0]*t1r) - float64(w[1]*t1i)
+				si += float64(w[0]*t1i) + float64(w[1]*t1r)
+			}
+			if l2 {
+				sr += float64(w[2]*t2r) - float64(w[3]*t2i)
+				si += float64(w[2]*t2i) + float64(w[3]*t2r)
+			}
+			dRe[o+q], dIm[o+q] = sr, si
+		}
+	}
+}
+
+//foam:hotpath
+func fftLeaf4(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
+	S := len(pos)
+	if sIm == nil {
+		for j0, o := range pos {
+			t0, t1, t2, t3 := sRe[j0], sRe[j0+S], sRe[j0+2*S], sRe[j0+3*S]
+			for q := 0; q < 4; q++ {
+				w := (*[6]float64)(tw[6*q:])
+				sr := 0 + t0
+				sr += float64(w[0] * t1)
+				sr += float64(w[2] * t2)
+				sr += float64(w[4] * t3)
+				si := 0 + float64(w[1]*t1)
+				si += float64(w[3] * t2)
+				si += float64(w[5] * t3)
+				dRe[o+q], dIm[o+q] = sr, si
+			}
+		}
+		return
+	}
+	for j0, o := range pos {
+		var t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i float64
+		if j0 <= lo || j0 >= hi {
+			t0r, t0i = sRe[j0], sIm[j0]
+		}
+		j1 := j0 + S
+		l1 := j1 <= lo || j1 >= hi
+		if l1 {
+			t1r, t1i = sRe[j1], sIm[j1]
+		}
+		j2 := j0 + 2*S
+		l2 := j2 <= lo || j2 >= hi
+		if l2 {
+			t2r, t2i = sRe[j2], sIm[j2]
+		}
+		j3 := j0 + 3*S
+		l3 := j3 <= lo || j3 >= hi
+		if l3 {
+			t3r, t3i = sRe[j3], sIm[j3]
+		}
+		for q := 0; q < 4; q++ {
+			w := (*[6]float64)(tw[6*q:])
+			sr, si := 0+t0r, 0+t0i
+			if l1 {
+				sr += float64(w[0]*t1r) - float64(w[1]*t1i)
+				si += float64(w[0]*t1i) + float64(w[1]*t1r)
+			}
+			if l2 {
+				sr += float64(w[2]*t2r) - float64(w[3]*t2i)
+				si += float64(w[2]*t2i) + float64(w[3]*t2r)
+			}
+			if l3 {
+				sr += float64(w[4]*t3r) - float64(w[5]*t3i)
+				si += float64(w[4]*t3i) + float64(w[5]*t3r)
+			}
+			dRe[o+q], dIm[o+q] = sr, si
+		}
+	}
+}
+
+//foam:hotpath
+func fftLeaf5(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
+	S := len(pos)
+	if sIm == nil {
+		for j0, o := range pos {
+			t0, t1, t2, t3, t4 := sRe[j0], sRe[j0+S], sRe[j0+2*S], sRe[j0+3*S], sRe[j0+4*S]
+			for q := 0; q < 5; q++ {
+				w := (*[8]float64)(tw[8*q:])
+				sr := 0 + t0
+				sr += float64(w[0] * t1)
+				sr += float64(w[2] * t2)
+				sr += float64(w[4] * t3)
+				sr += float64(w[6] * t4)
+				si := 0 + float64(w[1]*t1)
+				si += float64(w[3] * t2)
+				si += float64(w[5] * t3)
+				si += float64(w[7] * t4)
+				dRe[o+q], dIm[o+q] = sr, si
+			}
+		}
+		return
+	}
+	for j0, o := range pos {
+		var t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i, t4r, t4i float64
+		if j0 <= lo || j0 >= hi {
+			t0r, t0i = sRe[j0], sIm[j0]
+		}
+		j1 := j0 + S
+		l1 := j1 <= lo || j1 >= hi
+		if l1 {
+			t1r, t1i = sRe[j1], sIm[j1]
+		}
+		j2 := j0 + 2*S
+		l2 := j2 <= lo || j2 >= hi
+		if l2 {
+			t2r, t2i = sRe[j2], sIm[j2]
+		}
+		j3 := j0 + 3*S
+		l3 := j3 <= lo || j3 >= hi
+		if l3 {
+			t3r, t3i = sRe[j3], sIm[j3]
+		}
+		j4 := j0 + 4*S
+		l4 := j4 <= lo || j4 >= hi
+		if l4 {
+			t4r, t4i = sRe[j4], sIm[j4]
+		}
+		for q := 0; q < 5; q++ {
+			w := (*[8]float64)(tw[8*q:])
+			sr, si := 0+t0r, 0+t0i
+			if l1 {
+				sr += float64(w[0]*t1r) - float64(w[1]*t1i)
+				si += float64(w[0]*t1i) + float64(w[1]*t1r)
+			}
+			if l2 {
+				sr += float64(w[2]*t2r) - float64(w[3]*t2i)
+				si += float64(w[2]*t2i) + float64(w[3]*t2r)
+			}
+			if l3 {
+				sr += float64(w[4]*t3r) - float64(w[5]*t3i)
+				si += float64(w[4]*t3i) + float64(w[5]*t3r)
+			}
+			if l4 {
+				sr += float64(w[6]*t4r) - float64(w[7]*t4i)
+				si += float64(w[6]*t4i) + float64(w[7]*t4r)
+			}
+			dRe[o+q], dIm[o+q] = sr, si
+		}
+	}
+}
+
+// The fftStageP kernels combine one later stage in gather form: output idx
+// = q*m+k of each size-long block is the r-ascending sum over the block's p
+// subsequences at k, r unrolled, the r = 0 term a plain add; its twiddles
+// are the record tw[2(p-1)*idx:]. Outputs at or beyond nout are not formed;
+// with full unset the imaginary lane is formed only where fftTiny requires
+// it and stored as +0 elsewhere.
+
+//foam:hotpath
+func fftStage2(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
+	for b := 0; b < len(sRe); b += size {
+		xr, xi := sRe[b:b+size], sIm[b:b+size]
+		yr, yi := dRe[b:b+nout], dIm[b:b+nout]
+		k := 0
+		for idx := range yr {
+			w := (*[2]float64)(tw[2*idx:])
+			t1r, t1i := xr[k+m], xi[k+m]
+			sr := 0 + xr[k]
+			sr += float64(w[0]*t1r) - float64(w[1]*t1i)
+			yr[idx] = sr
+			si := 0.0
+			if full || (sr < 0 && sr > -fftTiny) {
+				si += xi[k]
+				si += float64(w[0]*t1i) + float64(w[1]*t1r)
+			}
+			yi[idx] = si
+			if k++; k == m {
+				k = 0
 			}
 		}
 	}
 }
 
-// The fftButterflyP kernels below are radix-specialized forms of the
-// register path's group loop: both the input (r) and output (q) loops
-// are fully unrolled, with the per-output sums still starting at zero
-// and adding terms r-ascending so the arithmetic is bit-identical to
-// the generic loop. Twiddle tables are sliced per r so each k-step
-// reads contiguous lanes.
-
 //foam:hotpath
-func fftButterfly2(dRe, dIm, twR, twI []float64, m, size int) {
-	w0r, w0i := twR[0:size], twI[0:size]
-	w1r, w1i := twR[size:2*size], twI[size:2*size]
-	for b := 0; b < len(dRe); b += size {
-		a0r, a0i := dRe[b:b+m], dIm[b:b+m]
-		a1r, a1i := dRe[b+m:b+2*m], dIm[b+m:b+2*m]
-		for k := 0; k < m; k++ {
-			t0r, t0i := a0r[k], a0i[k]
-			t1r, t1i := a1r[k], a1i[k]
-			i1 := m + k
-			var s0r, s0i, s1r, s1i float64
-			s0r += float64(w0r[k]*t0r) - float64(w0i[k]*t0i)
-			s0i += float64(w0r[k]*t0i) + float64(w0i[k]*t0r)
-			s0r += float64(w1r[k]*t1r) - float64(w1i[k]*t1i)
-			s0i += float64(w1r[k]*t1i) + float64(w1i[k]*t1r)
-			s1r += float64(w0r[i1]*t0r) - float64(w0i[i1]*t0i)
-			s1i += float64(w0r[i1]*t0i) + float64(w0i[i1]*t0r)
-			s1r += float64(w1r[i1]*t1r) - float64(w1i[i1]*t1i)
-			s1i += float64(w1r[i1]*t1i) + float64(w1i[i1]*t1r)
-			a0r[k], a0i[k] = s0r, s0i
-			a1r[k], a1i[k] = s1r, s1i
+func fftStage3(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
+	for b := 0; b < len(sRe); b += size {
+		xr, xi := sRe[b:b+size], sIm[b:b+size]
+		yr, yi := dRe[b:b+nout], dIm[b:b+nout]
+		k := 0
+		for idx := range yr {
+			w := (*[4]float64)(tw[4*idx:])
+			t1r, t1i := xr[k+m], xi[k+m]
+			t2r, t2i := xr[k+2*m], xi[k+2*m]
+			sr := 0 + xr[k]
+			sr += float64(w[0]*t1r) - float64(w[1]*t1i)
+			sr += float64(w[2]*t2r) - float64(w[3]*t2i)
+			yr[idx] = sr
+			si := 0.0
+			if full || (sr < 0 && sr > -fftTiny) {
+				si += xi[k]
+				si += float64(w[0]*t1i) + float64(w[1]*t1r)
+				si += float64(w[2]*t2i) + float64(w[3]*t2r)
+			}
+			yi[idx] = si
+			if k++; k == m {
+				k = 0
+			}
 		}
 	}
 }
 
 //foam:hotpath
-func fftButterfly3(dRe, dIm, twR, twI []float64, m, size int) {
-	w0r, w0i := twR[0:size], twI[0:size]
-	w1r, w1i := twR[size:2*size], twI[size:2*size]
-	w2r, w2i := twR[2*size:3*size], twI[2*size:3*size]
-	for b := 0; b < len(dRe); b += size {
-		a0r, a0i := dRe[b:b+m], dIm[b:b+m]
-		a1r, a1i := dRe[b+m:b+2*m], dIm[b+m:b+2*m]
-		a2r, a2i := dRe[b+2*m:b+3*m], dIm[b+2*m:b+3*m]
-		for k := 0; k < m; k++ {
-			t0r, t0i := a0r[k], a0i[k]
-			t1r, t1i := a1r[k], a1i[k]
-			t2r, t2i := a2r[k], a2i[k]
-			i1 := m + k
-			i2 := 2*m + k
-			var s0r, s0i, s1r, s1i, s2r, s2i float64
-			s0r += float64(w0r[k]*t0r) - float64(w0i[k]*t0i)
-			s0i += float64(w0r[k]*t0i) + float64(w0i[k]*t0r)
-			s0r += float64(w1r[k]*t1r) - float64(w1i[k]*t1i)
-			s0i += float64(w1r[k]*t1i) + float64(w1i[k]*t1r)
-			s0r += float64(w2r[k]*t2r) - float64(w2i[k]*t2i)
-			s0i += float64(w2r[k]*t2i) + float64(w2i[k]*t2r)
-			s1r += float64(w0r[i1]*t0r) - float64(w0i[i1]*t0i)
-			s1i += float64(w0r[i1]*t0i) + float64(w0i[i1]*t0r)
-			s1r += float64(w1r[i1]*t1r) - float64(w1i[i1]*t1i)
-			s1i += float64(w1r[i1]*t1i) + float64(w1i[i1]*t1r)
-			s1r += float64(w2r[i1]*t2r) - float64(w2i[i1]*t2i)
-			s1i += float64(w2r[i1]*t2i) + float64(w2i[i1]*t2r)
-			s2r += float64(w0r[i2]*t0r) - float64(w0i[i2]*t0i)
-			s2i += float64(w0r[i2]*t0i) + float64(w0i[i2]*t0r)
-			s2r += float64(w1r[i2]*t1r) - float64(w1i[i2]*t1i)
-			s2i += float64(w1r[i2]*t1i) + float64(w1i[i2]*t1r)
-			s2r += float64(w2r[i2]*t2r) - float64(w2i[i2]*t2i)
-			s2i += float64(w2r[i2]*t2i) + float64(w2i[i2]*t2r)
-			a0r[k], a0i[k] = s0r, s0i
-			a1r[k], a1i[k] = s1r, s1i
-			a2r[k], a2i[k] = s2r, s2i
+func fftStage4(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
+	for b := 0; b < len(sRe); b += size {
+		xr, xi := sRe[b:b+size], sIm[b:b+size]
+		yr, yi := dRe[b:b+nout], dIm[b:b+nout]
+		k := 0
+		for idx := range yr {
+			w := (*[6]float64)(tw[6*idx:])
+			t1r, t1i := xr[k+m], xi[k+m]
+			t2r, t2i := xr[k+2*m], xi[k+2*m]
+			t3r, t3i := xr[k+3*m], xi[k+3*m]
+			sr := 0 + xr[k]
+			sr += float64(w[0]*t1r) - float64(w[1]*t1i)
+			sr += float64(w[2]*t2r) - float64(w[3]*t2i)
+			sr += float64(w[4]*t3r) - float64(w[5]*t3i)
+			yr[idx] = sr
+			si := 0.0
+			if full || (sr < 0 && sr > -fftTiny) {
+				si += xi[k]
+				si += float64(w[0]*t1i) + float64(w[1]*t1r)
+				si += float64(w[2]*t2i) + float64(w[3]*t2r)
+				si += float64(w[4]*t3i) + float64(w[5]*t3r)
+			}
+			yi[idx] = si
+			if k++; k == m {
+				k = 0
+			}
 		}
 	}
 }
 
 //foam:hotpath
-func fftButterfly4(dRe, dIm, twR, twI []float64, m, size int) {
-	w0r, w0i := twR[0:size], twI[0:size]
-	w1r, w1i := twR[size:2*size], twI[size:2*size]
-	w2r, w2i := twR[2*size:3*size], twI[2*size:3*size]
-	w3r, w3i := twR[3*size:4*size], twI[3*size:4*size]
-	for b := 0; b < len(dRe); b += size {
-		a0r, a0i := dRe[b:b+m], dIm[b:b+m]
-		a1r, a1i := dRe[b+m:b+2*m], dIm[b+m:b+2*m]
-		a2r, a2i := dRe[b+2*m:b+3*m], dIm[b+2*m:b+3*m]
-		a3r, a3i := dRe[b+3*m:b+4*m], dIm[b+3*m:b+4*m]
-		for k := 0; k < m; k++ {
-			t0r, t0i := a0r[k], a0i[k]
-			t1r, t1i := a1r[k], a1i[k]
-			t2r, t2i := a2r[k], a2i[k]
-			t3r, t3i := a3r[k], a3i[k]
-			i1 := m + k
-			i2 := 2*m + k
-			i3 := 3*m + k
-			var s0r, s0i, s1r, s1i, s2r, s2i, s3r, s3i float64
-			s0r += float64(w0r[k]*t0r) - float64(w0i[k]*t0i)
-			s0i += float64(w0r[k]*t0i) + float64(w0i[k]*t0r)
-			s0r += float64(w1r[k]*t1r) - float64(w1i[k]*t1i)
-			s0i += float64(w1r[k]*t1i) + float64(w1i[k]*t1r)
-			s0r += float64(w2r[k]*t2r) - float64(w2i[k]*t2i)
-			s0i += float64(w2r[k]*t2i) + float64(w2i[k]*t2r)
-			s0r += float64(w3r[k]*t3r) - float64(w3i[k]*t3i)
-			s0i += float64(w3r[k]*t3i) + float64(w3i[k]*t3r)
-			s1r += float64(w0r[i1]*t0r) - float64(w0i[i1]*t0i)
-			s1i += float64(w0r[i1]*t0i) + float64(w0i[i1]*t0r)
-			s1r += float64(w1r[i1]*t1r) - float64(w1i[i1]*t1i)
-			s1i += float64(w1r[i1]*t1i) + float64(w1i[i1]*t1r)
-			s1r += float64(w2r[i1]*t2r) - float64(w2i[i1]*t2i)
-			s1i += float64(w2r[i1]*t2i) + float64(w2i[i1]*t2r)
-			s1r += float64(w3r[i1]*t3r) - float64(w3i[i1]*t3i)
-			s1i += float64(w3r[i1]*t3i) + float64(w3i[i1]*t3r)
-			s2r += float64(w0r[i2]*t0r) - float64(w0i[i2]*t0i)
-			s2i += float64(w0r[i2]*t0i) + float64(w0i[i2]*t0r)
-			s2r += float64(w1r[i2]*t1r) - float64(w1i[i2]*t1i)
-			s2i += float64(w1r[i2]*t1i) + float64(w1i[i2]*t1r)
-			s2r += float64(w2r[i2]*t2r) - float64(w2i[i2]*t2i)
-			s2i += float64(w2r[i2]*t2i) + float64(w2i[i2]*t2r)
-			s2r += float64(w3r[i2]*t3r) - float64(w3i[i2]*t3i)
-			s2i += float64(w3r[i2]*t3i) + float64(w3i[i2]*t3r)
-			s3r += float64(w0r[i3]*t0r) - float64(w0i[i3]*t0i)
-			s3i += float64(w0r[i3]*t0i) + float64(w0i[i3]*t0r)
-			s3r += float64(w1r[i3]*t1r) - float64(w1i[i3]*t1i)
-			s3i += float64(w1r[i3]*t1i) + float64(w1i[i3]*t1r)
-			s3r += float64(w2r[i3]*t2r) - float64(w2i[i3]*t2i)
-			s3i += float64(w2r[i3]*t2i) + float64(w2i[i3]*t2r)
-			s3r += float64(w3r[i3]*t3r) - float64(w3i[i3]*t3i)
-			s3i += float64(w3r[i3]*t3i) + float64(w3i[i3]*t3r)
-			a0r[k], a0i[k] = s0r, s0i
-			a1r[k], a1i[k] = s1r, s1i
-			a2r[k], a2i[k] = s2r, s2i
-			a3r[k], a3i[k] = s3r, s3i
+func fftStage5(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
+	for b := 0; b < len(sRe); b += size {
+		xr, xi := sRe[b:b+size], sIm[b:b+size]
+		yr, yi := dRe[b:b+nout], dIm[b:b+nout]
+		k := 0
+		for idx := range yr {
+			w := (*[8]float64)(tw[8*idx:])
+			t1r, t1i := xr[k+m], xi[k+m]
+			t2r, t2i := xr[k+2*m], xi[k+2*m]
+			t3r, t3i := xr[k+3*m], xi[k+3*m]
+			t4r, t4i := xr[k+4*m], xi[k+4*m]
+			sr := 0 + xr[k]
+			sr += float64(w[0]*t1r) - float64(w[1]*t1i)
+			sr += float64(w[2]*t2r) - float64(w[3]*t2i)
+			sr += float64(w[4]*t3r) - float64(w[5]*t3i)
+			sr += float64(w[6]*t4r) - float64(w[7]*t4i)
+			yr[idx] = sr
+			si := 0.0
+			if full || (sr < 0 && sr > -fftTiny) {
+				si += xi[k]
+				si += float64(w[0]*t1i) + float64(w[1]*t1r)
+				si += float64(w[2]*t2i) + float64(w[3]*t2r)
+				si += float64(w[4]*t3i) + float64(w[5]*t3r)
+				si += float64(w[6]*t4i) + float64(w[7]*t4r)
+			}
+			yi[idx] = si
+			if k++; k == m {
+				k = 0
+			}
 		}
 	}
 }
 
-//foam:hotpath
-func fftButterfly5(dRe, dIm, twR, twI []float64, m, size int) {
-	w0r, w0i := twR[0:size], twI[0:size]
-	w1r, w1i := twR[size:2*size], twI[size:2*size]
-	w2r, w2i := twR[2*size:3*size], twI[2*size:3*size]
-	w3r, w3i := twR[3*size:4*size], twI[3*size:4*size]
-	w4r, w4i := twR[4*size:5*size], twI[4*size:5*size]
-	for b := 0; b < len(dRe); b += size {
-		a0r, a0i := dRe[b:b+m], dIm[b:b+m]
-		a1r, a1i := dRe[b+m:b+2*m], dIm[b+m:b+2*m]
-		a2r, a2i := dRe[b+2*m:b+3*m], dIm[b+2*m:b+3*m]
-		a3r, a3i := dRe[b+3*m:b+4*m], dIm[b+3*m:b+4*m]
-		a4r, a4i := dRe[b+4*m:b+5*m], dIm[b+4*m:b+5*m]
-		for k := 0; k < m; k++ {
-			t0r, t0i := a0r[k], a0i[k]
-			t1r, t1i := a1r[k], a1i[k]
-			t2r, t2i := a2r[k], a2i[k]
-			t3r, t3i := a3r[k], a3i[k]
-			t4r, t4i := a4r[k], a4i[k]
-			i1 := m + k
-			i2 := 2*m + k
-			i3 := 3*m + k
-			i4 := 4*m + k
-			var s0r, s0i, s1r, s1i, s2r, s2i, s3r, s3i, s4r, s4i float64
-			s0r += float64(w0r[k]*t0r) - float64(w0i[k]*t0i)
-			s0i += float64(w0r[k]*t0i) + float64(w0i[k]*t0r)
-			s0r += float64(w1r[k]*t1r) - float64(w1i[k]*t1i)
-			s0i += float64(w1r[k]*t1i) + float64(w1i[k]*t1r)
-			s0r += float64(w2r[k]*t2r) - float64(w2i[k]*t2i)
-			s0i += float64(w2r[k]*t2i) + float64(w2i[k]*t2r)
-			s0r += float64(w3r[k]*t3r) - float64(w3i[k]*t3i)
-			s0i += float64(w3r[k]*t3i) + float64(w3i[k]*t3r)
-			s0r += float64(w4r[k]*t4r) - float64(w4i[k]*t4i)
-			s0i += float64(w4r[k]*t4i) + float64(w4i[k]*t4r)
-			s1r += float64(w0r[i1]*t0r) - float64(w0i[i1]*t0i)
-			s1i += float64(w0r[i1]*t0i) + float64(w0i[i1]*t0r)
-			s1r += float64(w1r[i1]*t1r) - float64(w1i[i1]*t1i)
-			s1i += float64(w1r[i1]*t1i) + float64(w1i[i1]*t1r)
-			s1r += float64(w2r[i1]*t2r) - float64(w2i[i1]*t2i)
-			s1i += float64(w2r[i1]*t2i) + float64(w2i[i1]*t2r)
-			s1r += float64(w3r[i1]*t3r) - float64(w3i[i1]*t3i)
-			s1i += float64(w3r[i1]*t3i) + float64(w3i[i1]*t3r)
-			s1r += float64(w4r[i1]*t4r) - float64(w4i[i1]*t4i)
-			s1i += float64(w4r[i1]*t4i) + float64(w4i[i1]*t4r)
-			s2r += float64(w0r[i2]*t0r) - float64(w0i[i2]*t0i)
-			s2i += float64(w0r[i2]*t0i) + float64(w0i[i2]*t0r)
-			s2r += float64(w1r[i2]*t1r) - float64(w1i[i2]*t1i)
-			s2i += float64(w1r[i2]*t1i) + float64(w1i[i2]*t1r)
-			s2r += float64(w2r[i2]*t2r) - float64(w2i[i2]*t2i)
-			s2i += float64(w2r[i2]*t2i) + float64(w2i[i2]*t2r)
-			s2r += float64(w3r[i2]*t3r) - float64(w3i[i2]*t3i)
-			s2i += float64(w3r[i2]*t3i) + float64(w3i[i2]*t3r)
-			s2r += float64(w4r[i2]*t4r) - float64(w4i[i2]*t4i)
-			s2i += float64(w4r[i2]*t4i) + float64(w4i[i2]*t4r)
-			s3r += float64(w0r[i3]*t0r) - float64(w0i[i3]*t0i)
-			s3i += float64(w0r[i3]*t0i) + float64(w0i[i3]*t0r)
-			s3r += float64(w1r[i3]*t1r) - float64(w1i[i3]*t1i)
-			s3i += float64(w1r[i3]*t1i) + float64(w1i[i3]*t1r)
-			s3r += float64(w2r[i3]*t2r) - float64(w2i[i3]*t2i)
-			s3i += float64(w2r[i3]*t2i) + float64(w2i[i3]*t2r)
-			s3r += float64(w3r[i3]*t3r) - float64(w3i[i3]*t3i)
-			s3i += float64(w3r[i3]*t3i) + float64(w3i[i3]*t3r)
-			s3r += float64(w4r[i3]*t4r) - float64(w4i[i3]*t4i)
-			s3i += float64(w4r[i3]*t4i) + float64(w4i[i3]*t4r)
-			s4r += float64(w0r[i4]*t0r) - float64(w0i[i4]*t0i)
-			s4i += float64(w0r[i4]*t0i) + float64(w0i[i4]*t0r)
-			s4r += float64(w1r[i4]*t1r) - float64(w1i[i4]*t1i)
-			s4i += float64(w1r[i4]*t1i) + float64(w1i[i4]*t1r)
-			s4r += float64(w2r[i4]*t2r) - float64(w2i[i4]*t2i)
-			s4i += float64(w2r[i4]*t2i) + float64(w2i[i4]*t2r)
-			s4r += float64(w3r[i4]*t3r) - float64(w3i[i4]*t3i)
-			s4i += float64(w3r[i4]*t3i) + float64(w3i[i4]*t3r)
-			s4r += float64(w4r[i4]*t4r) - float64(w4i[i4]*t4i)
-			s4i += float64(w4r[i4]*t4i) + float64(w4i[i4]*t4r)
-			a0r[k], a0i[k] = s0r, s0i
-			a1r[k], a1i[k] = s1r, s1i
-			a2r[k], a2i[k] = s2r, s2i
-			a3r[k], a3i[k] = s3r, s3i
-			a4r[k], a4i[k] = s4r, s4i
-		}
-	}
-}
-
-// directSplit is the non-smooth-length fallback on the split layout,
-// mirroring transformNoAlias's direct loop operation for operation.
+// directSplit is the non-smooth-length fallback on the split layout: the
+// plain O(n^2) sum. Of the role it honours what it must — structural zeros
+// are not read, a nil srcIm reads as zeros — and forms every output.
 //
 //foam:hotpath
-func (f *FFT) directSplit(dstRe, dstIm, srcRe, srcIm []float64, inverse bool) {
+func (f *FFT) directSplit(dstRe, dstIm, srcRe, srcIm []float64, role fftRole) {
 	for k := 0; k < f.n; k++ {
 		var sumRe, sumIm float64
 		for j := 0; j < f.n; j++ {
+			if j > role.live && j < f.n-role.live {
+				continue
+			}
 			t := (j * k) % f.n
 			w := f.twiddle[t]
-			if inverse {
+			if role.inverse {
 				w = cmplx.Conj(w)
 			}
 			wr, wi := real(w), imag(w)
-			tre, tim := srcRe[j], srcIm[j]
+			tre, tim := srcRe[j], 0.0
+			if srcIm != nil {
+				tim = srcIm[j]
+			}
 			sumRe += float64(wr*tre) - float64(wi*tim)
 			sumIm += float64(wr*tim) + float64(wi*tre)
 		}
@@ -598,37 +601,38 @@ func (f *FFT) directSplit(dstRe, dstIm, srcRe, srcIm []float64, inverse bool) {
 	}
 }
 
-// transformSplitNoAlias runs the unnormalized transform on split planes.
-// dst, src, and scratch must be pairwise non-overlapping; src is read-only.
+// transformSplit runs the unnormalized transform on split planes into dst.
+// dst, src, and scratch must be pairwise non-overlapping; src is read-only
+// and, under role.live, only where the role says it is written.
 //
 //foam:hotpath
-func (f *FFT) transformSplitNoAlias(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch, inverse bool) {
+func (f *FFT) transformSplit(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch, role fftRole) {
 	if f.factors == nil {
-		f.directSplit(dstRe, dstIm, srcRe, srcIm, inverse)
+		f.directSplit(dstRe, dstIm, srcRe, srcIm, role)
 		return
 	}
-	f.iterSplit(dstRe, dstIm, srcRe, srcIm, s, inverse)
+	f.iterSplit(dstRe, dstIm, s.cpRe, s.cpIm, srcRe, srcIm, role)
 }
 
-// ForwardSplitInto is ForwardInto on split re/im planes: dst = DFT(src),
-// unnormalized, through the iterative split butterflies — bit-identical to
-// the complex path plane for plane. All four planes have length n; dst,
+// ForwardSplitInto computes dst = DFT(src), unnormalized, on split re/im
+// planes: dst[k] = sum_j src[j] * e^{-2*pi*i*j*k/n}, bit-identical to the
+// complex reference plane for plane. All four planes have length n; dst,
 // src and the scratch must not overlap, and src is only read.
 //
 //foam:hotpath
 func (f *FFT) ForwardSplitInto(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch) {
 	f.checkSplitPlanes(dstRe, dstIm, srcRe, srcIm)
-	f.transformSplitNoAlias(dstRe, dstIm, srcRe, srcIm, s, false)
+	f.transformSplit(dstRe, dstIm, srcRe, srcIm, s, fftRole{live: f.n, nout: f.n})
 }
 
-// InverseSplitInto is InverseInto on split re/im planes, including the 1/n
-// normalization, which reconstructs the complex product so each plane
-// rounds exactly as InverseInto's dst[i] *= complex(1/n, 0).
+// InverseSplitInto computes dst[j] = (1/n) * sum_k src[k] * e^{+2*pi*i*j*k/n}
+// on split re/im planes. The 1/n normalization reconstructs the complex
+// product so each plane rounds exactly as dst[i] *= complex(1/n, 0).
 //
 //foam:hotpath
 func (f *FFT) InverseSplitInto(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch) {
 	f.checkSplitPlanes(dstRe, dstIm, srcRe, srcIm)
-	f.transformSplitNoAlias(dstRe, dstIm, srcRe, srcIm, s, true)
+	f.transformSplit(dstRe, dstIm, srcRe, srcIm, s, fftRole{inverse: true, live: f.n, nout: f.n})
 	inv := complex(1/float64(f.n), 0)
 	for i := range dstRe {
 		v := complex(dstRe[i], dstIm[i]) * inv
@@ -651,126 +655,15 @@ func (f *FFT) checkSplitPlanes(dstRe, dstIm, srcRe, srcIm []float64) {
 	}
 }
 
-func (f *FFT) direct(dst, src []complex128, inverse bool) {
-	tmp := make([]complex128, f.n)
-	for k := 0; k < f.n; k++ {
-		sum := complex(0, 0)
-		for j := 0; j < f.n; j++ {
-			t := (j * k) % f.n
-			w := f.twiddle[t]
-			if inverse {
-				w = cmplx.Conj(w)
-			}
-			sum += w * src[j]
-		}
-		tmp[k] = sum
-	}
-	copy(dst, tmp)
-}
-
-// AnalyzeReal computes the first mmax+1 complex Fourier coefficients of a
-// real periodic sequence: F_m = (1/n) * sum_j x_j e^{-i m lambda_j} with
-// lambda_j = 2*pi*j/n. Negative-m coefficients are the conjugates and are
-// not stored. dst must have length mmax+1; mmax must be < n/2 so the
-// coefficients are unaliased.
-func (f *FFT) AnalyzeReal(dst []complex128, x []float64, mmax int) {
-	if len(x) != f.n {
-		panic("spectral: AnalyzeReal input length mismatch")
-	}
-	if mmax >= (f.n+1)/2 {
-		panic(fmt.Sprintf("spectral: mmax %d too large for n=%d", mmax, f.n))
-	}
-	buf := make([]complex128, f.n)
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	out := make([]complex128, f.n)
-	f.Forward(out, buf)
-	scale := complex(1/float64(f.n), 0)
-	for m := 0; m <= mmax; m++ {
-		dst[m] = out[m] * scale
-	}
-}
-
-// SynthesizeReal reconstructs a real sequence from its non-negative
-// Fourier coefficients: x_j = Re(F_0) + 2*sum_{m=1..mmax} Re(F_m e^{i m lambda_j}).
-func (f *FFT) SynthesizeReal(dst []float64, coefs []complex128) {
-	if len(dst) != f.n {
-		panic("spectral: SynthesizeReal output length mismatch")
-	}
-	mmax := len(coefs) - 1
-	buf := make([]complex128, f.n)
-	buf[0] = complex(real(coefs[0]), 0)
-	for m := 1; m <= mmax; m++ {
-		buf[m] = coefs[m]
-		buf[f.n-m] = cmplx.Conj(coefs[m])
-	}
-	out := make([]complex128, f.n)
-	f.Inverse(out, buf)
-	// Inverse applies 1/n; synthesis needs the plain sum, so undo it.
-	for j := 0; j < f.n; j++ {
-		dst[j] = real(out[j]) * float64(f.n)
-	}
-}
-
-// AnalyzeRealInto is AnalyzeReal without per-call allocation: the complex
-// staging and output buffers come from s. Bit-identical to AnalyzeReal.
-//
-//foam:hotpath
-func (f *FFT) AnalyzeRealInto(dst []complex128, x []float64, mmax int, s *FFTScratch) {
-	if len(x) != f.n {
-		panic("spectral: AnalyzeReal input length mismatch")
-	}
-	if mmax >= (f.n+1)/2 {
-		panic(fmt.Sprintf("spectral: mmax %d too large for n=%d", mmax, f.n))
-	}
-	buf, out := s.a, s.b
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	f.transformNoAlias(out, buf, false)
-	scale := complex(1/float64(f.n), 0)
-	for m := 0; m <= mmax; m++ {
-		dst[m] = out[m] * scale
-	}
-}
-
-// SynthesizeRealInto is SynthesizeReal without per-call allocation.
-// Bit-identical to SynthesizeReal: the inverse transform's 1/n scaling and
-// the *n undo are applied in the same order.
-//
-//foam:hotpath
-func (f *FFT) SynthesizeRealInto(dst []float64, coefs []complex128, s *FFTScratch) {
-	if len(dst) != f.n {
-		panic("spectral: SynthesizeReal output length mismatch")
-	}
-	mmax := len(coefs) - 1
-	if mmax >= (f.n+1)/2 {
-		panic(fmt.Sprintf("spectral: SynthesizeReal coefs length %d too large for n=%d", len(coefs), f.n))
-	}
-	buf, out := s.a, s.b
-	buf[0] = complex(real(coefs[0]), 0)
-	for m := 1; m <= mmax; m++ {
-		buf[m] = coefs[m]
-		buf[f.n-m] = cmplx.Conj(coefs[m])
-	}
-	for i := mmax + 1; i < f.n-mmax; i++ {
-		buf[i] = 0
-	}
-	f.transformNoAlias(out, buf, true)
-	inv := complex(1/float64(f.n), 0)
-	n := float64(f.n)
-	for j := 0; j < f.n; j++ {
-		dst[j] = real(out[j]*inv) * n
-	}
-}
-
-// AnalyzeRealSplitInto is AnalyzeRealInto writing the coefficient row into
-// split re/im planes. Bit-identical: the transform mirrors the complex
-// butterflies (see recurseSplit), the input's zero imaginary plane is the
-// scratch's permanently-zero buffer (so real staging is one copy, not a
-// complex widening pass), and the output scaling reconstructs the complex
-// value so the boundary multiply rounds exactly as the complex path.
+// AnalyzeRealSplitInto computes the first mmax+1 complex Fourier
+// coefficients of a real periodic sequence into split re/im planes:
+// F_m = (1/n) * sum_j x_j e^{-i m lambda_j} with lambda_j = 2*pi*j/n.
+// Negative-m coefficients are the conjugates and are not stored. dst planes
+// must have length mmax+1; mmax must be < n/2 so the coefficients are
+// unaliased. Bit-identical to the complex reference: the real row's zero
+// imaginary plane is never multiplied, only outputs 0..mmax of the last
+// stage are formed, and the output scaling reconstructs the complex value
+// so the boundary multiply rounds exactly as the complex path.
 //
 //foam:hotpath
 func (f *FFT) AnalyzeRealSplitInto(dstRe, dstIm []float64, x []float64, mmax int, s *FFTScratch) {
@@ -780,7 +673,7 @@ func (f *FFT) AnalyzeRealSplitInto(dstRe, dstIm []float64, x []float64, mmax int
 	if mmax >= (f.n+1)/2 {
 		panic(fmt.Sprintf("spectral: mmax %d too large for n=%d", mmax, f.n))
 	}
-	f.transformSplitNoAlias(s.outRe, s.outIm, x, s.zeroIm, s, false)
+	f.transformSplit(s.outRe, s.outIm, x, nil, s, fftRole{live: f.n, nout: mmax + 1})
 	scale := complex(1/float64(f.n), 0)
 	for m := 0; m <= mmax; m++ {
 		v := complex(s.outRe[m], s.outIm[m]) * scale
@@ -789,11 +682,14 @@ func (f *FFT) AnalyzeRealSplitInto(dstRe, dstIm []float64, x []float64, mmax int
 	}
 }
 
-// SynthesizeRealSplitInto is SynthesizeRealInto reading the coefficient row
-// from split re/im planes. Bit-identical to the complex path: conjugate
-// mirroring negates the imaginary plane exactly as cmplx.Conj, and the
-// final 1/n · n de-scaling reconstructs the complex product so it rounds
-// identically.
+// SynthesizeRealSplitInto reconstructs a real sequence from its
+// non-negative Fourier coefficients in split re/im planes:
+// x_j = Re(F_0) + 2*sum_{m=1..mmax} Re(F_m e^{i m lambda_j}). Bit-identical
+// to the complex reference: conjugate mirroring negates the imaginary plane
+// exactly as cmplx.Conj, the zeros between mmax and n-mmax are neither
+// written nor multiplied, only the real plane of the last stage is formed,
+// and the final 1/n · n de-scaling reconstructs the complex product so it
+// rounds identically.
 //
 //foam:hotpath
 func (f *FFT) SynthesizeRealSplitInto(dst []float64, cRe, cIm []float64, s *FFTScratch) {
@@ -813,11 +709,7 @@ func (f *FFT) SynthesizeRealSplitInto(dst []float64, cRe, cIm []float64, s *FFTS
 		bufRe[f.n-m] = cRe[m]
 		bufIm[f.n-m] = -cIm[m]
 	}
-	for i := mmax + 1; i < f.n-mmax; i++ {
-		bufRe[i] = 0
-		bufIm[i] = 0
-	}
-	f.transformSplitNoAlias(s.outRe, s.outIm, bufRe, bufIm, s, true)
+	f.transformSplit(s.outRe, s.outIm, bufRe, bufIm, s, fftRole{inverse: true, live: mmax, nout: f.n, reOnly: true})
 	inv := complex(1/float64(f.n), 0)
 	n := float64(f.n)
 	for j := 0; j < f.n; j++ {

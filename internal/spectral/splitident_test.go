@@ -6,6 +6,7 @@ package spectral
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,6 @@ func sameC128(a, b []complex128) int {
 // up as a bit difference here.
 type refKit struct {
 	tr          *Transform
-	s           *FFTScratch
 	rows, rowsB []complex128
 	c1, c2, c3  []complex128
 	psi, chi    []complex128
@@ -52,7 +52,6 @@ func newRefKit(tr *Transform) *refKit {
 	mm := tr.Trunc.M + 1
 	return &refKit{
 		tr:    tr,
-		s:     tr.fft.NewScratch(),
 		rows:  make([]complex128, tr.NLat*mm),
 		rowsB: make([]complex128, tr.NLat*mm),
 		c1:    make([]complex128, mm),
@@ -67,7 +66,7 @@ func (r *refKit) fourier(rows []complex128, grid []float64) {
 	tr := r.tr
 	mm := tr.Trunc.M + 1
 	for j := 0; j < tr.NLat; j++ {
-		tr.fft.AnalyzeRealInto(rows[j*mm:(j+1)*mm], grid[j*tr.NLon:(j+1)*tr.NLon], tr.Trunc.M, r.s)
+		tr.fft.AnalyzeReal(rows[j*mm:(j+1)*mm], grid[j*tr.NLon:(j+1)*tr.NLon], tr.Trunc.M)
 	}
 }
 
@@ -108,7 +107,7 @@ func (r *refKit) synthesize(grid []float64, spec []complex128) {
 			}
 			r.c1[m] = sum
 		}
-		tr.fft.SynthesizeRealInto(grid[j*tr.NLon:(j+1)*tr.NLon], r.c1, r.s)
+		tr.fft.SynthesizeReal(grid[j*tr.NLon:(j+1)*tr.NLon], r.c1)
 	}
 }
 
@@ -132,9 +131,9 @@ func (r *refKit) synthDerivs(f, dfdl, hmu []float64, spec []complex128) {
 			r.c2[m] = complex(0, float64(m)) * sf
 			r.c3[m] = sh
 		}
-		tr.fft.SynthesizeRealInto(f[j*tr.NLon:(j+1)*tr.NLon], r.c1, r.s)
-		tr.fft.SynthesizeRealInto(dfdl[j*tr.NLon:(j+1)*tr.NLon], r.c2, r.s)
-		tr.fft.SynthesizeRealInto(hmu[j*tr.NLon:(j+1)*tr.NLon], r.c3, r.s)
+		tr.fft.SynthesizeReal(f[j*tr.NLon:(j+1)*tr.NLon], r.c1)
+		tr.fft.SynthesizeReal(dfdl[j*tr.NLon:(j+1)*tr.NLon], r.c2)
+		tr.fft.SynthesizeReal(hmu[j*tr.NLon:(j+1)*tr.NLon], r.c3)
 	}
 }
 
@@ -176,8 +175,8 @@ func (r *refKit) synthUV(U, V []float64, vort, div []complex128) {
 			r.c1[m] = (im*sChi - hPsi) * inva
 			r.c2[m] = (im*sPsi + hChi) * inva
 		}
-		tr.fft.SynthesizeRealInto(U[j*tr.NLon:(j+1)*tr.NLon], r.c1, r.s)
-		tr.fft.SynthesizeRealInto(V[j*tr.NLon:(j+1)*tr.NLon], r.c2, r.s)
+		tr.fft.SynthesizeReal(U[j*tr.NLon:(j+1)*tr.NLon], r.c1)
+		tr.fft.SynthesizeReal(V[j*tr.NLon:(j+1)*tr.NLon], r.c2)
 	}
 }
 
@@ -403,46 +402,177 @@ func TestFusedBatchBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-func TestFFTSplitRealBitIdentical(t *testing.T) {
+// fftRowCases returns the (n, mmax) pairs the real-row proofs run over: a
+// dense spectrum (mmax = (n-1)/2) at every length class — smooth, single
+// stage, non-smooth — and the sparse pairs the model's rungs use (r5, r9,
+// R15, R21) plus one larger.
+func fftRowCases() [][2]int {
+	var cases [][2]int
 	for _, n := range []int{2, 4, 6, 7, 11, 12, 16, 30, 48, 54, 64, 90} {
+		cases = append(cases, [2]int{n, (n - 1) / 2})
+	}
+	return append(cases, [][2]int{{16, 5}, {30, 9}, {48, 15}, {64, 21}, {128, 42}}...)
+}
+
+// fftRowInputs returns length-n rows that exercise what the ±0-absorption
+// argument of iterSplit leans on: random data, all-zero and all -0 rows,
+// rows with -0 entries, a single non-zero entry, alternating signs that
+// cancel exactly, and amplitudes so small that products and the 1/n scaling
+// underflow (the fftTiny guard).
+func fftRowInputs(n int, rng *rand.Rand) map[string][]float64 {
+	negZero := math.Copysign(0, -1)
+	in := map[string][]float64{
+		"random": make([]float64, n), "zero": make([]float64, n), "negzero": make([]float64, n),
+		"mixed-zero": make([]float64, n), "single": make([]float64, n), "alternating": make([]float64, n),
+		"tiny": make([]float64, n), "tiny-random": make([]float64, n),
+	}
+	for i := 0; i < n; i++ {
+		in["random"][i] = rng.NormFloat64()
+		in["negzero"][i] = negZero
+		if i%3 == 0 {
+			in["mixed-zero"][i] = negZero
+		} else if i%3 == 1 {
+			in["mixed-zero"][i] = rng.NormFloat64()
+		}
+		in["alternating"][i] = 1.5 * float64(1-2*(i%2))
+		in["tiny"][i] = 0x1p-1070 * float64(1-2*(i%2)) * float64(1+i%3)
+		in["tiny-random"][i] = 0x1p-1068 * rng.NormFloat64()
+	}
+	in["single"][n/3] = -2.75
+	return in
+}
+
+// TestFFTSplitRealBitIdentical pins the pruned real-row entry points to the
+// complex reference (fft_ref_test.go) bit for bit. The scratch is reused
+// across calls with its staging planes poisoned, so a kernel that read a
+// structural zero it is told not to would drag a NaN into the result.
+func TestFFTSplitRealBitIdentical(t *testing.T) {
+	sawNegZero, sawPosZeroFromNeg := false, false
+	for _, c := range fftRowCases() {
+		n, mmax := c[0], c[1]
 		f := NewFFT(n)
 		s := f.NewScratch()
-		s2 := f.NewScratch()
 		rng := rand.New(rand.NewSource(int64(n)))
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		mmax := (n - 1) / 2
-		if mmax >= (n+1)/2 {
-			mmax = (n+1)/2 - 1
-		}
+		inputs := fftRowInputs(n, rng)
+		for name, x := range inputs {
+			ref := make([]complex128, mmax+1)
+			f.AnalyzeReal(ref, x, mmax)
+			gotRe := make([]float64, mmax+1)
+			gotIm := make([]float64, mmax+1)
+			f.AnalyzeRealSplitInto(gotRe, gotIm, x, mmax, s)
+			for m := 0; m <= mmax; m++ {
+				if math.Float64bits(gotRe[m]) != math.Float64bits(real(ref[m])) ||
+					math.Float64bits(gotIm[m]) != math.Float64bits(imag(ref[m])) {
+					t.Fatalf("n=%d mmax=%d %s analyze m=%d: split (%v,%v) != complex %v", n, mmax, name, m, gotRe[m], gotIm[m], ref[m])
+				}
+			}
 
-		ref := make([]complex128, mmax+1)
-		f.AnalyzeRealInto(ref, x, mmax, s)
-		gotRe := make([]float64, mmax+1)
-		gotIm := make([]float64, mmax+1)
-		f.AnalyzeRealSplitInto(gotRe, gotIm, x, mmax, s2)
-		for m := 0; m <= mmax; m++ {
-			if math.Float64bits(gotRe[m]) != math.Float64bits(real(ref[m])) ||
-				math.Float64bits(gotIm[m]) != math.Float64bits(imag(ref[m])) {
-				t.Fatalf("n=%d analyze m=%d: split (%v,%v) != complex %v", n, m, gotRe[m], gotIm[m], ref[m])
+			// Synthesis from the row's own (band-limited) spectrum, and from
+			// the row's first mmax+1 entries read as raw coefficients, so
+			// -0, single-entry and tiny spectra reach the leaf stage too.
+			for _, coefs := range [][]complex128{ref, rawCoefs(x, inputs["random"], mmax)} {
+				cRe, cIm := make([]float64, mmax+1), make([]float64, mmax+1)
+				for m, v := range coefs {
+					cRe[m], cIm[m] = real(v), imag(v)
+				}
+				wantGrid := make([]float64, n)
+				f.SynthesizeReal(wantGrid, coefs)
+				for i := range s.bufRe {
+					s.bufRe[i], s.bufIm[i] = math.NaN(), math.NaN()
+				}
+				gotGrid := make([]float64, n)
+				f.SynthesizeRealSplitInto(gotGrid, cRe, cIm, s)
+				if i := sameF64(gotGrid, wantGrid); i >= 0 {
+					t.Fatalf("n=%d mmax=%d %s synthesize j=%d: split %v != complex %v", n, mmax, name, i, gotGrid[i], wantGrid[i])
+				}
+				if name == "tiny" || name == "tiny-random" {
+					for _, v := range wantGrid {
+						sawNegZero = sawNegZero || (v == 0 && math.Signbit(v))
+					}
+					sawPosZeroFromNeg = sawPosZeroFromNeg || tinyNegativeRoundsToPlusZero(f, coefs)
+				}
 			}
 		}
+	}
+	// The guard is only proven if the inputs reach it: some tiny negative
+	// sums must scale to -0, and some must come out +0 because the unread
+	// imaginary lane is negative.
+	if !sawNegZero || !sawPosZeroFromNeg {
+		t.Fatalf("tiny rows never reached the underflow guard (-0 seen: %v, +0 from a negative sum: %v)", sawNegZero, sawPosZeroFromNeg)
+	}
+}
 
-		wantGrid := make([]float64, n)
-		f.SynthesizeRealInto(wantGrid, ref, s)
-		gotGrid := make([]float64, n)
-		f.SynthesizeRealSplitInto(gotGrid, gotRe, gotIm, s2)
-		if i := sameF64(gotGrid, wantGrid); i >= 0 {
-			t.Fatalf("n=%d synthesize j=%d: split %v != complex %v", n, i, gotGrid[i], wantGrid[i])
+// rawCoefs reads a row's first mmax+1 entries as Fourier coefficients
+// (imaginary parts from a second row, zero at m = 0).
+func rawCoefs(re, im []float64, mmax int) []complex128 {
+	c := make([]complex128, mmax+1)
+	for m := range c {
+		c[m] = complex(re[m], im[m]*re[m])
+	}
+	c[0] = complex(re[0], 0)
+	return c
+}
+
+// tinyNegativeRoundsToPlusZero reports whether the reference inverse
+// transform of the Hermitian extension of coefs has an output whose real
+// part is negative, underflows to zero under the 1/n scaling, and still
+// ends +0 — the case that depends on the sign of the imaginary lane.
+func tinyNegativeRoundsToPlusZero(f *FFT, coefs []complex128) bool {
+	n := f.n
+	buf, raw := make([]complex128, n), make([]complex128, n)
+	buf[0] = complex(real(coefs[0]), 0)
+	for m := 1; m < len(coefs); m++ {
+		buf[m] = coefs[m]
+		buf[n-m] = cmplx.Conj(coefs[m])
+	}
+	f.transform(raw, buf, true)
+	for _, v := range raw {
+		if re := real(v); re < 0 && re/float64(n) == 0 && imag(v) < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFFTUnitTwiddle pins what the kernels assume when they add the r = 0
+// term instead of multiplying it: every r = 0 twiddle of every stage is
+// twiddle[(0*idx*twStep) % n] = twiddle[0], and that is exactly (1, -0)
+// (conjugated: (1, +0)) for every smooth length. The tables hold no r = 0
+// entry to drift; this is the one value they would have held.
+func TestFFTUnitTwiddle(t *testing.T) {
+	for n := 2; n <= 128; n++ {
+		f := NewFFT(n)
+		if f.factors == nil {
+			continue
+		}
+		w := f.twiddle[0]
+		if real(w) != 1 || imag(w) != 0 || !math.Signbit(imag(w)) || math.Signbit(imag(cmplx.Conj(w))) {
+			t.Fatalf("n=%d: twiddle[0] = (%v, %v), want (1, -0)", n, real(w), imag(w))
+		}
+		size := n
+		for d, st := range f.stages {
+			if st.size != size || st.p*st.m != size || len(st.tw) != 2*(st.p-1)*size || len(st.cw) != len(st.tw) {
+				t.Fatalf("n=%d stage %d: p=%d m=%d size=%d, %d/%d table entries", n, d, st.p, st.m, st.size, len(st.tw), len(st.cw))
+			}
+			for i := 0; i < len(st.tw); i += 2 {
+				if st.cw[i] != st.tw[i] || math.Float64bits(st.cw[i+1]) != math.Float64bits(-st.tw[i+1]) {
+					t.Fatalf("n=%d stage %d entry %d: cw is not the conjugate of tw", n, d, i/2)
+				}
+			}
+			// idx = 0 of every r is twiddle[0] too; r >= 1 keeps its entry.
+			for r := 1; r < st.p; r++ {
+				if st.tw[2*(r-1)] != 1 || st.tw[2*(r-1)+1] != 0 {
+					t.Fatalf("n=%d stage %d: idx=0 twiddle of r=%d is (%v,%v)", n, d, r, st.tw[2*(r-1)], st.tw[2*(r-1)+1])
+				}
+			}
+			size = st.m
 		}
 	}
 }
 
 // TestFFTSplitPlanesBitIdentical pins the exported split-plane pair to the
-// complex entry points: ForwardSplitInto/InverseSplitInto must reproduce
-// ForwardInto/InverseInto bit for bit, on smooth lengths (the model's 48,
+// complex reference: ForwardSplitInto/InverseSplitInto must reproduce
+// Forward/Inverse (fft_ref_test.go) bit for bit, on smooth lengths (the model's 48,
 // 64 and 128-point rows) and on a non-smooth one (the direct fallback).
 func TestFFTSplitPlanesBitIdentical(t *testing.T) {
 	for _, n := range []int{48, 64, 128, 22} {
@@ -469,10 +599,10 @@ func TestFFTSplitPlanesBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		f.ForwardInto(want, src, s)
+		f.Forward(want, src)
 		f.ForwardSplitInto(gotRe, gotIm, srcRe, srcIm, s)
 		check("forward")
-		f.InverseInto(want, src, s)
+		f.Inverse(want, src)
 		f.InverseSplitInto(gotRe, gotIm, srcRe, srcIm, s)
 		check("inverse")
 	}

@@ -612,6 +612,13 @@ func checkNoAliasF(a, b []float64, what string) {
 	}
 }
 
+// checkNoAliasC is checkNoAliasF for spectral (complex) destinations.
+func checkNoAliasC(a, b []complex128, what string) {
+	if len(a) > 0 && len(b) > 0 && &a[0] == &b[0] {
+		panic("spectral: " + what + " must not alias")
+	}
+}
+
 // checkBatch validates a fused batch: equal field counts within the
 // workspace's arena capacity, every grid and spectral slice full-sized, and
 // pairwise-distinct destination slices where dsts is non-nil.

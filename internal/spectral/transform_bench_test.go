@@ -1,6 +1,10 @@
 package spectral
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkTransform* micro-benchmarks time the workspace-backed hot-path
 // entry points at the paper's R15 resolution (48x40 grid). EXPERIMENTS.md
@@ -162,4 +166,44 @@ func BenchmarkTransformAnalyzeDivPairMany(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.AnalyzeDivPairManyInto(out1, out2, grids[:benchFields], grids[benchFields:], 1, -1, 1, 1, ws)
 	}
+}
+
+// BenchmarkFFTRealRows times one real-row analysis and synthesis at the
+// model's (nlon, M) pairs — r5, r9, R15, R21 — and the ocean polar filter's
+// 128-point forward/inverse split pair.
+func BenchmarkFFTRealRows(b *testing.B) {
+	for _, c := range [][2]int{{16, 5}, {30, 9}, {48, 15}, {64, 21}} {
+		n, mmax := c[0], c[1]
+		f := NewFFT(n)
+		s := f.NewScratch()
+		rng := rand.New(rand.NewSource(int64(n)))
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		cRe, cIm := make([]float64, mmax+1), make([]float64, mmax+1)
+		b.Run(fmt.Sprintf("analyze/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.AnalyzeRealSplitInto(cRe, cIm, x, mmax, s)
+			}
+		})
+		b.Run(fmt.Sprintf("synthesize/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.SynthesizeRealSplitInto(x, cRe, cIm, s)
+			}
+		})
+	}
+	f := NewFFT(128)
+	s := f.NewScratch()
+	re, im := make([]float64, 128), make([]float64, 128)
+	oRe, oIm := make([]float64, 128), make([]float64, 128)
+	for i := range re {
+		re[i] = float64(i%7) - 3
+	}
+	b.Run("split-pair/n=128", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f.ForwardSplitInto(oRe, oIm, re, im, s)
+			f.InverseSplitInto(re, im, oRe, oIm, s)
+		}
+	})
 }
