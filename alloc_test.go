@@ -29,7 +29,7 @@ func TestCoupledStepAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := ReducedConfig()
+			cfg := quickConfig(t)
 			cfg.Workers = tc.workers
 			m, err := New(cfg)
 			if err != nil {
@@ -62,7 +62,7 @@ func TestCoupledStepAllocs(t *testing.T) {
 	t.Run("ensemble", func(t *testing.T) {
 		s := ensemble.New(ensemble.Config{Workers: 2, MaxMembers: 4})
 		defer s.Close()
-		cfg := ReducedConfig()
+		cfg := quickConfig(t)
 		info, err := s.Create(cfg, nil)
 		if err != nil {
 			t.Fatal(err)

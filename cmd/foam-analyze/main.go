@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	foam-analyze [-cutoff 60] [-config reduced|full] sst.csv
+//	foam-analyze [-cutoff 60] [-scenario r5-quick] sst.csv
 package main
 
 import (
@@ -18,23 +18,21 @@ import (
 
 	"foam"
 	"foam/internal/diag"
-	"foam/internal/ocean"
 	"foam/internal/sphere"
 )
 
 func main() {
 	cutoff := flag.Int("cutoff", 60, "low-pass cutoff in months")
-	configName := flag.String("config", "reduced", "configuration the series was recorded with")
+	scen := flag.String("scenario", "r5-quick", "registry scenario the series was recorded with (its ocean grid locates the cells)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: foam-analyze [-cutoff N] series.csv")
+		fmt.Fprintln(os.Stderr, "usage: foam-analyze [-cutoff N] [-scenario name] series.csv")
 		os.Exit(2)
 	}
-	var cfg foam.Config
-	if *configName == "full" {
-		cfg = foam.DefaultConfig()
-	} else {
-		cfg = foam.ReducedConfig()
+	cfg, err := foam.ScenarioConfig(*scen)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	series, err := readCSV(flag.Arg(0))
 	if err != nil {
@@ -44,13 +42,6 @@ func main() {
 	fmt.Printf("loaded %d months x %d cells\n", len(series), len(series[0]))
 
 	grid := sphere.NewMercatorGrid(cfg.Ocn.NLat, cfg.Ocn.NLon, cfg.Ocn.LatSouth, cfg.Ocn.LatNorth)
-	// Rebuild the wet mask the same way the model does.
-	oc, err := ocean.New(cfg.Ocn, nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	_ = oc
 	mask := make([]float64, grid.Size())
 	for c := range mask {
 		// A cell that is exactly 0 across the whole series is land.

@@ -1,21 +1,18 @@
-// Command foam-load drives a running foam-serve with a concurrent ensemble
-// workload and writes BENCH_serve.json — the serving entry of the perf
-// trajectory under the foam-bench/v1 schema: members sustained, aggregate
-// steps per second, and the API latency percentiles clients observed.
+// Command foam-load drives a running foam-serve from many concurrent
+// clients — the one thing neither `go run ./bench` (one closed-loop client,
+// in process) nor the handler tests do — and prints what the clients saw:
+// members sustained, aggregate steps per second, and the latency
+// percentiles of each request kind. Any failed request makes it exit
+// non-zero. It records nothing: `go run ./bench -workload ensemble_r5` is
+// the instrument of record for the serving path.
 //
 // Usage:
 //
 //	foam-load [-addr http://127.0.0.1:8870] [-members 100] [-advances 4]
-//	          [-steps N] [-concurrency 16] [-preset reduced]
-//	          [-scenario name] [-out BENCH_serve.json] [-timeout 60s]
-//	foam-load -verify BENCH_serve.json
+//	          [-steps N] [-concurrency 16] [-scenario r5-quick] [-timeout 60s]
 //
-// With -scenario, members are created from the named registry scenario via
-// POST /v1/scenarios/{name}/members instead of the preset, and the report
-// records the scenario name.
-//
-// The -verify form validates a previously written report and exits; the CI
-// smoke job uses it to gate on well-formedness.
+// Members are created from the named registry scenario via
+// POST /v1/scenarios/{name}/members.
 package main
 
 import (
@@ -26,12 +23,11 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"foam/internal/benchjson"
 	"foam/internal/ensemble"
 )
 
@@ -41,55 +37,60 @@ func main() {
 	advances := flag.Int("advances", 4, "advance requests per member")
 	steps := flag.Int("steps", 0, "atmosphere steps per advance (0 = one coupling interval)")
 	concurrency := flag.Int("concurrency", 16, "concurrent client connections")
-	preset := flag.String("preset", "reduced", "member preset (reduced | default)")
-	scen := flag.String("scenario", "", "create members from this named scenario instead of the preset")
-	out := flag.String("out", "BENCH_serve.json", "report output path")
+	scen := flag.String("scenario", "r5-quick", "registry scenario the members are created from")
 	timeout := flag.Duration("timeout", 60*time.Second, "readiness wait for the server")
-	verify := flag.String("verify", "", "validate an existing report and exit")
 	flag.Parse()
-
-	if *verify != "" {
-		if err := verifyReport(*verify); err != nil {
-			log.Fatalf("foam-load: %v", err)
-		}
-		fmt.Printf("%s: well-formed\n", *verify)
-		return
-	}
 
 	c := &client{base: *addr, http: &http.Client{Timeout: 5 * time.Minute}}
 	if err := c.waitReady(*timeout); err != nil {
 		log.Fatalf("foam-load: %v", err)
 	}
-
-	serve, err := runLoad(c, *preset, *scen, *members, *advances, *steps, *concurrency)
+	rep, err := runLoad(c, *scen, *members, *advances, *steps, *concurrency)
 	if err != nil {
 		log.Fatalf("foam-load: %v", err)
 	}
-	rep := &benchjson.File{
-		Schema:    benchjson.Schema,
-		Suite:     "serve",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Serve:     serve,
+	fmt.Printf("%d %s members x %d advances x %d steps from %d clients (server workers=%d): %.0f atm steps/s aggregate over %.2f s\n",
+		*members, *scen, *advances, rep.stepsPerAdvance, *concurrency, rep.workers, rep.stepsPerSecond, rep.wallSeconds)
+	for _, l := range []struct {
+		name string
+		ms   latency
+	}{{"create", rep.create}, {"advance", rep.advance}, {"diag", rep.diag}} {
+		fmt.Printf("%-8s n=%-5d p50 %8.1f  p90 %8.1f  p99 %8.1f  max %8.1f ms\n",
+			l.name, l.ms.count, l.ms.p50, l.ms.p90, l.ms.p99, l.ms.max)
 	}
-	if err := rep.WriteFile(*out); err != nil {
-		log.Fatalf("foam-load: %v", err)
-	}
-	fmt.Printf("%d members x %d advances: %.0f atm steps/s aggregate, advance P99 %.1f ms -> %s\n",
-		serve.Members, serve.AdvancesPerMember, serve.StepsPerSecond, serve.AdvanceMs.P99, *out)
 }
 
-func verifyReport(path string) error {
-	f, err := benchjson.VerifyFile(path)
-	if err != nil {
-		return err
+// latency is the percentile summary of one request kind, in milliseconds.
+type latency struct {
+	count              int
+	p50, p90, p99, max float64
+}
+
+// summarizeMs reduces raw latency samples (milliseconds) to their
+// percentile summary. The sample slice is sorted in place.
+func summarizeMs(samples []float64) latency {
+	if len(samples) == 0 {
+		return latency{}
 	}
-	if f.Suite != "serve" {
-		return fmt.Errorf("%s: suite %q, want \"serve\"", path, f.Suite)
+	sort.Float64s(samples)
+	pick := func(q float64) float64 {
+		i := int(q*float64(len(samples))+0.5) - 1
+		return samples[min(max(i, 0), len(samples)-1)]
 	}
-	return nil
+	return latency{
+		count: len(samples),
+		p50:   pick(0.50),
+		p90:   pick(0.90),
+		p99:   pick(0.99),
+		max:   samples[len(samples)-1],
+	}
+}
+
+// report is what one load run observed from the client side.
+type report struct {
+	workers, stepsPerAdvance    int
+	wallSeconds, stepsPerSecond float64
+	create, advance, diag       latency
 }
 
 // client is a minimal JSON client for the foam-serve API.
@@ -152,7 +153,7 @@ func (c *client) waitReady(timeout time.Duration) error {
 // runLoad drives the three phases — create all members, advance them
 // advances times each from concurrent clients, then fetch every member's
 // diagnostics — timing each request.
-func runLoad(c *client, preset, scen string, members, advances, steps, concurrency int) (*benchjson.Serve, error) {
+func runLoad(c *client, scen string, members, advances, steps, concurrency int) (*report, error) {
 	if concurrency < 1 {
 		concurrency = 1
 	}
@@ -166,14 +167,10 @@ func runLoad(c *client, preset, scen string, members, advances, steps, concurren
 	ids := make([]string, members)
 	createMs := make([]float64, members)
 	var coupleEvery atomic.Int64
-	createPath, createBody := "/v1/members", any(ensemble.CreateRequest{Preset: preset})
-	if scen != "" {
-		createPath, createBody = "/v1/scenarios/"+scen+"/members", nil
-	}
 	err := forEach(members, concurrency, func(i int) error {
 		var info ensemble.Info
 		t0 := time.Now()
-		_, err := c.do("POST", createPath, createBody, &info)
+		_, err := c.do("POST", "/v1/scenarios/"+scen+"/members", nil, &info)
 		if err != nil {
 			return err
 		}
@@ -227,22 +224,14 @@ func runLoad(c *client, preset, scen string, members, advances, steps, concurren
 		return nil, err
 	}
 
-	totalSteps := total * stepsPer
-	return &benchjson.Serve{
-		GoMaxProcs:        runtime.GOMAXPROCS(0),
-		Workers:           stats.Workers,
-		Members:           members,
-		Preset:            preset,
-		Scenario:          scen,
-		Concurrency:       concurrency,
-		AdvancesPerMember: advances,
-		StepsPerAdvance:   stepsPer,
-		TotalAtmSteps:     totalSteps,
-		WallSeconds:       wall,
-		StepsPerSecond:    float64(totalSteps) / wall,
-		CreateMs:          ensemble.SummarizeMs(createMs),
-		AdvanceMs:         ensemble.SummarizeMs(advanceMs),
-		DiagMs:            ensemble.SummarizeMs(diagMs),
+	return &report{
+		workers:         stats.Workers,
+		stepsPerAdvance: stepsPer,
+		wallSeconds:     wall,
+		stepsPerSecond:  float64(total*stepsPer) / wall,
+		create:          summarizeMs(createMs),
+		advance:         summarizeMs(advanceMs),
+		diag:            summarizeMs(diagMs),
 	}, nil
 }
 

@@ -2,16 +2,17 @@
 //
 // Usage:
 //
-//	foam [-config full|reduced] [-scenario name|file.json] [-list-scenarios]
+//	foam [-scenario name|file.json] [-list-scenarios] [-lag 0|1]
 //	     [-exec serial|pooled|ranked] [-days N] [-record sst.csv] [-quiet]
 //
-// With -scenario, the model is compiled from a named registry scenario (see
-// -list-scenarios for the table) or from a JSON spec file (internal/scenario,
-// DESIGN.md section 17), overriding -config. With -record, monthly mean SST
-// fields are appended to a CSV (one row per month) for later analysis with
-// foam-analyze. The -exec flag selects the executor backend; all backends
-// are bit-identical, so it only changes how the program's ticks are executed
-// (see DESIGN.md section 12).
+// The model is compiled from a named registry scenario (see -list-scenarios
+// for the table; r5-quick by default, paper-foam is the paper's full model)
+// or from a JSON spec file (internal/scenario, DESIGN.md section 17). The
+// scenario owns the coupling lag; an explicit -lag wins. With -record,
+// monthly mean SST fields are appended to a CSV (one row per month) for
+// later analysis with foam-analyze. The -exec flag selects the executor
+// backend; all backends are bit-identical, so it only changes how the
+// program's ticks are executed (see DESIGN.md section 12).
 package main
 
 import (
@@ -42,32 +43,36 @@ func listScenarios(w io.Writer) error {
 	return tw.Flush()
 }
 
-// scenarioConfig resolves the -scenario argument: a registered name, or a
-// path to a JSON spec file (tried as a file first when it looks like one).
-func scenarioConfig(arg string) (foam.Config, string, error) {
-	if sp, ok := scenario.Lookup(arg); ok {
-		cfg, err := scenario.Build(sp)
-		return cfg, sp.Name, err
+// resolveConfig turns -scenario and -lag into the run's configuration and
+// label. The argument is a registered name or a path to a JSON spec file,
+// r5-quick when empty; the scenario owns the coupling lag, and only an
+// explicit -lag (lag >= 0) overrides it.
+func resolveConfig(arg string, lag int) (foam.Config, string, error) {
+	if arg == "" {
+		arg = "r5-quick"
 	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return foam.Config{}, "", fmt.Errorf("scenario %q is not a registered name (have %v) and not a readable spec file: %v",
-			arg, scenario.Names(), err)
-	}
-	sp, err := scenario.Decode(blob)
-	if err != nil {
-		return foam.Config{}, "", err
-	}
-	name := sp.Name
-	if name == "" {
-		name = arg
+	sp, ok := scenario.Lookup(arg)
+	if !ok {
+		blob, err := os.ReadFile(arg)
+		if err != nil {
+			return foam.Config{}, "", fmt.Errorf("scenario %q is not a registered name (have %v) and not a readable spec file: %v",
+				arg, scenario.Names(), err)
+		}
+		if sp, err = scenario.Decode(blob); err != nil {
+			return foam.Config{}, "", err
+		}
+		if sp.Name == "" {
+			sp.Name = arg
+		}
 	}
 	cfg, err := scenario.Build(sp)
-	return cfg, name, err
+	if lag >= 0 {
+		cfg.OceanLag = lag
+	}
+	return cfg, sp.Name, err
 }
 
 func main() {
-	configName := flag.String("config", "reduced", "model configuration: full (paper R15+128x128) or reduced")
 	days := flag.Float64("days", 30, "simulated days to run")
 	record := flag.String("record", "", "CSV file to append monthly mean SST rows to")
 	quiet := flag.Bool("quiet", false, "suppress periodic diagnostics")
@@ -78,8 +83,8 @@ func main() {
 	execName := flag.String("exec", "pooled", "executor backend: serial, pooled, or ranked; all are bit-identical")
 	atmRanks := flag.Int("atm-ranks", 4, "ranked executor: atmosphere (+ coupler) ranks")
 	ocnRanks := flag.Int("ocn-ranks", 1, "ranked executor: ocean ranks")
-	lag := flag.Int("lag", 0, "ocean coupling lag: 0 = synchronous, 1 = the paper's lagged coupling (lets ranked overlap the ocean with atmosphere steps)")
-	scen := flag.String("scenario", "", "compile the model from a named scenario or a JSON spec file (overrides -config)")
+	lag := flag.Int("lag", -1, "ocean coupling lag: 0 = synchronous, 1 = the paper's lagged coupling (lets ranked overlap the ocean with atmosphere steps), -1 = the scenario's")
+	scen := flag.String("scenario", "", "named scenario or JSON spec file to compile the model from (default r5-quick)")
 	list := flag.Bool("list-scenarios", false, "print the scenario registry table and exit")
 	flag.Parse()
 
@@ -91,37 +96,10 @@ func main() {
 		return
 	}
 
-	lagSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "lag" {
-			lagSet = true
-		}
-	})
-
-	var cfg foam.Config
-	runName := *configName
-	if *scen != "" {
-		var err error
-		cfg, runName, err = scenarioConfig(*scen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "foam:", err)
-			os.Exit(2)
-		}
-		// The scenario owns the coupling mode; an explicit -lag still wins.
-		if lagSet {
-			cfg.OceanLag = *lag
-		}
-	} else {
-		switch *configName {
-		case "full":
-			cfg = foam.DefaultConfig()
-		case "reduced":
-			cfg = foam.ReducedConfig()
-		default:
-			fmt.Fprintln(os.Stderr, "unknown -config (want full or reduced)")
-			os.Exit(2)
-		}
-		cfg.OceanLag = *lag
+	cfg, runName, err := resolveConfig(*scen, *lag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "foam:", err)
+		os.Exit(2)
 	}
 	switch *execName {
 	case "serial":
@@ -145,7 +123,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "foam:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("ranked executor: %d atmosphere + %d ocean ranks, lag %d\n", *atmRanks, *ocnRanks, *lag)
+		fmt.Printf("ranked executor: %d atmosphere + %d ocean ranks, lag %d\n", *atmRanks, *ocnRanks, cfg.OceanLag)
 	}
 	if *resume != "" {
 		chk, err := foam.LoadCheckpointFile(*resume)

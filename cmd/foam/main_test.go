@@ -34,10 +34,10 @@ func TestListScenarios(t *testing.T) {
 	}
 }
 
-// TestScenarioConfigByName: a registered name compiles without touching the
+// TestResolveConfigByName: a registered name compiles without touching the
 // filesystem.
-func TestScenarioConfigByName(t *testing.T) {
-	cfg, name, err := scenarioConfig("r5-quick")
+func TestResolveConfigByName(t *testing.T) {
+	cfg, name, err := resolveConfig("r5-quick", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,15 +46,15 @@ func TestScenarioConfigByName(t *testing.T) {
 	}
 }
 
-// TestScenarioConfigFromFile: a JSON spec file compiles, and its Name field
+// TestResolveConfigFromFile: a JSON spec file compiles, and its Name field
 // labels the run.
-func TestScenarioConfigFromFile(t *testing.T) {
+func TestResolveConfigFromFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spec.json")
 	spec := `{"name":"my-aqua","rung":"r5","world":"aquaplanet"}` + "\n"
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg, name, err := scenarioConfig(path)
+	cfg, name, err := resolveConfig(path, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +63,41 @@ func TestScenarioConfigFromFile(t *testing.T) {
 	}
 }
 
-// TestScenarioConfigUnknown: an argument that is neither a registered name
+// TestResolveConfigUnknown: an argument that is neither a registered name
 // nor a readable file must error, listing the registry.
-func TestScenarioConfigUnknown(t *testing.T) {
-	_, _, err := scenarioConfig("nonesuch")
+func TestResolveConfigUnknown(t *testing.T) {
+	_, _, err := resolveConfig("nonesuch", -1)
 	if err == nil {
-		t.Fatal("scenarioConfig accepted an unknown argument")
+		t.Fatal("resolveConfig accepted an unknown argument")
 	}
 	if !strings.Contains(err.Error(), "paper-foam") {
 		t.Fatalf("error does not list the registry: %v", err)
+	}
+}
+
+// TestResolveConfigDefaultAndLag pins the one rule of configuration naming:
+// no argument means r5-quick, the scenario owns the coupling lag, and only
+// an explicit -lag (including an explicit 0) overrides it.
+func TestResolveConfigDefaultAndLag(t *testing.T) {
+	cases := []struct {
+		arg     string
+		lag     int // -1: flag not given
+		name    string
+		wantLag int
+	}{
+		{"", -1, "r5-quick", 0},
+		{"", 1, "r5-quick", 1},
+		{"paper-foam-lag1", -1, "paper-foam-lag1", 1},
+		{"paper-foam-lag1", 0, "paper-foam-lag1", 0},
+		{"paper-foam", 1, "paper-foam", 1},
+	}
+	for _, tc := range cases {
+		cfg, name, err := resolveConfig(tc.arg, tc.lag)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		if name != tc.name || cfg.OceanLag != tc.wantLag {
+			t.Errorf("%+v: resolved %q with lag %d, want %q with lag %d", tc, name, cfg.OceanLag, tc.name, tc.wantLag)
+		}
 	}
 }

@@ -20,7 +20,12 @@ func main() {
 	months := flag.Int("months", 12, "simulated months")
 	pgm := flag.String("pgm", "", "write a final SST image (PGM) to this path")
 	flag.Parse()
-	m, err := foam.New(foam.ReducedConfig())
+	cfg, err := foam.ScenarioConfig("r5-quick")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "foam:", err)
+		os.Exit(1)
+	}
+	m, err := foam.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "foam:", err)
 		os.Exit(1)

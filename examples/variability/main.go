@@ -1,7 +1,7 @@
 // Variability: a short version of the paper's Figure 4 pipeline — run the
 // coupled model, collect monthly SST, low-pass filter, EOF + VARIMAX, and
 // report the leading rotated mode with its two-basin diagnostic. The full
-// multi-decade version runs through cmd/foam-bench -fig4.
+// multi-decade version runs through cmd/foam-bench -run E3.
 package main
 
 import (
@@ -16,7 +16,12 @@ import (
 func main() {
 	months := flag.Int("months", 36, "simulated months to run")
 	flag.Parse()
-	m, err := foam.New(foam.ReducedConfig())
+	cfg, err := foam.ScenarioConfig("r5-quick")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "foam:", err)
+		os.Exit(1)
+	}
+	m, err := foam.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "foam:", err)
 		os.Exit(1)

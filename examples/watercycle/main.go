@@ -12,7 +12,12 @@ import (
 )
 
 func main() {
-	m, err := foam.New(foam.ReducedConfig())
+	cfg, err := foam.ScenarioConfig("r5-quick")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "foam:", err)
+		os.Exit(1)
+	}
+	m, err := foam.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "foam:", err)
 		os.Exit(1)

@@ -6,7 +6,8 @@
 // The package wraps the component models (internal/atmos, internal/ocean,
 // internal/coupler) behind a small surface:
 //
-//	m, err := foam.New(foam.DefaultConfig())
+//	cfg, err := foam.ScenarioConfig("paper-foam")
+//	m, err := foam.New(cfg)
 //	m.StepDays(30)
 //	sst := m.SST()
 //
@@ -25,7 +26,7 @@ import (
 )
 
 // Config configures the coupled model. It is the coupled-core
-// configuration re-exported; start from DefaultConfig or ReducedConfig.
+// configuration re-exported; start from ScenarioConfig.
 type Config = core.Config
 
 // ParallelSpec describes a simulated machine partition for traced runs.
@@ -33,17 +34,6 @@ type ParallelSpec = core.ParallelSpec
 
 // TraceResult is the outcome of a traced parallel run.
 type TraceResult = core.TraceResult
-
-// DefaultConfig is the paper's configuration: an R15 (48x40x18) spectral
-// atmosphere on a 30-minute step with radiation twice per simulated day,
-// a 128x128x16 Mercator ocean called four times per simulated day, and the
-// coupler closing the hydrological cycle between them.
-func DefaultConfig() Config { return core.DefaultConfig() }
-
-// ReducedConfig is a much cheaper configuration (R5 atmosphere, 48x48x8
-// ocean) preserving the full multi-rate coupled structure; used for tests,
-// examples and long variability runs on small machines.
-func ReducedConfig() Config { return core.ReducedConfig() }
 
 // Model is the coupled FOAM model.
 type Model struct {

@@ -5,8 +5,19 @@ import (
 	"testing"
 )
 
+// quickConfig is the cheap rung of the registry, the fixture of every test
+// in this package.
+func quickConfig(t *testing.T) Config {
+	t.Helper()
+	cfg, err := ScenarioConfig("r5-quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 func TestPublicAPISmoke(t *testing.T) {
-	m, err := New(ReducedConfig())
+	m, err := New(quickConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +32,7 @@ func TestPublicAPISmoke(t *testing.T) {
 }
 
 func TestCompareSSTSelf(t *testing.T) {
-	m, err := New(ReducedConfig())
+	m, err := New(quickConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +47,7 @@ func TestCompareSSTSelf(t *testing.T) {
 }
 
 func TestAnalyzeVariabilitySynthetic(t *testing.T) {
-	m, err := New(ReducedConfig())
+	m, err := New(quickConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestAnalyzeVariabilitySynthetic(t *testing.T) {
 }
 
 func TestTracedRunShortConsistency(t *testing.T) {
-	res, m, err := RunTraced(ReducedConfig(), 0.25, ParallelSpec{AtmRanks: 4, OcnRanks: 1, Link: SPLink})
+	res, m, err := RunTraced(quickConfig(t), 0.25, ParallelSpec{AtmRanks: 4, OcnRanks: 1, Link: SPLink})
 	if err != nil {
 		t.Fatal(err)
 	}

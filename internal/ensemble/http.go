@@ -16,7 +16,7 @@ import (
 // SnapshotResponse can be POSTed back verbatim as a CreateRequest to
 // resume a member — on the same server or another one.
 //
-//	POST   /v1/members              create (or resume, with a checkpoint)
+//	POST   /v1/members              create from a config (or resume, with a checkpoint)
 //	GET    /v1/members              list
 //	GET    /v1/members/{id}         member info
 //	DELETE /v1/members/{id}         delete
@@ -33,15 +33,12 @@ import (
 // Status codes: 400 malformed or invalid request, 404 unknown member,
 // 409 member busy (e.g. concurrent advance), 429 member limit, 503 closed.
 
-// CreateRequest creates a member. Preset picks a base configuration
-// ("reduced", the default, or "default" for the paper's full resolution);
-// Config overrides it entirely when set. A non-empty Checkpoint resumes
-// from a snapshot taken with a matching config.
+// CreateRequest creates a member from Config, which POST /v1/members
+// requires (named configurations are created through
+// POST /v1/scenarios/{name}/members instead). A non-empty Checkpoint
+// resumes from a snapshot taken with a matching config.
 type CreateRequest struct {
-	Preset     string       `json:"preset,omitempty"`
 	Config     *core.Config `json:"config,omitempty"`
-	OceanLag   *int         `json:"ocean_lag,omitempty"`
-	Flat       *bool        `json:"flat,omitempty"`
 	Checkpoint []byte       `json:"checkpoint,omitempty"`
 }
 
@@ -131,48 +128,28 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.s.Stats())
 }
 
-// configFromRequest resolves the preset/override/flags of a CreateRequest.
-func configFromRequest(req *CreateRequest) (core.Config, error) {
-	var cfg core.Config
-	switch {
-	case req.Config != nil:
-		cfg = *req.Config
-	case req.Preset == "" || req.Preset == "reduced":
-		cfg = core.ReducedConfig()
-	case req.Preset == "default":
-		cfg = core.DefaultConfig()
-	default:
-		return cfg, fmt.Errorf("%w: unknown preset %q", ErrInvalid, req.Preset)
-	}
-	if req.OceanLag != nil {
-		cfg.OceanLag = *req.OceanLag
-	}
-	if req.Flat != nil {
-		cfg.Flat = *req.Flat
-	}
-	return cfg, nil
-}
-
 func (h *handler) create(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
-	cfg, err := configFromRequest(&req)
-	if err != nil {
-		writeErr(w, err)
+	// decodeBody tolerates unknown fields, so a body without a config is
+	// rejected here rather than silently given a default.
+	if req.Config == nil {
+		writeErr(w, fmt.Errorf("%w: create wants a config (or POST /v1/scenarios/{name}/members)", ErrInvalid))
 		return
 	}
 	var chk *core.Checkpoint
 	if len(req.Checkpoint) > 0 {
+		var err error
 		chk, err = core.LoadCheckpoint(bytes.NewReader(req.Checkpoint))
 		if err != nil {
 			writeErr(w, fmt.Errorf("%w: bad checkpoint: %v", ErrInvalid, err))
 			return
 		}
 	}
-	info, err := h.s.Create(cfg, chk)
+	info, err := h.s.Create(*req.Config, chk)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"foam/internal/core"
 	"foam/internal/ensemble"
 	"foam/internal/scenario"
 )
@@ -54,10 +55,22 @@ func doJSON(t *testing.T, srv *httptest.Server, method, path, body string, out a
 	return resp.StatusCode
 }
 
+// reducedBody is a raw-config create body: the reduced configuration and,
+// when chk is non-empty, a checkpoint to resume from.
+func reducedBody(t *testing.T, chk []byte) string {
+	t.Helper()
+	cfg := core.ReducedConfig()
+	blob, err := json.Marshal(ensemble.CreateRequest{Config: &cfg, Checkpoint: chk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
+}
+
 func createMember(t *testing.T, srv *httptest.Server) ensemble.Info {
 	t.Helper()
 	var info ensemble.Info
-	if code := doJSON(t, srv, "POST", "/v1/members", `{"preset":"reduced"}`, &info); code != http.StatusCreated {
+	if code := doJSON(t, srv, "POST", "/v1/members", reducedBody(t, nil), &info); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	return info
@@ -81,11 +94,13 @@ func TestHandlerTable(t *testing.T) {
 		body   string
 		want   int
 	}{
-		{"create malformed json", "POST", "/v1/members", `{"preset": "red`, http.StatusBadRequest},
-		{"create wrong type", "POST", "/v1/members", `{"preset": 7}`, http.StatusBadRequest},
-		{"create unknown preset", "POST", "/v1/members", `{"preset":"huge"}`, http.StatusBadRequest},
+		{"create malformed json", "POST", "/v1/members", `{"config": {"Oce`, http.StatusBadRequest},
+		{"create wrong type", "POST", "/v1/members", `{"config": 7}`, http.StatusBadRequest},
+		{"create without config", "POST", "/v1/members", `{"preset":"reduced"}`, http.StatusBadRequest},
+		{"create empty body", "POST", "/v1/members", `{}`, http.StatusBadRequest},
+		{"create checkpoint without config", "POST", "/v1/members", `{"checkpoint":"AAAA"}`, http.StatusBadRequest},
 		{"create invalid config", "POST", "/v1/members", `{"config":{"OceanEvery":-1}}`, http.StatusBadRequest},
-		{"create bad checkpoint", "POST", "/v1/members", `{"checkpoint":"AAAA"}`, http.StatusBadRequest},
+		{"create bad checkpoint", "POST", "/v1/members", reducedBody(t, []byte("not a gob stream")), http.StatusBadRequest},
 		{"info unknown", "GET", "/v1/members/m9999", "", http.StatusNotFound},
 		{"advance unknown", "POST", "/v1/members/m9999/advance", `{"steps":1}`, http.StatusNotFound},
 		{"advance deleted", "POST", "/v1/members/" + deleted.ID + "/advance", `{"steps":1}`, http.StatusNotFound},
@@ -127,13 +142,14 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 	}
 
 	// One attempt: fire a long advance from a goroutine and poll the same
-	// member with 1-step advances until one of them draws a 409 while the
-	// long advance is in flight. The long advance gives a window of hundreds
-	// of milliseconds against ~1ms polls, but the entry race can go the
-	// other way — a poll lands first and the LONG advance draws the 409 —
-	// so the caller retries the whole attempt. Polls run synchronously on
-	// this goroutine, so when a poll sees 409 the only other in-flight
-	// advance is the long one: it must complete with 200.
+	// member with 1-step advances until the two collide. Polls run
+	// synchronously on this goroutine, so the colliding pair is always one
+	// poll and the long advance. Either a poll draws the 409 while the long
+	// advance is in flight (it must then complete with 200), or the entry
+	// race goes the other way — the long advance arrives while a poll holds
+	// the member and draws the 409 itself; every poll that returned did so
+	// with 200, checked below, so that pair shows the contract as well.
+	// Only a long advance that finishes unobserved makes the caller retry.
 	attempt := func() bool {
 		first := make(chan int, 1)
 		go func() {
@@ -152,7 +168,7 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 				if code != http.StatusOK && code != http.StatusConflict {
 					t.Fatalf("long advance: status %d", code)
 				}
-				return false // lost the entry race or finished unobserved; retry
+				return code == http.StatusConflict
 			default:
 				switch code := doJSON(t, srv, "POST", "/v1/members/"+m.ID+"/advance", `{"steps":1}`, nil); code {
 				case http.StatusConflict:
@@ -161,7 +177,7 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 					}
 					return true
 				case http.StatusOK:
-					// Poll slipped in before the long advance queued.
+					// Poll ran before the long advance queued, or beat it.
 				default:
 					t.Fatalf("concurrent advance: unexpected status %d", code)
 				}

@@ -7,9 +7,9 @@
 // partitions the paper ran on (17-68 nodes), mp also acts as a
 // parallel-machine simulator. Every rank carries a virtual clock:
 //
-//   - compute sections (Comm.Compute) run under a global exclusivity token,
-//     are wall-clock timed, and advance the local virtual clock by the
-//     measured duration;
+//   - real model steps run one rank at a time under a global exclusivity
+//     token (Comm.Exclusive), and a cost model charges each rank its share
+//     of the measured duration (Comm.AdvanceClock);
 //   - a message is stamped with the sender's virtual time when sent, and a
 //     matching receive advances the receiver's clock to
 //     max(own, sender_time + latency + bytes/bandwidth), recording any gap
@@ -24,9 +24,7 @@ package mp
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 )
 
 // LinkParams models the point-to-point interconnect.
@@ -78,8 +76,6 @@ func newMailbox() *mailbox {
 type procState struct {
 	clock    float64 // virtual seconds
 	segments []Segment
-	msgs     int     // messages sent
-	bytes    float64 // bytes sent
 }
 
 func (p *procState) addSegment(record bool, label string, start, end float64) {
@@ -104,8 +100,7 @@ type World struct {
 	link   LinkParams
 	boxes  []*mailbox
 	procs  []*procState
-	token  chan struct{} // exclusivity token for timed compute sections
-	scale  float64       // compute time scale factor (1 = measured wall time)
+	token  chan struct{} // exclusivity token for real model steps
 	record bool          // whether to record per-rank segment logs
 }
 
@@ -118,18 +113,12 @@ func WithLink(l LinkParams) Option { return func(w *World) { w.link = l } }
 // WithoutTrace disables per-rank segment recording (slightly faster).
 func WithoutTrace() Option { return func(w *World) { w.record = false } }
 
-// WithComputeScale multiplies measured compute durations by s before they
-// enter the virtual clock. It expresses results in the units of a machine s
-// times slower (or faster) than the host; it has no effect on relative
-// comparisons.
-func WithComputeScale(s float64) Option { return func(w *World) { w.scale = s } }
-
 // NewWorld creates a world of n ranks.
 func NewWorld(n int, opts ...Option) *World {
 	if n <= 0 {
 		panic(fmt.Sprintf("mp: world size %d must be positive", n))
 	}
-	w := &World{n: n, link: DefaultLink, scale: 1, record: true}
+	w := &World{n: n, link: DefaultLink, record: true}
 	for _, o := range opts {
 		o(w)
 	}
@@ -217,7 +206,7 @@ func (c *Comm) WorldRank() int { return c.rank }
 func (c *Comm) Clock() float64 { return c.proc.clock }
 
 // AdvanceClock adds d virtual seconds of activity labelled label without
-// timing anything. It is used by tests and by cost-model experiments.
+// timing anything: the cost model's way of charging a rank its share.
 func (c *Comm) AdvanceClock(label string, d float64) {
 	if d < 0 {
 		panic("mp: negative clock advance")
@@ -226,30 +215,11 @@ func (c *Comm) AdvanceClock(label string, d float64) {
 	c.proc.clock += d
 }
 
-// MessagesSent and BytesSent report this rank's traffic counters.
-func (c *Comm) MessagesSent() int  { return c.proc.msgs }
-func (c *Comm) BytesSent() float64 { return c.proc.bytes }
-
 // Segments returns the rank's virtual timeline.
 func (c *Comm) Segments() []Segment { return c.proc.segments }
 
 // Link returns the world's interconnect parameters.
 func (c *Comm) Link() LinkParams { return c.world.link }
-
-// Compute runs f under the world's exclusivity token, measures its wall
-// duration, and charges it to the rank's virtual clock under label.
-// Communication calls must not be made inside f.
-func (c *Comm) Compute(label string, f func()) {
-	<-c.world.token
-	t0 := time.Now()
-	func() {
-		defer func() { c.world.token <- struct{}{} }()
-		f()
-	}()
-	d := time.Since(t0).Seconds() * c.world.scale
-	c.proc.addSegment(c.world.record, label, c.proc.clock, c.proc.clock+d)
-	c.proc.clock += d
-}
 
 // Exclusive runs f under the world's exclusivity token without charging
 // anything to the virtual clock. The traced ranked executor uses it to run
@@ -285,8 +255,6 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	box.msgs = append(box.msgs, message{src: c.rank, tag: tag, data: cp, sendTime: c.proc.clock})
 	box.mu.Unlock()
 	box.cond.Broadcast()
-	c.proc.msgs++
-	c.proc.bytes += float64(8 * len(data))
 }
 
 // Recv blocks until a message from local rank src with the given tag is
@@ -332,193 +300,8 @@ func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) []fl
 	return c.Recv(src, recvTag)
 }
 
-const (
-	tagBarrier = -(1 << 20)
-	tagBcast   = -(2 << 20)
-	tagReduce  = -(3 << 20)
-	tagGather  = -(4 << 20)
-	tagAll2All = -(5 << 20)
-	tagScatter = -(6 << 20)
-)
-
-// Barrier blocks until every rank in the communicator has entered it. On
-// exit all virtual clocks agree (plus network cost of the fan-in/fan-out).
-func (c *Comm) Barrier() {
-	me := c.Rank()
-	if me == 0 {
-		for r := 1; r < c.size; r++ {
-			c.Recv(r, tagBarrier)
-		}
-		for r := 1; r < c.size; r++ {
-			c.Send(r, tagBarrier, nil)
-		}
-	} else {
-		c.Send(0, tagBarrier, nil)
-		c.Recv(0, tagBarrier)
-	}
-}
-
-// Bcast distributes root's data to every rank and returns it. Callers pass
-// their local copy (ignored except on root).
-func (c *Comm) Bcast(root int, data []float64) []float64 {
-	me := c.Rank()
-	if me == root {
-		for r := 0; r < c.size; r++ {
-			if r != root {
-				c.Send(r, tagBcast, data)
-			}
-		}
-		return data
-	}
-	return c.Recv(root, tagBcast)
-}
-
-// ReduceOp is a binary associative reduction operator applied elementwise.
-type ReduceOp func(a, b float64) float64
-
-// Standard reduction operators.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin ReduceOp = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-)
-
-// Reduce combines data from all ranks elementwise with op and returns the
-// result on root (nil elsewhere).
-func (c *Comm) Reduce(root int, op ReduceOp, data []float64) []float64 {
-	me := c.Rank()
-	if me != root {
-		c.Send(root, tagReduce, data)
-		return nil
-	}
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	for r := 0; r < c.size; r++ {
-		if r == root {
-			continue
-		}
-		part := c.Recv(r, tagReduce)
-		if len(part) != len(acc) {
-			panic("mp: reduce length mismatch")
-		}
-		for i := range acc {
-			acc[i] = op(acc[i], part[i])
-		}
-	}
-	return acc
-}
-
-// Allreduce is Reduce followed by Bcast; every rank gets the result.
-func (c *Comm) Allreduce(op ReduceOp, data []float64) []float64 {
-	res := c.Reduce(0, op, data)
-	return c.Bcast(0, res)
-}
-
-// Gather collects equal-length contributions onto root, concatenated in
-// rank order. Returns nil on non-root ranks.
-func (c *Comm) Gather(root int, data []float64) []float64 {
-	me := c.Rank()
-	if me != root {
-		c.Send(root, tagGather, data)
-		return nil
-	}
-	out := make([]float64, len(data)*c.size)
-	copy(out[me*len(data):], data)
-	for r := 0; r < c.size; r++ {
-		if r == root {
-			continue
-		}
-		part := c.Recv(r, tagGather)
-		if len(part) != len(data) {
-			panic("mp: gather length mismatch")
-		}
-		copy(out[r*len(data):], part)
-	}
-	return out
-}
-
-// Gatherv collects variable-length contributions onto root; counts gives
-// the length contributed by each rank and must agree on all ranks.
-func (c *Comm) Gatherv(root int, data []float64, counts []int) []float64 {
-	me := c.Rank()
-	if len(counts) != c.size {
-		panic("mp: gatherv counts length mismatch")
-	}
-	if len(data) != counts[me] {
-		panic("mp: gatherv contribution length mismatch")
-	}
-	if me != root {
-		c.Send(root, tagGather, data)
-		return nil
-	}
-	offs := make([]int, c.size+1)
-	for i, n := range counts {
-		offs[i+1] = offs[i] + n
-	}
-	out := make([]float64, offs[c.size])
-	copy(out[offs[me]:], data)
-	for r := 0; r < c.size; r++ {
-		if r == root {
-			continue
-		}
-		part := c.Recv(r, tagGather)
-		copy(out[offs[r]:], part)
-	}
-	return out
-}
-
-// Scatterv is the inverse of Gatherv: root distributes slices of data of the
-// given counts; every rank returns its own slice.
-func (c *Comm) Scatterv(root int, data []float64, counts []int) []float64 {
-	me := c.Rank()
-	if len(counts) != c.size {
-		panic("mp: scatterv counts length mismatch")
-	}
-	if me == root {
-		offs := 0
-		var mine []float64
-		for r := 0; r < c.size; r++ {
-			part := data[offs : offs+counts[r]]
-			if r == root {
-				mine = append([]float64(nil), part...)
-			} else {
-				c.Send(r, tagScatter, part)
-			}
-			offs += counts[r]
-		}
-		return mine
-	}
-	return c.Recv(root, tagScatter)
-}
-
-// Allgather collects equal-length contributions from all ranks onto all
-// ranks, concatenated in rank order.
-func (c *Comm) Allgather(data []float64) []float64 {
-	out := c.Gather(0, data)
-	if c.Rank() != 0 {
-		out = nil
-	}
-	return c.Bcast(0, out)
-}
-
-// Allgatherv is the variable-length Allgather.
-func (c *Comm) Allgatherv(data []float64, counts []int) []float64 {
-	out := c.Gatherv(0, data, counts)
-	if c.Rank() != 0 {
-		out = nil
-	}
-	return c.Bcast(0, out)
-}
+// tagAll2All + sender rank tags Alltoall's messages, far below callers' tags.
+const tagAll2All = -(5 << 20)
 
 // Alltoall performs a personalized all-to-all exchange: send[i*chunk:(i+1)*chunk]
 // goes to rank i, and the returned slice holds what each rank sent to the
@@ -542,45 +325,6 @@ func (c *Comm) Alltoall(send []float64, chunk int) []float64 {
 		}
 		part := c.Recv(r, tagAll2All+r)
 		copy(out[r*chunk:], part)
-	}
-	return out
-}
-
-// Alltoallv is the variable-length personalized exchange. sendCounts[i] is
-// the length sent to rank i; recvCounts[i] the length expected from rank i.
-func (c *Comm) Alltoallv(send []float64, sendCounts, recvCounts []int) []float64 {
-	me := c.Rank()
-	if len(sendCounts) != c.size || len(recvCounts) != c.size {
-		panic("mp: alltoallv counts length mismatch")
-	}
-	offs := 0
-	var mine []float64
-	for r := 0; r < c.size; r++ {
-		part := send[offs : offs+sendCounts[r]]
-		if r == me {
-			mine = part
-		} else {
-			c.Send(r, tagAll2All+me, part)
-		}
-		offs += sendCounts[r]
-	}
-	total := 0
-	for _, n := range recvCounts {
-		total += n
-	}
-	out := make([]float64, total)
-	offs = 0
-	for r := 0; r < c.size; r++ {
-		if r == me {
-			copy(out[offs:], mine)
-		} else {
-			part := c.Recv(r, tagAll2All+r)
-			if len(part) != recvCounts[r] {
-				panic("mp: alltoallv recv length mismatch")
-			}
-			copy(out[offs:], part)
-		}
-		offs += recvCounts[r]
 	}
 	return out
 }
@@ -609,67 +353,4 @@ func TotalBusy(comms []*Comm) float64 {
 		}
 	}
 	return tot
-}
-
-// Labels returns the sorted set of segment labels appearing in the trace.
-func Labels(comms []*Comm) []string {
-	set := map[string]bool{}
-	for _, c := range comms {
-		for _, s := range c.proc.segments {
-			set[s.Label] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AllreduceTree is a recursive-doubling allreduce: log2(P) exchange rounds
-// instead of the linear fan-in of Allreduce, the collective structure real
-// MPI implementations use. Non-power-of-two sizes fold the excess ranks
-// into the nearest power of two first.
-func (c *Comm) AllreduceTree(op ReduceOp, data []float64) []float64 {
-	me := c.Rank()
-	p := c.Size()
-	acc := append([]float64(nil), data...)
-	// Largest power of two <= p.
-	pow := 1
-	for pow*2 <= p {
-		pow *= 2
-	}
-	extra := p - pow
-	const tagTree = -(7 << 20)
-	// Fold: ranks >= pow send to rank-pow; those receive and combine.
-	if me >= pow {
-		c.Send(me-pow, tagTree, acc)
-		// Wait for the final result.
-		res := c.Recv(me-pow, tagTree+1)
-		return res
-	}
-	if me < extra {
-		part := c.Recv(me+pow, tagTree)
-		combine(op, acc, part)
-	}
-	// Recursive doubling among [0, pow).
-	for dist := 1; dist < pow; dist *= 2 {
-		partner := me ^ dist
-		part := c.Sendrecv(partner, tagTree+2+dist, acc, partner, tagTree+2+dist)
-		combine(op, acc, part)
-	}
-	if me < extra {
-		c.Send(me+pow, tagTree+1, acc)
-	}
-	return acc
-}
-
-func combine(op ReduceOp, acc, part []float64) {
-	if len(part) != len(acc) {
-		panic("mp: allreduce length mismatch")
-	}
-	for i := range acc {
-		acc[i] = op(acc[i], part[i])
-	}
 }

@@ -12,7 +12,11 @@ import (
 func ScenarioNames() []string { return scenario.Names() }
 
 // ScenarioConfig compiles a named registry scenario into a Config. It is
-// the declarative way to pick a model from the hierarchy:
+// the way to pick a model from the hierarchy: "paper-foam" is the paper's
+// configuration (an R15 48x40x18 atmosphere on a 30-minute step, radiation
+// twice and a 128x128x16 Mercator ocean four times per simulated day) and
+// "r5-quick" the much cheaper R5 + 48x48x8 rung with the same multi-rate
+// coupled structure, used by tests, examples and long variability runs.
 //
 //	cfg, err := foam.ScenarioConfig("aquaplanet")
 //	m, err := foam.New(cfg)
