@@ -101,11 +101,11 @@ func experimentIDs() string {
 	return strings.Join(ids, ",")
 }
 
-// selectExperiments resolves a -run list against the table, in table order.
+// selectExperiments resolves a -run list against the table, in table order; empty ids are ignored.
 func selectExperiments(list string) ([]experiment, error) {
 	want := map[string]bool{}
-	for _, id := range strings.Split(list, ",") {
-		want[strings.TrimSpace(strings.ToUpper(id))] = true
+	for _, id := range strings.FieldsFunc(list, func(r rune) bool { return r == ',' || r == ' ' }) {
+		want[strings.ToUpper(id)] = true
 	}
 	var sel []experiment
 	for _, e := range experiments {

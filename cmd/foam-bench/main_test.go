@@ -31,6 +31,13 @@ func TestSelectExperiments(t *testing.T) {
 	if len(sel) != 2 || sel[0].id != "E1" || sel[1].id != "E9" {
 		t.Fatalf("selected %v, want E1 then E9 (table order)", sel)
 	}
+	// Empty ids are ignored, as a trailing comma or an empty -run produces.
+	if sel, err = selectExperiments("E1,"); err != nil || len(sel) != 1 || sel[0].id != "E1" {
+		t.Fatalf("\"E1,\" selected %v, err %v; want E1 alone", sel, err)
+	}
+	if sel, err = selectExperiments(""); err != nil || len(sel) != 0 {
+		t.Fatalf("empty list selected %v, err %v; want nothing", sel, err)
+	}
 	_, err = selectExperiments("E1,E99")
 	if err == nil {
 		t.Fatal("selectExperiments accepted E99")
@@ -43,8 +50,9 @@ func TestSelectExperiments(t *testing.T) {
 // TestExperimentsSmoke drives every experiment through the function main
 // calls, at a horizon shrunk to a unit-test budget, and checks that each
 // reaches its last result line and the closing line. The month-length
-// experiments still integrate whole 30-day months, so -short leaves them
-// (and the paper-resolution E6) to the full run.
+// experiments still integrate whole 30-day months (E3 thirteen of them,
+// the fewest its seasonal-cycle removal leaves any variance in), so -short
+// leaves them (and the paper-resolution E6) to the full run.
 func TestExperimentsSmoke(t *testing.T) {
 	smoke := horizon{dayScale: 0.25, monthScale: 1.0 / 30}
 	last := map[string]string{

@@ -102,12 +102,10 @@ func main() {
 		os.Exit(2)
 	}
 	switch *execName {
-	case "serial":
+	case "serial", "ranked":
 		cfg.Workers = 1
 	case "pooled":
 		cfg.Workers = *workers
-	case "ranked":
-		cfg.Workers = 1
 	default:
 		fmt.Fprintln(os.Stderr, "unknown -exec (want serial, pooled or ranked)")
 		os.Exit(2)

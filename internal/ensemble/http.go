@@ -33,12 +33,14 @@ import (
 // Status codes: 400 malformed or invalid request, 404 unknown member,
 // 409 member busy (e.g. concurrent advance), 429 member limit, 503 closed.
 
-// CreateRequest creates a member from Config, which POST /v1/members
-// requires (named configurations are created through
-// POST /v1/scenarios/{name}/members instead). A non-empty Checkpoint
+// CreateRequest creates a member from Config (required; named
+// configurations go through POST /v1/scenarios/{name}/members), with
+// OceanLag and Flat overriding its fields when set. A non-empty Checkpoint
 // resumes from a snapshot taken with a matching config.
 type CreateRequest struct {
 	Config     *core.Config `json:"config,omitempty"`
+	OceanLag   *int         `json:"ocean_lag,omitempty"`
+	Flat       *bool        `json:"flat,omitempty"`
 	Checkpoint []byte       `json:"checkpoint,omitempty"`
 }
 
@@ -134,11 +136,17 @@ func (h *handler) create(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	// decodeBody tolerates unknown fields, so a body without a config is
-	// rejected here rather than silently given a default.
+	// decodeBody tolerates unknown fields: no config is a 400, not a default.
 	if req.Config == nil {
 		writeErr(w, fmt.Errorf("%w: create wants a config (or POST /v1/scenarios/{name}/members)", ErrInvalid))
 		return
+	}
+	cfg := *req.Config
+	if req.OceanLag != nil {
+		cfg.OceanLag = *req.OceanLag
+	}
+	if req.Flat != nil {
+		cfg.Flat = *req.Flat
 	}
 	var chk *core.Checkpoint
 	if len(req.Checkpoint) > 0 {
@@ -149,7 +157,7 @@ func (h *handler) create(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	info, err := h.s.Create(*req.Config, chk)
+	info, err := h.s.Create(cfg, chk)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -98,6 +98,7 @@ func TestHandlerTable(t *testing.T) {
 		{"create wrong type", "POST", "/v1/members", `{"config": 7}`, http.StatusBadRequest},
 		{"create without config", "POST", "/v1/members", `{"preset":"reduced"}`, http.StatusBadRequest},
 		{"create empty body", "POST", "/v1/members", `{}`, http.StatusBadRequest},
+		{"create overrides without config", "POST", "/v1/members", `{"ocean_lag":1,"flat":true}`, http.StatusBadRequest},
 		{"create checkpoint without config", "POST", "/v1/members", `{"checkpoint":"AAAA"}`, http.StatusBadRequest},
 		{"create invalid config", "POST", "/v1/members", `{"config":{"OceanEvery":-1}}`, http.StatusBadRequest},
 		{"create bad checkpoint", "POST", "/v1/members", reducedBody(t, []byte("not a gob stream")), http.StatusBadRequest},
@@ -130,6 +131,25 @@ func TestHandlerTable(t *testing.T) {
 	}
 }
 
+// TestHandlerCreateOverrides: ocean_lag and flat on a create body override
+// the config they ride with rather than being dropped.
+func TestHandlerCreateOverrides(t *testing.T) {
+	srv, _ := newTestServer(t, 1)
+	cfg := core.ReducedConfig()
+	lag := 1 - cfg.OceanLag
+	blob, err := json.Marshal(ensemble.CreateRequest{Config: &cfg, OceanLag: &lag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info ensemble.Info
+	if code := doJSON(t, srv, "POST", "/v1/members", string(blob), &info); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	if info.OceanLag != lag {
+		t.Fatalf("member has lag %d, want the overriding %d", info.OceanLag, lag)
+	}
+}
+
 // TestHandlerConcurrentAdvance pins the 409 contract: while one advance on
 // a member is in flight, a second advance on the same member fails with
 // StatusConflict and the first still completes.
@@ -142,14 +162,13 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 	}
 
 	// One attempt: fire a long advance from a goroutine and poll the same
-	// member with 1-step advances until the two collide. Polls run
-	// synchronously on this goroutine, so the colliding pair is always one
-	// poll and the long advance. Either a poll draws the 409 while the long
-	// advance is in flight (it must then complete with 200), or the entry
-	// race goes the other way — the long advance arrives while a poll holds
-	// the member and draws the 409 itself; every poll that returned did so
-	// with 200, checked below, so that pair shows the contract as well.
-	// Only a long advance that finishes unobserved makes the caller retry.
+	// member with 1-step advances until one of them draws a 409 while the
+	// long advance is in flight. The long advance gives a window of hundreds
+	// of milliseconds against ~1ms polls, but the entry race can go the
+	// other way — a poll lands first and the LONG advance draws the 409 —
+	// so the caller retries the whole attempt. Polls run synchronously on
+	// this goroutine, so when a poll sees 409 the only other in-flight
+	// advance is the long one: it must complete with 200.
 	attempt := func() bool {
 		first := make(chan int, 1)
 		go func() {
@@ -168,7 +187,7 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 				if code != http.StatusOK && code != http.StatusConflict {
 					t.Fatalf("long advance: status %d", code)
 				}
-				return code == http.StatusConflict
+				return false // lost the entry race or finished unobserved; retry
 			default:
 				switch code := doJSON(t, srv, "POST", "/v1/members/"+m.ID+"/advance", `{"steps":1}`, nil); code {
 				case http.StatusConflict:
@@ -177,7 +196,7 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 					}
 					return true
 				case http.StatusOK:
-					// Poll ran before the long advance queued, or beat it.
+					// Poll slipped in before the long advance queued.
 				default:
 					t.Fatalf("concurrent advance: unexpected status %d", code)
 				}
