@@ -161,14 +161,13 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 		steps = 3 * m.CoupleEvery
 	}
 
-	// One attempt: fire a long advance from a goroutine and poll the same
-	// member with 1-step advances until one of them draws a 409 while the
-	// long advance is in flight. The long advance gives a window of hundreds
-	// of milliseconds against ~1ms polls, but the entry race can go the
-	// other way — a poll lands first and the LONG advance draws the 409 —
-	// so the caller retries the whole attempt. Polls run synchronously on
-	// this goroutine, so when a poll sees 409 the only other in-flight
-	// advance is the long one: it must complete with 200.
+	// One attempt: fire a long advance from a goroutine, wait until the
+	// member is observably busy (its diag answers 409), then send a 1-step
+	// advance. Every request but the long advance runs synchronously on this
+	// goroutine, so nothing competes with the long advance at entry — it
+	// must complete with 200 — and a busy member can only be busy with it:
+	// the 1-step advance must draw the 409. The only retry is a long advance
+	// that finishes before it is observed or before the second advance lands.
 	attempt := func() bool {
 		first := make(chan int, 1)
 		go func() {
@@ -181,28 +180,38 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 			resp.Body.Close()
 			first <- resp.StatusCode
 		}()
-		for {
-			select {
-			case code := <-first:
-				if code != http.StatusOK && code != http.StatusConflict {
-					t.Fatalf("long advance: status %d", code)
-				}
-				return false // lost the entry race or finished unobserved; retry
-			default:
-				switch code := doJSON(t, srv, "POST", "/v1/members/"+m.ID+"/advance", `{"steps":1}`, nil); code {
-				case http.StatusConflict:
-					if c := <-first; c != http.StatusOK {
-						t.Fatalf("long advance: status %d", c)
-					}
-					return true
-				case http.StatusOK:
-					// Poll slipped in before the long advance queued.
-				default:
-					t.Fatalf("concurrent advance: unexpected status %d", code)
-				}
-				time.Sleep(time.Millisecond)
+		wantLongOK := func(code int) {
+			t.Helper()
+			if code != http.StatusOK {
+				t.Fatalf("long advance: status %d", code)
 			}
 		}
+		for inFlight := false; !inFlight; {
+			select {
+			case code := <-first:
+				wantLongOK(code)
+				return false // finished unobserved; retry
+			default:
+			}
+			switch code := doJSON(t, srv, "GET", "/v1/members/"+m.ID+"/diag", "", nil); code {
+			case http.StatusConflict:
+				inFlight = true
+			case http.StatusOK:
+				time.Sleep(time.Millisecond) // not picked up by the worker yet
+			default:
+				t.Fatalf("diag: unexpected status %d", code)
+			}
+		}
+		code := doJSON(t, srv, "POST", "/v1/members/"+m.ID+"/advance", `{"steps":1}`, nil)
+		wantLongOK(<-first)
+		switch code {
+		case http.StatusConflict:
+			return true
+		case http.StatusOK:
+			return false // the long advance ended between the diag and this request
+		}
+		t.Fatalf("concurrent advance: unexpected status %d", code)
+		return false
 	}
 
 	sawConflict := false
