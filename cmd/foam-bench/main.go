@@ -28,7 +28,6 @@ import (
 	"foam/internal/atmos"
 	"foam/internal/baseline"
 	"foam/internal/diag"
-	"foam/internal/mp"
 	"foam/internal/ocean"
 	"foam/internal/spectral"
 )
@@ -192,8 +191,8 @@ func runE1(w io.Writer, h horizon) error {
 		return err
 	}
 	for _, spec := range []foam.ParallelSpec{
-		{AtmRanks: 16, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 32, OcnRanks: 2, Link: mp.SPLink},
+		{AtmRanks: 16, OcnRanks: 1, Link: foam.SPLink},
+		{AtmRanks: 32, OcnRanks: 2, Link: foam.SPLink},
 	} {
 		res, _, err := foam.RunTraced(cfg, h.dayScale, spec)
 		if err != nil {
@@ -201,11 +200,11 @@ func runE1(w io.Writer, h horizon) error {
 		}
 		fmt.Fprintf(w, "\n--- %d atm + %d ocn ranks: speedup %.0fx, efficiency %.2f ---\n",
 			spec.AtmRanks, spec.OcnRanks, res.Speedup, res.Efficiency)
-		diag.Gantt(w, res.Comms, 100)
-		diag.PrintSegmentTable(w, res.Comms)
+		diag.Gantt(w, res.Machine, 100)
+		diag.PrintSegmentTable(w, res.Machine)
 		// The paper's claim: does the ocean rank finish before the
 		// atmosphere needs it?
-		busy := diag.SegmentTotals(res.Comms)["ocean"] / float64(spec.OcnRanks)
+		busy := diag.SegmentTotals(res.Machine)["ocean"] / float64(spec.OcnRanks)
 		verdict := "is the bottleneck"
 		if busy < 0.95*res.MachineTime {
 			verdict = "keeps up"
@@ -276,11 +275,11 @@ func runE4(w io.Writer, h horizon) error {
 		days = 1
 	}
 	specs := []foam.ParallelSpec{
-		{AtmRanks: 4, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 8, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 16, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 32, OcnRanks: 2, Link: mp.SPLink},
-		{AtmRanks: 64, OcnRanks: 2, Link: mp.SPLink},
+		{AtmRanks: 4, OcnRanks: 1, Link: foam.SPLink},
+		{AtmRanks: 8, OcnRanks: 1, Link: foam.SPLink},
+		{AtmRanks: 16, OcnRanks: 1, Link: foam.SPLink},
+		{AtmRanks: 32, OcnRanks: 2, Link: foam.SPLink},
+		{AtmRanks: 64, OcnRanks: 2, Link: foam.SPLink},
 	}
 	fmt.Fprintf(w, "%6s %6s %6s %12s %10s\n", "nodes", "atm", "ocn", "speedup", "efficiency")
 	for _, spec := range specs {

@@ -3,22 +3,23 @@
 // Usage:
 //
 //	foam [-scenario name|file.json] [-list-scenarios] [-lag 0|1]
-//	     [-exec serial|pooled|ranked] [-days N] [-record sst.csv] [-quiet]
+//	     [-workers N] [-days N] [-record sst.csv] [-quiet]
 //
 // The model is compiled from a named registry scenario (see -list-scenarios
 // for the table; r5-quick by default, paper-foam is the paper's full model)
 // or from a JSON spec file (internal/scenario, DESIGN.md section 17). The
 // scenario owns the coupling lag; an explicit -lag wins. With -record,
 // monthly mean SST fields are appended to a CSV (one row per month) for
-// later analysis with foam-analyze. The -exec flag selects the executor
-// backend; all backends are bit-identical, so it only changes how the
-// program's ticks are executed (see DESIGN.md section 12).
+// later analysis with foam-analyze. The -workers flag sizes the worker pool
+// (1 = serial); results are bit-identical for any value (see DESIGN.md
+// section 12).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -72,18 +73,27 @@ func resolveConfig(arg string, lag int) (foam.Config, string, error) {
 	return cfg, sp.Name, err
 }
 
+// advance steps the model the given number of ticks, calling endOfDay with
+// the count of days completed so far each time another stepsPerDay ticks
+// are done. A fractional last day is stepped but not reported.
+func advance(m *foam.Model, ticks, stepsPerDay int, endOfDay func(day int)) {
+	for s := 1; s <= ticks; s++ {
+		m.Step()
+		if s%stepsPerDay == 0 {
+			endOfDay(s / stepsPerDay)
+		}
+	}
+}
+
 func main() {
-	days := flag.Float64("days", 30, "simulated days to run")
+	days := flag.Float64("days", 30, "simulated days to run (rounded to whole atmosphere steps)")
 	record := flag.String("record", "", "CSV file to append monthly mean SST rows to")
 	quiet := flag.Bool("quiet", false, "suppress periodic diagnostics")
 	mapOut := flag.Bool("map", true, "print an ASCII SST map at the end")
 	saveChk := flag.String("checkpoint", "", "write a restart checkpoint here at the end")
 	resume := flag.String("resume", "", "resume from a checkpoint file")
-	workers := flag.Int("workers", 0, "pooled executor: worker pool size (0 = all CPUs); results are bit-identical for any value")
-	execName := flag.String("exec", "pooled", "executor backend: serial, pooled, or ranked; all are bit-identical")
-	atmRanks := flag.Int("atm-ranks", 4, "ranked executor: atmosphere (+ coupler) ranks")
-	ocnRanks := flag.Int("ocn-ranks", 1, "ranked executor: ocean ranks")
-	lag := flag.Int("lag", -1, "ocean coupling lag: 0 = synchronous, 1 = the paper's lagged coupling (lets ranked overlap the ocean with atmosphere steps), -1 = the scenario's")
+	workers := flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = serial); results are bit-identical for any value")
+	lag := flag.Int("lag", -1, "ocean coupling lag: 0 = synchronous, 1 = the paper's lagged coupling, -1 = the scenario's")
 	scen := flag.String("scenario", "", "named scenario or JSON spec file to compile the model from (default r5-quick)")
 	list := flag.Bool("list-scenarios", false, "print the scenario registry table and exit")
 	flag.Parse()
@@ -101,27 +111,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "foam:", err)
 		os.Exit(2)
 	}
-	switch *execName {
-	case "serial", "ranked":
-		cfg.Workers = 1
-	case "pooled":
-		cfg.Workers = *workers
-	default:
-		fmt.Fprintln(os.Stderr, "unknown -exec (want serial, pooled or ranked)")
-		os.Exit(2)
-	}
+	cfg.Workers = *workers
 	m, err := foam.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "foam:", err)
 		os.Exit(1)
-	}
-	if *execName == "ranked" {
-		spec := foam.ParallelSpec{AtmRanks: *atmRanks, OcnRanks: *ocnRanks, Link: foam.SPLink}
-		if err := m.UseRankedExecutor(spec); err != nil {
-			fmt.Fprintln(os.Stderr, "foam:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("ranked executor: %d atmosphere + %d ocean ranks, lag %d\n", *atmRanks, *ocnRanks, cfg.OceanLag)
 	}
 	if *resume != "" {
 		chk, err := foam.LoadCheckpointFile(*resume)
@@ -151,15 +145,11 @@ func main() {
 	}
 
 	t0 := time.Now()
+	sim0 := m.SimTime()
 	stepsPerDay := int(86400 / cfg.Atm.Dt)
 	n := len(m.SST())
 	acc := make([]float64, n)
-	daysDone := 0
-	for d := 0; d < int(*days); d++ {
-		for s := 0; s < stepsPerDay; s++ {
-			m.Step()
-		}
-		daysDone++
+	advance(m, int(math.Round(*days*float64(stepsPerDay))), stepsPerDay, func(daysDone int) {
 		for c, v := range m.SST() {
 			acc[c] += v / 30
 		}
@@ -183,10 +173,11 @@ func main() {
 				di.Ocn.IceFlux, diag.Unit("IceFlux"),
 				float64(daysDone)*86400/time.Since(t0).Seconds())
 		}
-	}
+	})
 	el := time.Since(t0)
-	fmt.Printf("completed %.0f simulated days in %v => %.0fx real time\n",
-		*days, el.Round(time.Millisecond), *days*86400/el.Seconds())
+	sim := m.SimTime() - sim0
+	fmt.Printf("completed %g simulated days in %v => %.0fx real time\n",
+		sim/86400, el.Round(time.Millisecond), sim/el.Seconds())
 	if *saveChk != "" {
 		if err := m.Checkpoint().SaveFile(*saveChk); err != nil {
 			fmt.Fprintln(os.Stderr, "checkpoint:", err)

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"foam"
 	"foam/internal/scenario"
 )
 
@@ -99,5 +102,46 @@ func TestResolveConfigDefaultAndLag(t *testing.T) {
 		if name != tc.name || cfg.OceanLag != tc.wantLag {
 			t.Errorf("%+v: resolved %q with lag %d, want %q with lag %d", tc, name, cfg.OceanLag, tc.name, tc.wantLag)
 		}
+	}
+}
+
+// TestAdvanceFractionalDays: -days 0.625 at r5-quick's 16 steps per day is
+// exactly 10 ticks — stepped, with the simulated time to show for it and no
+// end-of-day report — and 1.5 days is 24 ticks with one report, after the
+// first whole day.
+func TestAdvanceFractionalDays(t *testing.T) {
+	cfg, _, err := resolveConfig("r5-quick", -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 1
+	stepsPerDay := int(86400 / cfg.Atm.Dt)
+	for _, tc := range []struct {
+		days      float64
+		wantTicks int
+		wantDays  []int
+	}{
+		{0.625, 10, nil},
+		{1.5, 24, []int{1}},
+	} {
+		m, err := foam.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reported []int
+		advance(m, int(math.Round(tc.days*float64(stepsPerDay))), stepsPerDay, func(d int) {
+			if m.StepCount() != d*stepsPerDay {
+				t.Errorf("-days %g: day %d reported at step %d", tc.days, d, m.StepCount())
+			}
+			reported = append(reported, d)
+		})
+		if m.StepCount() != tc.wantTicks || m.SimTime() != tc.days*86400 {
+			t.Errorf("-days %g: stepped %d ticks (%g s simulated), want %d ticks (%g s)",
+				tc.days, m.StepCount(), m.SimTime(), tc.wantTicks, tc.days*86400)
+		}
+		if !reflect.DeepEqual(reported, tc.wantDays) {
+			t.Errorf("-days %g: end-of-day reports %v, want %v", tc.days, reported, tc.wantDays)
+		}
+		m.Close()
 	}
 }

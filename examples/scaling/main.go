@@ -1,7 +1,8 @@
 // Scaling: reproduce the flavor of the paper's Figure 2 and Section 5 —
-// run the coupled model on the traced Ranked executor, which places the
-// atmosphere (+ coupler) and ocean groups on simulated message-passing
-// ranks, and print the per-rank time allocation and the throughput table.
+// run the coupled model with cost tracing and replay it on a simulated
+// message-passing machine, with the atmosphere (+ coupler) and ocean groups
+// on their own ranks, and print the per-rank time allocation and the
+// throughput table.
 // The final section shows the paper's headline scheduling idea: with lagged
 // coupling (OceanLag=1) the ocean step overlaps the next interval's
 // atmosphere steps instead of serializing with them.
@@ -13,7 +14,6 @@ import (
 
 	"foam"
 	"foam/internal/diag"
-	"foam/internal/mp"
 )
 
 func main() {
@@ -28,16 +28,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	diag.Gantt(os.Stdout, res.Comms, 100)
-	diag.PrintSegmentTable(os.Stdout, res.Comms)
+	diag.Gantt(os.Stdout, res.Machine, 100)
+	diag.PrintSegmentTable(os.Stdout, res.Machine)
 
 	fmt.Println("\n=== Throughput vs machine size ===")
 	fmt.Printf("%8s %8s %12s %12s\n", "atm", "ocn", "speedup", "efficiency")
 	for _, spec := range []foam.ParallelSpec{
-		{AtmRanks: 2, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 4, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 8, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 16, OcnRanks: 2, Link: mp.SPLink},
+		{AtmRanks: 2, OcnRanks: 1, Link: foam.SPLink},
+		{AtmRanks: 4, OcnRanks: 1, Link: foam.SPLink},
+		{AtmRanks: 8, OcnRanks: 1, Link: foam.SPLink},
+		{AtmRanks: 16, OcnRanks: 2, Link: foam.SPLink},
 	} {
 		r, _, err := foam.RunTraced(cfg, 0.5, spec)
 		if err != nil {

@@ -60,10 +60,6 @@ func RunTraced(cfg Config, days float64, spec ParallelSpec) (*TraceResult, *Mode
 	return res, &Model{m}, nil
 }
 
-// DefaultSpec is the 17-node layout of the paper's Figure 2 (16 atmosphere
-// ranks + 1 ocean rank, SP2-like links).
-func DefaultSpec() ParallelSpec { return core.DefaultSpec() }
-
 // MonthlyMeanSST advances the model by the given number of 30-day months
 // and returns the monthly mean SST fields (ocean grid, deg C) — the raw
 // material of the Figure 3 and Figure 4 analyses.

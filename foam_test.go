@@ -101,7 +101,7 @@ func TestTracedRunShortConsistency(t *testing.T) {
 	if m.StepCount() == 0 {
 		t.Fatal("model did not advance")
 	}
-	if len(res.Comms) != 5 {
-		t.Fatalf("expected 5 rank timelines, got %d", len(res.Comms))
+	if res.Machine.Ranks() != 5 {
+		t.Fatalf("expected 5 rank timelines, got %d", res.Machine.Ranks())
 	}
 }

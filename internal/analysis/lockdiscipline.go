@@ -21,7 +21,7 @@ import (
 //     values that have not escaped yet);
 //   - no mutex may be held across a blocking operation: channel send or
 //     receive, select without a default, sync.WaitGroup.Wait,
-//     time.Sleep, or a worker-pool handoff (pool/exec Run). This is
+//     time.Sleep, or a worker-pool handoff (pool.Pool.Run). This is
 //     what keeps the ErrBusy fast-fail paths fast — a scheduler that
 //     blocks while holding the member lock stalls every other member.
 //
@@ -520,7 +520,7 @@ func (c *lockChecker) checkBlockingCall(call *ast.CallExpr, st lockState) {
 		switch {
 		case path == "sync" && tname == "WaitGroup" && name == "Wait":
 			c.emit(call.Pos(), "sync.WaitGroup.Wait while holding %s; a mutex must not be held across blocking waits", heldName(st))
-		case name == "Run" && (strings.HasSuffix(path, "internal/pool") || strings.HasSuffix(path, "internal/exec")):
+		case name == "Run" && strings.HasSuffix(path, "internal/pool"):
 			c.emit(call.Pos(), "worker-pool handoff (%s.Run) while holding %s; phases block until every worker finishes", tname, heldName(st))
 		}
 		return

@@ -197,7 +197,8 @@ type Model struct {
 
 	boundary Boundary
 	phy      *physicsState
-	pool     pool.Runner // pool.Serial = serial
+	//foam:transient pool the executor's worker pool (nil = serial), attached by SetPool; how a step runs, never simulation state
+	pool *pool.Pool
 
 	step int
 	fcor []float64 // Coriolis parameter per cell
@@ -279,7 +280,7 @@ func NewShared(cfg Config, boundary Boundary, sh Shared) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{cfg: cfg, pool: pool.Serial}
+	m := &Model{cfg: cfg}
 	switch {
 	case sh.Grid == nil:
 		m.grid = sphere.NewGaussianGrid(cfg.NLat, cfg.NLon)
@@ -334,15 +335,12 @@ func NewShared(cfg Config, boundary Boundary, sh Shared) (*Model, error) {
 	return m, nil
 }
 
-// SetPool attaches a Runner to the model and its spectral transform. All
+// SetPool attaches a pool to the model and its spectral transform. All
 // parallel sections are bit-identical to the serial path (see
-// internal/pool); a nil Runner restores serial execution. The step
+// internal/pool); a nil pool restores serial execution. The step
 // workspace (and its per-worker scratch and spectral workspaces) is sized
-// by the Runner, so it is invalidated here and rebuilt on the next step.
-func (m *Model) SetPool(p pool.Runner) {
-	if p == nil {
-		p = pool.Serial
-	}
+// by the pool, so it is invalidated here and rebuilt on the next step.
+func (m *Model) SetPool(p *pool.Pool) {
 	m.pool = p
 	m.tr.SetPool(p)
 	m.phy.w = nil

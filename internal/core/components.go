@@ -107,7 +107,7 @@ func (c *atmComponent) Import(f sched.Field, src []float64) {
 
 // SetPool implements sched.PoolAware for the atmosphere and the
 // co-resident coupler together.
-func (c *atmComponent) SetPool(p pool.Runner) {
+func (c *atmComponent) SetPool(p *pool.Pool) {
 	c.at.SetPool(p)
 	c.cpl.SetPool(p)
 }
@@ -246,7 +246,7 @@ func (c *ocnComponent) Import(f sched.Field, src []float64) {
 }
 
 // SetPool implements sched.PoolAware.
-func (c *ocnComponent) SetPool(p pool.Runner) { c.oc.SetPool(p) }
+func (c *ocnComponent) SetPool(p *pool.Pool) { c.oc.SetPool(p) }
 
 // Snapshot implements sched.Snapshotter.
 func (c *ocnComponent) Snapshot() any { return c.oc.Snapshot() }

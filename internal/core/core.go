@@ -6,9 +6,8 @@
 //
 // The assembly is layered (see DESIGN.md section 12): the models are
 // wrapped as sched.Components (components.go), the multi-rate cadence is
-// compiled into a sched.Program, and an exec executor — Serial, Pooled, or
-// Ranked — interprets the program. All executors are bit-identical; only
-// how ticks are executed differs.
+// compiled into a sched.Program, and the exec executor interprets the
+// program — serially or over a shared-memory worker pool, bit-identically.
 package core
 
 import (
@@ -46,10 +45,11 @@ type Config struct {
 	// OceanLag selects the coupling style (sched.Schedule.Lag): 0 couples
 	// synchronously at the coupling tick — the original serial semantics —
 	// and 1 is the paper's lagged coupling, where the atmosphere consumes
-	// the surface state the ocean produced one interval earlier, letting
-	// the Ranked executor overlap the ocean step with the next interval's
-	// atmosphere steps (Section 4, Figure 2). Both are deterministic and
-	// identical across executors; they are distinct model trajectories.
+	// the surface state the ocean produced one interval earlier, so on a
+	// message-passing machine the ocean step overlaps the next interval's
+	// atmosphere steps (Section 4, Figure 2; RunTraced shows the effect).
+	// Both are deterministic and identical for any worker count; they are
+	// distinct model trajectories.
 	OceanLag int
 
 	// Workers sets the shared-memory worker pool size used by the hot
@@ -154,9 +154,7 @@ type Model struct {
 	ocnC  *ocnComponent
 	comps []sched.Component
 	prog  *sched.Program
-	ex    exec.Executor
-
-	step int // atmosphere steps completed
+	ex    *exec.Executor // its tick is the count of atmosphere steps completed
 }
 
 // New builds the coupled model on the synthetic Earth.
@@ -233,77 +231,38 @@ func NewWithTables(cfg Config, tb *Tables) (*Model, error) {
 	}
 	m.prog = prog
 
-	// Default executor: serial for Workers == 1, otherwise the
-	// shared-memory pool threaded through every component's hot loops.
-	// Either way the numerics are identical (see internal/exec).
-	if cfg.Workers == 1 {
-		m.ex = exec.NewSerial(prog, m.comps)
-	} else {
-		m.ex = exec.NewPooled(prog, m.comps, cfg.Workers)
-	}
+	// Serial for Workers == 1, otherwise the shared-memory pool threaded
+	// through every component's hot loops. Either way the numerics are
+	// identical (see internal/exec).
+	m.ex = exec.New(prog, m.comps, cfg.Workers)
 	return m, nil
 }
 
-// UseRankedExecutor replaces the model's executor with the ranked
-// message-passing backend: the atmosphere group (coupler co-resident) and
-// the ocean group each on their own internal/mp ranks, exchanging the
-// coupling fields as typed messages. The trajectory is bit-identical to
-// the serial and pooled executors; with Config.OceanLag == 1 the ocean's
-// step genuinely overlaps the atmosphere's next interval. The current
-// executor is closed and the new one resumes at the current step.
-func (m *Model) UseRankedExecutor(spec ParallelSpec) error {
-	if spec.AtmRanks < 1 || spec.OcnRanks < 1 {
-		return fmt.Errorf("core: need at least one rank per component")
-	}
-	rex, err := exec.NewRanked(m.prog, m.comps, exec.RankedSpec{
-		Groups: []int{spec.AtmRanks, spec.OcnRanks},
-		Link:   spec.Link,
-	})
-	if err != nil {
-		return err
-	}
-	m.ex.Close()
-	rex.Seek(m.step)
-	m.ex = rex
-	return nil
-}
-
-// Close releases executor-owned resources (idempotent; the model must not
-// be stepped afterwards).
-func (m *Model) Close() {
-	if m.ex != nil {
-		m.ex.Close()
-		m.ex = exec.NewSerial(m.prog, m.comps)
-		m.ex.Seek(m.step)
-	}
-}
+// Close stops the worker pool (idempotent). The model stays usable and
+// steps serially afterwards, on the same trajectory.
+func (m *Model) Close() { m.ex.Close() }
 
 // Config returns the model configuration.
 func (m *Model) Config() Config { return m.cfg }
 
 // StepCount returns completed atmosphere steps.
-func (m *Model) StepCount() int { return m.step }
+func (m *Model) StepCount() int { return m.ex.Tick() }
 
 // SimTime returns the simulated time in seconds.
-func (m *Model) SimTime() float64 { return float64(m.step) * m.cfg.Atm.Dt }
+func (m *Model) SimTime() float64 { return float64(m.ex.Tick()) * m.cfg.Atm.Dt }
 
 // Step advances one atmosphere step, calling the ocean on schedule (one
-// program tick on the current executor).
+// program tick).
 //
 //foam:hotpath
-func (m *Model) Step() {
-	m.ex.Steps(1)
-	m.step++
-}
+func (m *Model) Step() { m.ex.Steps(1) }
 
-// StepDays advances whole simulated days in one executor call, so a ranked
-// executor can overlap components across coupling intervals.
+// StepDays advances the given number of simulated days (truncated to whole
+// atmosphere steps) in one executor call.
 //
 //foam:hotpath
 func (m *Model) StepDays(days float64) {
-	steps := int(days * sphere.SecondsPerDay / m.cfg.Atm.Dt)
-	m.ex.Steps(steps)
-	m.step += steps
+	m.ex.Steps(int(days * sphere.SecondsPerDay / m.cfg.Atm.Dt))
 }
 
 // Diagnostics bundles component diagnostics.

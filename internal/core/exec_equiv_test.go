@@ -3,23 +3,15 @@ package core
 import (
 	"fmt"
 	"testing"
-
-	"foam/internal/mp"
 )
 
-// TestExecutorEquivalenceMatrix is the PR 5 tentpole acceptance test: the
-// same compiled program run on every executor backend — Serial, Pooled, and
-// Ranked at several rank counts — must end in bit-identical state, for both
-// the synchronous (lag 0) and the paper's lagged (lag 1) coupling schedule.
-// The Ranked runs genuinely pass the coupling fields as mp messages between
-// rank groups and, at lag 1, overlap the ocean step with atmosphere steps;
-// none of that may change a single bit of the trajectory.
+// TestExecutorEquivalenceMatrix: the same compiled program run serially and
+// on the worker pool must end in bit-identical state, for both the
+// synchronous (lag 0) and the paper's lagged (lag 1) coupling schedule.
 func TestExecutorEquivalenceMatrix(t *testing.T) {
 	days := 7.0
-	atmRankCounts := []int{1, 2, 4}
 	if testing.Short() {
 		days = 1.0
-		atmRankCounts = []int{1, 2}
 	}
 
 	for _, lag := range []int{0, 1} {
@@ -51,69 +43,6 @@ func TestExecutorEquivalenceMatrix(t *testing.T) {
 				pm.StepDays(days)
 				compareCheckpoints(t, 3, ref, pm.Checkpoint())
 			})
-
-			// Ranked executor across the rank matrix. OcnRanks scales the
-			// cost model, not the numerics, so one ocean rank suffices for
-			// equivalence; a 2+2 layout rides along below.
-			specs := make([]ParallelSpec, 0, len(atmRankCounts)+1)
-			for _, n := range atmRankCounts {
-				specs = append(specs, ParallelSpec{AtmRanks: n, OcnRanks: 1, Link: mp.SPLink})
-			}
-			if !testing.Short() {
-				specs = append(specs, ParallelSpec{AtmRanks: 2, OcnRanks: 2, Link: mp.SPLink})
-			}
-			for _, spec := range specs {
-				spec := spec
-				t.Run(fmt.Sprintf("ranked%dx%d", spec.AtmRanks, spec.OcnRanks), func(t *testing.T) {
-					rc := cfg
-					rc.Workers = 1
-					rm, err := New(rc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer rm.Close()
-					if err := rm.UseRankedExecutor(spec); err != nil {
-						t.Fatal(err)
-					}
-					rm.StepDays(days)
-					compareCheckpoints(t, spec.AtmRanks, ref, rm.Checkpoint())
-				})
-			}
 		})
 	}
-}
-
-// TestRankedExecutorMidRunSwitch installs the ranked executor after some
-// serial steps and checks the combined trajectory still matches an all-
-// serial run — the executor swap must preserve the program phase.
-func TestRankedExecutorMidRunSwitch(t *testing.T) {
-	cfg := ReducedConfig()
-	cfg.OceanLag = 1
-	cfg.Workers = 1
-
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	for i := 0; i < 24; i++ {
-		ref.Step()
-	}
-
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	// Switch mid coupling interval (step 7 of a 4-step cadence is offset 3).
-	for i := 0; i < 7; i++ {
-		m.Step()
-	}
-	if err := m.UseRankedExecutor(ParallelSpec{AtmRanks: 2, OcnRanks: 1, Link: mp.SPLink}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 17; i++ {
-		m.Step()
-	}
-	compareCheckpoints(t, 2, ref.Checkpoint(), m.Checkpoint())
 }

@@ -49,8 +49,8 @@ func TestTracedFigure2Structure(t *testing.T) {
 		t.Fatal(err)
 	}
 	labels := map[string]bool{}
-	for _, c := range res.Comms {
-		for _, s := range c.Segments() {
+	for r := 0; r < res.Machine.Ranks(); r++ {
+		for _, s := range res.Machine.Segments(r) {
 			labels[s.Label] = true
 		}
 	}
@@ -60,9 +60,8 @@ func TestTracedFigure2Structure(t *testing.T) {
 		}
 	}
 	// The ocean rank (last) must have idle gaps.
-	ocn := res.Comms[len(res.Comms)-1]
 	var idle float64
-	for _, s := range ocn.Segments() {
+	for _, s := range res.Machine.Segments(res.Machine.Ranks() - 1) {
 		if s.Label == "idle" {
 			idle += s.End - s.Start
 		}

@@ -57,7 +57,7 @@ func (m *Model) Checkpoint() *Checkpoint {
 	as := m.atmC.Snapshot().(*atmState)
 	osn := m.ocnC.Snapshot().(*ocean.Snapshot)
 	return &Checkpoint{
-		Step:       m.step,
+		Step:       m.ex.Tick(),
 		Atm:        as.atm,
 		Ocn:        osn,
 		LandT:      as.landT,
@@ -111,7 +111,6 @@ func (m *Model) Restore(c *Checkpoint) error {
 		// Pre-PR5 checkpoint: the mirror is the live ocean surface.
 		m.Cpl.AbsorbOcean(m.Ocn)
 	}
-	m.step = c.Step
 	m.ex.Seek(c.Step)
 	return nil
 }

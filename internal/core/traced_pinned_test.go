@@ -8,7 +8,6 @@ import (
 	"math"
 	"testing"
 
-	"foam/internal/exec"
 	"foam/internal/mp"
 )
 
@@ -32,34 +31,10 @@ func syntheticCosts(tick, ci, nlat int) []float64 {
 	return c
 }
 
-// syntheticTrace feeds syntheticCosts to the real cost model: StageTick
-// ignores the model's measured costs, TraceTick is the production one.
-// The executor calls StageTick once per atmosphere tick and once per ocean
-// call, each on its own lead, so a per-component call count recovers the
-// tick.
-type syntheticTrace struct {
-	cm    *costModel
-	nlat  int
-	every int
-	calls [2]int
-}
-
-func (s *syntheticTrace) StageTick(ci int) []float64 {
-	k := s.calls[ci]
-	s.calls[ci]++
-	tick := k
-	if ci == 1 {
-		tick = (k+1)*s.every - 1
-	}
-	return syntheticCosts(tick, ci, s.nlat)
-}
-
-func (s *syntheticTrace) TraceTick(ci, w int, g *mp.Comm, costs []float64) {
-	s.cm.TraceTick(ci, w, g, costs)
-}
-
 // tracedTimeline returns every rank's segments and final clock for one
-// simulated day of cfg on the given layout, with synthetic costs.
+// simulated day of cfg replayed on the given layout with synthetic costs.
+// Only the program and the cost model's configuration-derived sizes enter
+// the timeline, so the model itself is never stepped.
 func tracedTimeline(t *testing.T, cfg Config, spec ParallelSpec) (segs [][]mp.Segment, clocks []float64) {
 	t.Helper()
 	cfg.Workers = 1
@@ -68,24 +43,15 @@ func tracedTimeline(t *testing.T, cfg Config, spec ParallelSpec) (segs [][]mp.Se
 		t.Fatal(err)
 	}
 	defer m.Close()
-	rex, err := exec.NewRanked(m.prog, m.comps, exec.RankedSpec{
-		Groups: []int{spec.AtmRanks, spec.OcnRanks},
-		Link:   spec.Link,
-		Trace:  true,
-		Model: &syntheticTrace{
-			cm:    newCostModel(m, spec),
-			nlat:  m.cfg.Atm.NLat,
-			every: m.cfg.OceanEvery,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	rp := newReplay(m, spec)
+	steps := int(86400 / m.cfg.Atm.Dt)
+	for tick := 0; tick < steps; tick++ {
+		rp.tick(tick, func(ci int) []float64 { return syntheticCosts(tick, ci, m.cfg.Atm.NLat) })
 	}
-	defer rex.Close()
-	rex.Steps(int(86400 / m.cfg.Atm.Dt))
-	for _, c := range rex.Comms() {
-		segs = append(segs, c.Segments())
-		clocks = append(clocks, c.Clock())
+	rp.shutdown()
+	for r := 0; r < rp.mach.Ranks(); r++ {
+		segs = append(segs, rp.mach.Segments(r))
+		clocks = append(clocks, rp.mach.Clock(r))
 	}
 	return segs, clocks
 }
@@ -115,7 +81,9 @@ func timelineHash(segs [][]mp.Segment, clocks []float64) string {
 // TestTracedTimelinePinned pins the virtual-clock timelines behind Figure 2
 // and the Section 5 throughput table bit-for-bit: for a deterministic cost
 // input, every rank's segment list and final clock must hash to the
-// recorded value. The layouts cover the 1-D atmosphere partition (4+1,
+// recorded value — recorded from the goroutine-per-rank message-passing
+// implementation the sequential machine replaced, in the commit that added
+// this test. The layouts cover the 1-D atmosphere partition (4+1,
 // 16+1), the 2-D one with two ocean ranks (32+2: plon = 2, one halo
 // exchange pair) and a three-rank ocean halo chain with an interior rank
 // (6+3), each under synchronous and lagged coupling. The hashes include the

@@ -74,7 +74,7 @@ type Coupler struct {
 	// are bit-identical to the serial loop. phFlux is bound once in SetPool
 	// (a closure literal per Exchange would allocate every step); exIn stages
 	// its per-call input.
-	pool   pool.Runner
+	pool   *pool.Pool
 	pieces []pieceFlux
 	exIn   *atmos.LowestLevel
 	phFlux func(w, p0, p1 int)
@@ -131,7 +131,7 @@ type Shared struct {
 // NewShared builds a coupler over prebuilt shared tables (see Shared). The
 // caller must have built them on these same grids.
 func NewShared(atmGrid, ocnGrid *sphere.Grid, ocnMask []float64, sh Shared) *Coupler {
-	cp := &Coupler{AtmGrid: atmGrid, OcnGrid: ocnGrid, pool: pool.Serial}
+	cp := &Coupler{AtmGrid: atmGrid, OcnGrid: ocnGrid}
 	if sh.Overlap != nil {
 		cp.Overlap = sh.Overlap
 	} else {
@@ -218,16 +218,13 @@ func NewShared(atmGrid, ocnGrid *sphere.Grid, ocnMask []float64, sh Shared) *Cou
 	return cp
 }
 
-// SetPool attaches a Runner used to parallelize the per-overlap-piece
+// SetPool attaches a pool used to parallelize the per-overlap-piece
 // flux computation. The result is bit-identical to the serial loop: fluxes
 // are computed concurrently into per-piece slots, then accumulated serially
 // in piece order. Pass nil to return to the serial loop.
 //
 //foam:hotphases
-func (cp *Coupler) SetPool(p pool.Runner) {
-	if p == nil {
-		p = pool.Serial
-	}
+func (cp *Coupler) SetPool(p *pool.Pool) {
 	cp.pool = p
 	cp.pieces = nil
 	cp.phFlux = nil

@@ -31,8 +31,8 @@ var GanttSymbols = map[string]byte{
 // Gantt renders the per-rank virtual timelines as an ASCII chart of the
 // given width. Each row is one rank; each column a time slice labelled by
 // the activity occupying most of it.
-func Gantt(w io.Writer, comms []*mp.Comm, width int) {
-	tEnd := mp.MaxClock(comms)
+func Gantt(w io.Writer, mach *mp.Machine, width int) {
+	tEnd := mach.MaxClock()
 	if tEnd <= 0 || width < 10 {
 		fmt.Fprintln(w, "(empty trace)")
 		return
@@ -40,11 +40,11 @@ func Gantt(w io.Writer, comms []*mp.Comm, width int) {
 	fmt.Fprintf(w, "Time allocation per rank (total %.3f s simulated-machine time)\n", tEnd)
 	fmt.Fprintf(w, "  legend: A=atmosphere C=coupler O=ocean .=idle\n")
 	row := make([]byte, width)
-	for r, c := range comms {
+	for r := 0; r < mach.Ranks(); r++ {
 		for i := range row {
 			row[i] = ' '
 		}
-		for _, seg := range c.Segments() {
+		for _, seg := range mach.Segments(r) {
 			sym, ok := GanttSymbols[seg.Label]
 			if !ok {
 				sym = '?'
@@ -63,10 +63,10 @@ func Gantt(w io.Writer, comms []*mp.Comm, width int) {
 }
 
 // SegmentTotals sums virtual time per label across all ranks.
-func SegmentTotals(comms []*mp.Comm) map[string]float64 {
+func SegmentTotals(mach *mp.Machine) map[string]float64 {
 	tot := map[string]float64{}
-	for _, c := range comms {
-		for _, s := range c.Segments() {
+	for r := 0; r < mach.Ranks(); r++ {
+		for _, s := range mach.Segments(r) {
 			tot[s.Label] += s.End - s.Start
 		}
 	}
@@ -76,11 +76,11 @@ func SegmentTotals(comms []*mp.Comm) map[string]float64 {
 // SegmentLabels returns the distinct segment labels across all ranks in
 // sorted order. Labels are collected in segment order, never by iterating
 // a map, so every quantity accumulated in this order is deterministic.
-func SegmentLabels(comms []*mp.Comm) []string {
+func SegmentLabels(mach *mp.Machine) []string {
 	seen := map[string]bool{}
 	var labels []string
-	for _, c := range comms {
-		for _, s := range c.Segments() {
+	for r := 0; r < mach.Ranks(); r++ {
+		for _, s := range mach.Segments(r) {
 			if !seen[s.Label] {
 				seen[s.Label] = true
 				labels = append(labels, s.Label)
@@ -92,9 +92,9 @@ func SegmentLabels(comms []*mp.Comm) []string {
 }
 
 // PrintSegmentTable writes per-label totals and fractions.
-func PrintSegmentTable(w io.Writer, comms []*mp.Comm) {
-	tot := SegmentTotals(comms)
-	labels := SegmentLabels(comms)
+func PrintSegmentTable(w io.Writer, mach *mp.Machine) {
+	tot := SegmentTotals(mach)
+	labels := SegmentLabels(mach)
 	sum := 0.0
 	for _, l := range labels {
 		sum += tot[l]

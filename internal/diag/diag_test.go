@@ -8,27 +8,20 @@ import (
 	"foam/internal/sphere"
 )
 
-func traceWorld() []*mp.Comm {
-	w := mp.NewWorld(3)
-	return w.Run(func(c *mp.Comm) {
-		switch c.Rank() {
-		case 0:
-			c.AdvanceClock("atmosphere", 2)
-			c.AdvanceClock("coupler", 0.5)
-		case 1:
-			c.AdvanceClock("atmosphere", 1)
-			c.AdvanceClock("idle", 1.5)
-		case 2:
-			c.AdvanceClock("ocean", 1)
-			c.AdvanceClock("idle", 1.5)
-		}
-	})
+func traceMachine() *mp.Machine {
+	m := mp.NewMachine(3, mp.DefaultLink)
+	m.Charge(0, "atmosphere", 2)
+	m.Charge(0, "coupler", 0.5)
+	m.Charge(1, "atmosphere", 1)
+	m.Charge(1, "idle", 1.5)
+	m.Charge(2, "ocean", 1)
+	m.Charge(2, "idle", 1.5)
+	return m
 }
 
 func TestGanttRendersAllRanks(t *testing.T) {
 	var sb strings.Builder
-	comms := traceWorld()
-	Gantt(&sb, comms, 60)
+	Gantt(&sb, traceMachine(), 60)
 	out := sb.String()
 	for _, want := range []string{"rank  0", "rank  1", "rank  2"} {
 		if !strings.Contains(out, want) {
@@ -53,16 +46,14 @@ func TestGanttRendersAllRanks(t *testing.T) {
 
 func TestGanttEmptyTrace(t *testing.T) {
 	var sb strings.Builder
-	w := mp.NewWorld(1)
-	comms := w.Run(func(c *mp.Comm) {})
-	Gantt(&sb, comms, 60)
+	Gantt(&sb, mp.NewMachine(1, mp.DefaultLink), 60)
 	if !strings.Contains(sb.String(), "empty trace") {
 		t.Fatalf("expected empty-trace message, got %q", sb.String())
 	}
 }
 
 func TestSegmentTotals(t *testing.T) {
-	tot := SegmentTotals(traceWorld())
+	tot := SegmentTotals(traceMachine())
 	if tot["atmosphere"] != 3 {
 		t.Fatalf("atmosphere total %v", tot["atmosphere"])
 	}
@@ -73,7 +64,7 @@ func TestSegmentTotals(t *testing.T) {
 		t.Fatalf("totals %v", tot)
 	}
 	var sb strings.Builder
-	PrintSegmentTable(&sb, traceWorld())
+	PrintSegmentTable(&sb, traceMachine())
 	if !strings.Contains(sb.String(), "atmosphere") {
 		t.Fatal("segment table missing labels")
 	}

@@ -1,195 +1,118 @@
-// Package exec provides the interchangeable executor backends that run a
-// compiled sched.Program over a set of components:
-//
-//   - Serial interprets the program op-by-op on the calling goroutine —
-//     the reference semantics.
-//   - Pooled is Serial plus a shared-memory worker pool attached to every
-//     PoolAware component, today's multi-core path.
-//   - Ranked (ranked.go) places each component's group on internal/mp
-//     ranks, runs the program as per-rank projections exchanging typed
-//     messages, and — with a lagged schedule — genuinely overlaps the slow
-//     component's step with the fast component's next interval.
-//
-// Every backend executes the identical op sequence per tick (transfers
-// included), so all three are bit-identical for any worker or rank count;
-// the executor equivalence matrix in internal/core pins this exactly.
+// Package exec runs a compiled sched.Program over a set of components.
+// There is one executor: it interprets the program op-by-op on the calling
+// goroutine, and with more than one worker it attaches a deterministic
+// shared-memory pool to every PoolAware component, so each op runs its
+// internal phases across the pool while the op order — and therefore the
+// numerics — stay exactly serial. The executor equivalence matrix in
+// internal/core pins serial and pooled runs bit-identical.
 package exec
 
 import (
-	"fmt"
-
 	"foam/internal/pool"
 	"foam/internal/sched"
 )
 
-// Executor advances a compiled program over its components. Executors are
-// not safe for concurrent use; one goroutine drives Steps. They may,
-// however, migrate between goroutines across calls: a caller that
-// establishes a happens-before edge between consecutive Steps calls (the
-// ensemble scheduler hands members to pool workers under a mutex) gets the
-// same trajectory as a single driving goroutine, because executors keep no
-// goroutine-affine state.
-type Executor interface {
-	// Steps runs n consecutive ticks of the program.
-	Steps(n int)
-	// Tick returns the number of ticks completed since construction/Seek.
-	Tick() int
-	// Seek positions the executor at global tick t (e.g. after a
-	// checkpoint restore mid-coupling-interval), without running anything.
-	Seek(t int)
-	// Close releases executor-owned resources (pools, rank plumbing) and
-	// detaches them from the components. The executor must be idle.
-	Close()
-}
-
 // planOp is one program op with its transfer buffers resolved, so the
 // steady-state interpreter loop allocates nothing.
 type planOp struct {
-	kind     sched.OpKind
-	comp     int
-	src, dst int
-	fields   []sched.Field
-	bufs     [][]float64
+	sched.Op
+	bufs [][]float64 // one per transferred field, len FieldLen
 }
 
-// interp is the shared serial program interpreter.
-type interp struct {
+// Executor advances a compiled program over its components. It is not safe
+// for concurrent use; one goroutine drives Steps. It may, however, migrate
+// between goroutines across calls: a caller that establishes a
+// happens-before edge between consecutive Steps calls (the ensemble
+// scheduler hands members to pool workers under a mutex) gets the same
+// trajectory as a single driving goroutine, because the executor keeps no
+// goroutine-affine state.
+type Executor struct {
 	prog  *sched.Program
 	comps []sched.Component
 	plan  [][]planOp
+	tick  int
+	pool  *pool.Pool // nil = serial
 }
 
-func newInterp(prog *sched.Program, comps []sched.Component) *interp {
-	in := &interp{prog: prog, comps: comps}
-	in.plan = make([][]planOp, prog.Period)
-	for t := range in.plan {
+// New builds the executor. workers is the shared-memory pool size
+// (0 = GOMAXPROCS); with an effective count of 1 no pool is attached and
+// every component runs its exact serial path.
+func New(prog *sched.Program, comps []sched.Component, workers int) *Executor {
+	e := &Executor{prog: prog, comps: comps}
+	e.plan = make([][]planOp, prog.Period)
+	for t := range e.plan {
 		ops := prog.Ticks[t]
 		po := make([]planOp, len(ops))
 		for i, op := range ops {
-			po[i] = planOp{kind: op.Kind, comp: op.Comp, src: op.Src, dst: op.Dst, fields: op.Fields}
-			if op.Kind == sched.OpXfer {
-				po[i].bufs = make([][]float64, len(op.Fields))
-				for fi, f := range op.Fields {
-					po[i].bufs[fi] = make([]float64, comps[op.Src].FieldLen(f))
-				}
+			po[i] = planOp{Op: op, bufs: make([][]float64, len(op.Fields))}
+			for fi, f := range op.Fields {
+				po[i].bufs[fi] = make([]float64, comps[op.Src].FieldLen(f))
 			}
 		}
-		in.plan[t] = po
+		e.plan[t] = po
 	}
-	return in
+	if pl := pool.New(workers); pl.Workers() > 1 {
+		e.pool = pl
+		e.setPool(pl)
+	}
+	return e
+}
+
+func (e *Executor) setPool(p *pool.Pool) {
+	for _, c := range e.comps {
+		if pa, ok := c.(sched.PoolAware); ok {
+			pa.SetPool(p)
+		}
+	}
 }
 
 // runTick executes one tick's ops in program order.
 //
 //foam:hotpath
-func (in *interp) runTick(t int) {
-	ops := in.plan[t%in.prog.Period]
+func (e *Executor) runTick(t int) {
+	ops := e.plan[t%e.prog.Period]
 	for i := range ops {
 		op := &ops[i]
-		switch op.kind {
+		switch op.Kind {
 		case sched.OpStep:
-			in.comps[op.comp].Step()
+			e.comps[op.Comp].Step()
 		case sched.OpCouple:
-			in.comps[op.comp].Couple(in.prog.CoupleDt)
+			e.comps[op.Comp].Couple(e.prog.CoupleDt)
 		case sched.OpXfer:
-			for fi, f := range op.fields {
-				in.comps[op.src].ExportInto(op.bufs[fi], f)
-				in.comps[op.dst].Import(f, op.bufs[fi])
+			for fi, f := range op.Fields {
+				e.comps[op.Src].ExportInto(op.bufs[fi], f)
+				e.comps[op.Dst].Import(f, op.bufs[fi])
 			}
 		}
 	}
 }
 
-// Serial runs the program on the calling goroutine — the reference
-// executor every other backend must match bit-for-bit.
-type Serial struct {
-	in   *interp
-	tick int
-}
-
-// NewSerial builds the serial executor.
-func NewSerial(prog *sched.Program, comps []sched.Component) *Serial {
-	return &Serial{in: newInterp(prog, comps)}
-}
-
-// Steps runs n ticks.
+// Steps runs n consecutive ticks of the program.
 //
 //foam:hotpath
-func (s *Serial) Steps(n int) {
+func (e *Executor) Steps(n int) {
 	for i := 0; i < n; i++ {
-		s.in.runTick(s.tick)
-		s.tick++
+		e.runTick(e.tick)
+		e.tick++
 	}
 }
 
-// Tick returns the current global tick.
-func (s *Serial) Tick() int { return s.tick }
+// Tick returns the current global tick: the ticks run since construction,
+// or since the position Seek installed.
+func (e *Executor) Tick() int { return e.tick }
 
-// Seek positions the executor at global tick t.
-func (s *Serial) Seek(t int) { s.tick = t }
+// Seek positions the executor at global tick t (e.g. after a checkpoint
+// restore mid-coupling-interval), without running anything.
+func (e *Executor) Seek(t int) { e.tick = t }
 
-// Close is a no-op; Serial owns no resources.
-func (s *Serial) Close() {}
-
-// Pooled is the shared-memory backend: the serial interpreter with a
-// deterministic worker pool attached to every PoolAware component, so each
-// op runs its internal phases across the pool while the op order — and
-// therefore the numerics — stay exactly serial.
-type Pooled struct {
-	Serial
-	pool *pool.Pool
-}
-
-// NewPooled builds the pooled executor with the given worker count
-// (0 = GOMAXPROCS). With an effective worker count of 1 it degenerates to
-// the serial executor.
-func NewPooled(prog *sched.Program, comps []sched.Component, workers int) *Pooled {
-	p := &Pooled{Serial: Serial{in: newInterp(prog, comps)}}
-	pl := pool.New(workers)
-	if pl.Workers() > 1 {
-		p.pool = pl
-		for _, c := range comps {
-			if pa, ok := c.(sched.PoolAware); ok {
-				pa.SetPool(pl)
-			}
-		}
-	} else {
-		pl.Close()
-	}
-	return p
-}
-
-// Workers returns the attached pool's worker count (1 when degenerate).
-func (p *Pooled) Workers() int {
-	if p.pool == nil {
-		return 1
-	}
-	return p.pool.Workers()
-}
-
-// Close detaches and stops the pool.
-func (p *Pooled) Close() {
-	if p.pool == nil {
+// Close detaches the pool from the components and stops its workers. The
+// executor must be idle; afterwards it keeps working, serially. Close is
+// idempotent.
+func (e *Executor) Close() {
+	if e.pool == nil {
 		return
 	}
-	for _, c := range p.in.comps {
-		if pa, ok := c.(sched.PoolAware); ok {
-			pa.SetPool(nil)
-		}
-	}
-	p.pool.Close()
-	p.pool = nil
-}
-
-// validateGroups checks a rank-group layout against the component list.
-func validateGroups(groups []int, ncomps int) error {
-	if len(groups) != ncomps {
-		return fmt.Errorf("exec: %d rank groups for %d components", len(groups), ncomps)
-	}
-	for i, g := range groups {
-		if g < 1 {
-			return fmt.Errorf("exec: component %d needs at least one rank", i)
-		}
-	}
-	return nil
+	e.setPool(nil)
+	e.pool.Close()
+	e.pool = nil
 }

@@ -2,78 +2,17 @@ package mp
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 )
 
-func TestSendRecvBasic(t *testing.T) {
-	w := NewWorld(2)
-	var got []float64
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 7, []float64{1, 2, 3})
-		} else {
-			got = c.Recv(0, 7)
-		}
-	})
-	if !reflect.DeepEqual(got, []float64{1, 2, 3}) {
-		t.Fatalf("recv got %v", got)
+func TestDeliverChargesIdleTime(t *testing.T) {
+	m := NewMachine(2, LinkParams{Latency: 0.25, Bandwidth: 1e12})
+	m.Charge(0, "work", 2.0)
+	m.Deliver(1, m.Clock(0), 1)
+	if math.Abs(m.Clock(1)-2.25) > 1e-9 {
+		t.Fatalf("receiver clock = %v, want 2.25", m.Clock(1))
 	}
-}
-
-func TestSendCopiesPayload(t *testing.T) {
-	w := NewWorld(2)
-	var got []float64
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			buf := []float64{42}
-			c.Send(1, 0, buf)
-			buf[0] = -1 // must not affect the delivered message
-			c.Send(1, 1, nil)
-		} else {
-			c.Recv(0, 1)
-			got = c.Recv(0, 0)
-		}
-	})
-	if got[0] != 42 {
-		t.Fatalf("payload mutated after send: %v", got)
-	}
-}
-
-func TestTagMatchingOutOfOrder(t *testing.T) {
-	w := NewWorld(2)
-	var first, second []float64
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 1, []float64{1})
-			c.Send(1, 2, []float64{2})
-		} else {
-			second = c.Recv(0, 2) // request the later tag first
-			first = c.Recv(0, 1)
-		}
-	})
-	if first[0] != 1 || second[0] != 2 {
-		t.Fatalf("tag matching broken: %v %v", first, second)
-	}
-}
-
-func TestRecvChargesIdleTime(t *testing.T) {
-	w := NewWorld(2, WithLink(LinkParams{Latency: 0.25, Bandwidth: 1e12}))
-	comms := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.AdvanceClock("work", 2.0)
-			c.Send(1, 0, []float64{1})
-		} else {
-			c.Recv(0, 0)
-		}
-	})
-	r1 := comms[1]
-	if math.Abs(r1.Clock()-2.25) > 1e-9 {
-		t.Fatalf("receiver clock = %v, want 2.25", r1.Clock())
-	}
-	segs := r1.Segments()
+	segs := m.Segments(1)
 	if len(segs) != 1 || segs[0].Label != "idle" {
 		t.Fatalf("expected a single idle segment, got %v", segs)
 	}
@@ -82,97 +21,39 @@ func TestRecvChargesIdleTime(t *testing.T) {
 	}
 }
 
+func TestDeliverAlreadyArrivedIsFree(t *testing.T) {
+	m := NewMachine(2, LinkParams{Latency: 0.25, Bandwidth: 1e12})
+	m.Charge(1, "work", 5)
+	m.Deliver(1, 1.0, 1) // arrived at 1.25, long before the receiver asks
+	if m.Clock(1) != 5 || len(m.Segments(1)) != 1 {
+		t.Fatalf("an early message moved the receiver: clock %v, segments %v", m.Clock(1), m.Segments(1))
+	}
+}
+
 func TestBandwidthCost(t *testing.T) {
-	w := NewWorld(2, WithLink(LinkParams{Latency: 0, Bandwidth: 800}))
+	m := NewMachine(2, LinkParams{Latency: 0, Bandwidth: 800})
 	// 100 float64 = 800 bytes = 1 second at 800 B/s.
-	comms := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 0, make([]float64, 100))
-		} else {
-			c.Recv(0, 0)
-		}
-	})
-	if math.Abs(comms[1].Clock()-1.0) > 1e-9 {
-		t.Fatalf("receiver clock = %v, want 1.0", comms[1].Clock())
+	m.Deliver(1, m.Clock(0), 100)
+	if math.Abs(m.Clock(1)-1.0) > 1e-9 {
+		t.Fatalf("receiver clock = %v, want 1.0", m.Clock(1))
 	}
 }
 
-func TestAlltoallTransposeIdentity(t *testing.T) {
-	// Alltoall applied twice with symmetric chunks is the identity on the
-	// "matrix" whose (i,j) block holds data from i destined to j.
-	n := 4
-	chunk := 2
-	w := NewWorld(n)
-	results := make([][]float64, n)
-	w.Run(func(c *Comm) {
-		me := c.Rank()
-		send := make([]float64, n*chunk)
-		for j := 0; j < n; j++ {
-			for k := 0; k < chunk; k++ {
-				send[j*chunk+k] = float64(100*me + 10*j + k)
-			}
-		}
-		got := c.Alltoall(send, chunk)
-		results[me] = got
-	})
-	for me := 0; me < n; me++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < chunk; k++ {
-				want := float64(100*j + 10*me + k)
-				if results[me][j*chunk+k] != want {
-					t.Fatalf("rank %d slot (%d,%d) = %v want %v",
-						me, j, k, results[me][j*chunk+k], want)
-				}
-			}
-		}
-	}
-}
-
-func TestSplitSubCommunicator(t *testing.T) {
-	w := NewWorld(5)
-	// Ranks 1,3,4 form a subgroup; check local numbering and an exchange
-	// addressed by local rank (the cost model's Split + Alltoall).
-	results := make([][]float64, 5)
-	w.Run(func(c *Comm) {
-		me := c.Rank()
-		if me == 1 || me == 3 || me == 4 {
-			sub := c.Split([]int{1, 3, 4})
-			if sub.Size() != 3 {
-				t.Errorf("sub size %d", sub.Size())
-			}
-			v := float64(me)
-			results[me] = sub.Alltoall([]float64{v, v, v}, 1)
-		}
-	})
-	for _, r := range []int{1, 3, 4} {
-		if !reflect.DeepEqual(results[r], []float64{1, 3, 4}) {
-			t.Fatalf("sub alltoall on %d got %v want [1 3 4]", r, results[r])
-		}
-	}
-}
-
-func TestSplitSharesClock(t *testing.T) {
-	w := NewWorld(2)
-	comms := w.Run(func(c *Comm) {
-		sub := c.Split([]int{0, 1})
-		sub.AdvanceClock("work", 1.0)
-		c.AdvanceClock("work", 0.5)
-	})
-	for _, c := range comms {
-		if math.Abs(c.Clock()-1.5) > 1e-12 {
-			t.Fatalf("clock not shared across split: %v", c.Clock())
-		}
+func TestZeroLinkMeansDefault(t *testing.T) {
+	m := NewMachine(2, LinkParams{})
+	m.Deliver(1, 0, 0)
+	if m.Clock(1) != DefaultLink.Latency {
+		t.Fatalf("receiver clock = %v, want the default link's latency %v", m.Clock(1), DefaultLink.Latency)
 	}
 }
 
 func TestSegmentsMerge(t *testing.T) {
-	w := NewWorld(1)
-	comms := w.Run(func(c *Comm) {
-		c.AdvanceClock("a", 1)
-		c.AdvanceClock("a", 1)
-		c.AdvanceClock("b", 1)
-	})
-	segs := comms[0].Segments()
+	m := NewMachine(1, DefaultLink)
+	m.Charge(0, "a", 1)
+	m.Charge(0, "a", 1)
+	m.Charge(0, "b", 1)
+	m.Charge(0, "b", 0) // empty spans leave no segment
+	segs := m.Segments(0)
 	if len(segs) != 2 {
 		t.Fatalf("adjacent same-label segments should merge: %v", segs)
 	}
@@ -182,52 +63,85 @@ func TestSegmentsMerge(t *testing.T) {
 }
 
 func TestMaxClockAndBusy(t *testing.T) {
-	w := NewWorld(3)
-	comms := w.Run(func(c *Comm) {
-		c.AdvanceClock("w", float64(c.Rank()+1))
-	})
-	if got := MaxClock(comms); got != 3 {
+	m := NewMachine(3, LinkParams{Latency: 1, Bandwidth: 1e12})
+	for r := 0; r < 3; r++ {
+		m.Charge(r, "w", float64(r+1))
+	}
+	m.Deliver(0, 1.5, 0) // rank 0 idles from 1 to 2.5: not busy time
+	if got := m.MaxClock(); got != 3 {
 		t.Fatalf("MaxClock=%v", got)
 	}
-	if got := TotalBusy(comms); got != 6 {
+	if got := m.TotalBusy(); got != 6 {
 		t.Fatalf("TotalBusy=%v", got)
 	}
 }
 
-func TestRunPanicsArePropagated(t *testing.T) {
+func TestNegativeChargePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic to propagate")
+			t.Fatal("expected a negative charge to panic")
 		}
 	}()
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			panic("boom")
-		}
-	})
+	NewMachine(1, DefaultLink).Charge(0, "w", -1)
 }
 
-// Property: a ring halo exchange is deadlock-free and delivers each
-// neighbour's payload for any ring size.
-func TestRingExchangeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(9)
-		w := NewWorld(n)
-		ok := true
-		w.Run(func(c *Comm) {
-			me := c.Rank()
-			right := (me + 1) % n
-			left := (me - 1 + n) % n
-			got := c.Sendrecv(right, 10, []float64{float64(me)}, left, 10)
-			if int(got[0]) != left {
-				ok = false
-			}
-		})
-		return ok
+// Hand-computed all-to-all: with 1 s per message, every rank ends at the
+// latest *other* rank's entry clock plus 1 s, unless it was already later.
+func TestAlltoallClocks(t *testing.T) {
+	m := NewMachine(5, LinkParams{Latency: 1, Bandwidth: 1e12})
+	m.Charge(0, "w", 9) // outside the group: must not be touched or consulted
+	for r, d := range []float64{1, 5, 2, 8} {
+		m.Charge(1+r, "w", d)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+	m.Alltoall(1, 4, 1)
+	// Entry clocks 1, 5, 2, 8: the first three wait for the rank at 8, and
+	// that one's latest peer entered at 5, so its messages are already in.
+	want := []float64{9, 9, 9, 9, 8}
+	for r, w := range want {
+		if math.Abs(m.Clock(r)-w) > 1e-9 {
+			t.Fatalf("rank %d clock %v, want %v", r, m.Clock(r), w)
+		}
+	}
+	if segs := m.Segments(1); len(segs) != 2 || segs[1] != (Segment{Label: "idle", Start: 1, End: m.Clock(1)}) {
+		t.Fatalf("rank 1 should wait in one idle segment from 1: %v", segs)
+	}
+	if len(m.Segments(4)) != 1 {
+		t.Fatalf("the latest rank should not wait: %v", m.Segments(4))
+	}
+	// A one-rank group exchanges nothing.
+	m.Alltoall(0, 1, 1)
+	if m.Clock(0) != 9 {
+		t.Fatalf("one-rank all-to-all moved the clock to %v", m.Clock(0))
+	}
+}
+
+// Hand-computed two-neighbour halo on the chain of ranks 1, 2, 3, with 1 s
+// per message. Rank 1 (at 0) swaps with rank 2 (at 4): 1 waits until 5, 2
+// already has 1's message. Then rank 2 swaps with rank 3 (at 10): 2 waits
+// until 11, and 3 — whose message from 2 was stamped 4 — does not wait.
+func TestHaloClocks(t *testing.T) {
+	m := NewMachine(4, LinkParams{Latency: 1, Bandwidth: 1e12})
+	m.Charge(2, "w", 4)
+	m.Charge(3, "w", 10)
+	m.Halo(1, 3, 1) // ranks 1..3; rank 0 is outside the chain
+	want := []float64{0, 5, 11, 10}
+	for r, w := range want {
+		if math.Abs(m.Clock(r)-w) > 1e-9 {
+			t.Fatalf("rank %d clock %v, want %v", r, m.Clock(r), w)
+		}
+	}
+	// A second round starts from those clocks (5, 11, 10): the middle
+	// rank's wait now reaches both ends, which receive what it stamped at 11.
+	m.Halo(1, 3, 1)
+	want = []float64{0, 12, 11, 12}
+	for r, w := range want {
+		if math.Abs(m.Clock(r)-w) > 1e-9 {
+			t.Fatalf("round 2: rank %d clock %v, want %v", r, m.Clock(r), w)
+		}
+	}
+	// A one-rank chain has no neighbours.
+	m.Halo(0, 1, 1)
+	if m.Clock(0) != 0 {
+		t.Fatalf("one-rank halo moved the clock to %v", m.Clock(0))
 	}
 }

@@ -108,8 +108,9 @@ type Model struct {
 	lastStepSeconds float64
 
 	// Execution: every Step runs the phase driver of shared.go on this
-	// Runner (pool.Serial runs each phase inline).
-	pool pool.Runner
+	// pool (nil runs each phase inline).
+	//foam:transient pool the executor's worker pool, attached by SetPool; how a step runs, never simulation state
+	pool *pool.Pool
 	//foam:transient ws per-worker row buffers, fully rewritten inside each kernel call
 	ws []*workScratch
 	//foam:transient ph pre-bound phase closures and their per-step staging, bound once at construction
@@ -339,14 +340,10 @@ func (m *Model) Diagnostics() Diagnostics { return m.diag }
 // StepCount returns completed tracer steps.
 func (m *Model) StepCount() int { return m.step }
 
-// SetPool attaches the Runner the phase driver executes on and keeps one
+// SetPool attaches the pool the phase driver executes on and keeps one
 // set of row buffers per worker. The integration is bit-identical for
-// any Runner and worker count (see shared.go). Pass nil for serial
-// execution.
-func (m *Model) SetPool(p pool.Runner) {
-	if p == nil {
-		p = pool.Serial
-	}
+// any worker count (see shared.go). Pass nil for serial execution.
+func (m *Model) SetPool(p *pool.Pool) {
 	m.pool = p
 	if len(m.ws) == p.Workers() {
 		return

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSharedPoolMatchesSerial: stepping on a worker pool must be
-// bit-identical (==, not approximately) to pool.Serial for any worker
+// bit-identical (==, not approximately) to the serial path for any worker
 // count, on every prognostic field. Worker counts 2, 3 and 7 cut the
 // interior rows into uneven sub-ranges (7 workers over the 29 interior rows
 // of the asymmetric grid leaves blocks of 4 and 5 rows), so every rolling

@@ -2,11 +2,10 @@ package ocean
 
 // The step driver. One tracer step is one fixed sequence of phases; each
 // phase runs a group of row kernels over a partition of the interior rows
-// on the model's pool.Runner. pool.Serial executes a phase inline over all
-// rows, a worker pool (or the ranked executor's rank pool) splits it into
-// row blocks, and both walk the same sequence, so the drivers cannot drift.
-// The decomposition rules that make the result bit-identical for any
-// Runner and worker count:
+// on the model's *pool.Pool. A nil pool executes a phase inline over all
+// rows, a worker pool splits it into row blocks, and both walk the same
+// sequence, so the drivers cannot drift. The decomposition rules that make
+// the result bit-identical for any worker count:
 //
 //   - Each row is written by exactly one worker, with the same per-cell
 //     operation order whatever the blocking. pool.Run's barrier separates
@@ -53,7 +52,7 @@ type phases struct {
 }
 
 // bindPhases builds the phase closures, once per model; they pick up the
-// per-worker scratch of whatever Runner is attached. Phases receive block
+// per-worker scratch of whatever pool is attached. Phases receive block
 // ranges over the NLat-2 interior rows and shift by one: they write rows
 // [1, NLat-1) while the closed boundary rows keep their all-land zeros.
 //

@@ -41,29 +41,6 @@ import (
 	"sync/atomic"
 )
 
-// Runner is the execution contract the model components program against:
-// anything that can partition [0, n) into at most Workers() blocks with the
-// pool.Block arithmetic and run a phase over them. *Pool is the
-// shared-memory implementation; the ranked executor substitutes a
-// message-passing implementation that spreads the same blocks over mp
-// ranks. Every implementation must honor the package's determinism
-// contract — static Block decomposition, Run as a barrier, serial inline
-// execution for nil/1-worker/nested calls — so swapping Runners can never
-// change a numerical result.
-type Runner interface {
-	// Workers returns the maximum concurrency; callers size per-worker
-	// scratch with it.
-	Workers() int
-	// Run partitions [0, n) with Block and calls fn(worker, lo, hi) for
-	// each non-empty block, returning when all blocks are done.
-	Run(n int, fn func(worker, lo, hi int))
-}
-
-// Serial is the canonical serial Runner: a typed nil *Pool, whose methods
-// run everything inline on the caller. Components hold a Runner field
-// initialized to Serial so "no pool attached" needs no nil checks.
-var Serial Runner = (*Pool)(nil)
-
 // Pool is a deterministic worker pool. The zero value is not usable; use
 // New. A nil *Pool is valid everywhere and means "serial".
 type Pool struct {

@@ -5,11 +5,10 @@
 // with fluxes averaged over the interval — used to live as nested loop
 // bodies inside core.Model.Step. Here it is compiled once into a periodic
 // Program: a list of ticks, each a fixed sequence of component steps,
-// coupling closures, and field transfers. Executors (internal/exec)
-// interpret the same Program serially, on a shared-memory pool, or spread
-// over message-passing ranks; because the Program fixes the order of every
-// state mutation and every transfer, all executors are bit-identical by
-// construction.
+// coupling closures, and field transfers. The executor (internal/exec)
+// interprets the Program serially or on a shared-memory pool; because the
+// Program fixes the order of every state mutation and every transfer, the
+// result is bit-identical either way by construction.
 //
 //foam:deterministic
 package sched
@@ -69,10 +68,10 @@ type Component interface {
 }
 
 // PoolAware is the optional face of a Component whose hot loops can run on
-// a pool.Runner. Executors attach their backend (shared-memory pool or
-// ranked member dispatch) through it; SetPool(nil) restores serial.
+// a worker pool. The executor attaches its pool through it; SetPool(nil)
+// restores serial.
 type PoolAware interface {
-	SetPool(p pool.Runner)
+	SetPool(p *pool.Pool)
 }
 
 // Snapshotter is the optional checkpoint face of a Component: Snapshot
@@ -102,8 +101,8 @@ type Schedule struct {
 	// coupling tick (fast component waits for the slow step — the original
 	// serial semantics). 1 is the paper's lagged coupling: the fast
 	// component imports the surface state the slow component produced in
-	// the *previous* interval, so a ranked executor can overlap the slow
-	// step with the next interval's fast steps (Section 4, Figure 2).
+	// the *previous* interval, so on a message-passing machine the slow
+	// step overlaps the next interval's fast steps (Section 4, Figure 2).
 	Lag int
 }
 
@@ -128,9 +127,8 @@ type Op struct {
 }
 
 // Program is a compiled schedule: a periodic sequence of ticks, each a
-// fixed op list. Executors run ticks in order; the op order within a tick
-// is the bit-identity contract every executor must preserve (subject only
-// to the dataflow edges the transfers define).
+// fixed op list. The executor runs ticks in order; the op order within a
+// tick is the bit-identity contract.
 type Program struct {
 	BaseDt   float64
 	CoupleDt float64
@@ -171,7 +169,8 @@ func xferFields(src, dst Component) []Field {
 // imports is the one the slow component produced an interval earlier — at
 // the first coupling tick, its initial state — and the slow step itself
 // becomes the last op of the tick, free to overlap with the next
-// interval's fast steps on a ranked executor.
+// interval's fast steps on a machine that gives each component its own
+// processors (core.RunTraced replays the program on a simulated one).
 func (s Schedule) Compile(comps []Component) (*Program, error) {
 	if len(comps) != 2 {
 		return nil, fmt.Errorf("sched: Compile wants a fast/slow component pair, got %d components", len(comps))

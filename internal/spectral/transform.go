@@ -102,8 +102,8 @@ type Transform struct {
 	pTab, hTab       []float64
 	pStride, hStride int
 
-	oneMu2 []float64   // 1 - mu^2 per latitude
-	pool   pool.Runner // pool.Serial = serial
+	oneMu2 []float64  // 1 - mu^2 per latitude
+	pool   *pool.Pool // nil = serial
 }
 
 // NewTransform builds transform tables for a truncation on an
@@ -114,7 +114,7 @@ func NewTransform(t Truncation, nlat, nlon int) *Transform {
 	}
 	nodes, weights := sphere.GaussLegendre(nlat)
 	tr := &Transform{Trunc: t, NLat: nlat, NLon: nlon, mu: nodes, w: weights,
-		fft: NewFFT(nlon), pool: pool.Serial}
+		fft: NewFFT(nlon)}
 	tr.pl = NewLegendre(t.M, t.NMax()+1)
 	tr.hl = NewLegendre(t.M, t.NMax())
 	tr.pStride = tr.pl.TableSize()
@@ -147,17 +147,14 @@ func (tr *Transform) hRow(j int) []float64 {
 // serial; Workspaces belong to the copy that created them.
 func (tr *Transform) Share() *Transform {
 	cp := *tr
-	cp.pool = pool.Serial
+	cp.pool = nil
 	return &cp
 }
 
-// SetPool attaches a Runner to execute the transform stages on. A nil
-// Runner restores serial execution. Workspaces created before SetPool are
+// SetPool attaches a pool to execute the transform stages on. A nil
+// pool restores serial execution. Workspaces created before SetPool are
 // sized for the old worker count and must be rebuilt.
-func (tr *Transform) SetPool(p pool.Runner) {
-	if p == nil {
-		p = pool.Serial
-	}
+func (tr *Transform) SetPool(p *pool.Pool) {
 	//foam:allow sharedro pool is the documented per-instance mutable binding; sharers each own their copy's pool
 	tr.pool = p
 }
