@@ -1,0 +1,117 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"math"
+	"reflect"
+	"testing"
+
+	"foam/internal/core"
+	"foam/internal/scenario"
+)
+
+// hashState feeds a value to h in declaration order, independent of any
+// serialization: ints as 8 little-endian bytes, floats as their IEEE bits
+// (so -0 and NaN payloads count), slices as their length then elements,
+// pointers as a presence byte then the pointee.
+func hashState(h hash.Hash, v reflect.Value) {
+	var b [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	switch v.Kind() {
+	case reflect.Int:
+		put(uint64(v.Int()))
+	case reflect.Float64:
+		put(math.Float64bits(v.Float()))
+	case reflect.Complex128:
+		c := v.Complex()
+		put(math.Float64bits(real(c)))
+		put(math.Float64bits(imag(c)))
+	case reflect.Slice:
+		put(uint64(v.Len()))
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			hashState(h, v.Index(i))
+		}
+	case reflect.Ptr:
+		if v.IsNil() {
+			h.Write([]byte{0})
+			return
+		}
+		h.Write([]byte{1})
+		hashState(h, v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			hashState(h, v.Field(i))
+		}
+	default:
+		panic(fmt.Sprintf("hashState: unsupported kind %s", v.Kind()))
+	}
+}
+
+func stateHash(c *core.Checkpoint) string {
+	h := sha256.New()
+	hashState(h, reflect.ValueOf(c))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func buildScenario(t testing.TB, name string, workers int) *core.Model {
+	t.Helper()
+	sp, ok := scenario.Lookup(name)
+	if !ok {
+		t.Fatalf("no scenario %q", name)
+	}
+	cfg, err := scenario.Build(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = workers
+	m, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	return m
+}
+
+// TestCheckpointStatePinned pins what a checkpoint holds, not how it is
+// written: the hashes were recorded on the tree that still gob-encoded
+// checkpoints (commit 24fa884) and must hold across any change of the
+// container format, which breaks byte-for-byte comparison of checkpoint
+// files between commits exactly once. paper-foam stops mid-interval (30
+// steps = 2.5 coupling intervals), so the flux accumulators are non-zero.
+func TestCheckpointStatePinned(t *testing.T) {
+	cases := []struct {
+		scenario string
+		steps    int // 0: run days instead
+		days     float64
+		want     string
+	}{
+		{scenario: "r5-quick", days: 2, want: "b6035553126ecc67f1d5dfb8fe4e617aad38ad5d90512024998ae268d4df8bf8"},
+		{scenario: "paper-foam", steps: 30, want: "63b8b6179522bd5d9cc04f91d53b1f06faaf01a20f053d13a18ae0969a3a5b37"},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.scenario, workers), func(t *testing.T) {
+				m := buildScenario(t, tc.scenario, workers)
+				if tc.steps > 0 {
+					for i := 0; i < tc.steps; i++ {
+						m.Step()
+					}
+				} else {
+					m.StepDays(tc.days)
+				}
+				if got := stateHash(m.Checkpoint()); got != tc.want {
+					t.Errorf("state hash %s, pinned %s", got, tc.want)
+				}
+			})
+		}
+	}
+}
