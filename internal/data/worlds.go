@@ -80,13 +80,15 @@ func (w *World) Orography(g *sphere.Grid) []float64 {
 
 // OceanKMT builds the ocean bathymetry (active levels per cell) on the
 // ocean grid: full depth in the open ocean, shoaling across a continental
-// margin over a few cells, zero on land.
+// margin over a few cells, zero on land. The land mask is evaluated once
+// per cell; the neighbour search reads it.
 func (w *World) OceanKMT(g *sphere.Grid, nlev int) []int {
+	land := w.LandMask(g)
 	kmt := make([]int, g.Size())
 	for j := 0; j < g.NLat(); j++ {
 		for i := 0; i < g.NLon(); i++ {
 			c := g.Index(j, i)
-			if w.isLand(g.Lats[j], g.Lons[i]) {
+			if land[c] {
 				kmt[c] = 0
 				continue
 			}
@@ -100,7 +102,7 @@ func (w *World) OceanKMT(g *sphere.Grid, nlev int) []int {
 						continue
 					}
 					ii := (i + di + g.NLon()) % g.NLon()
-					if w.isLand(g.Lats[jj], g.Lons[ii]) {
+					if land[g.Index(jj, ii)] {
 						d := sphere.GreatCircle(g.Lats[j], g.Lons[i], g.Lats[jj], g.Lons[ii])
 						if d < minD {
 							minD = d
