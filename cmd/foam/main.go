@@ -90,7 +90,7 @@ func main() {
 	record := flag.String("record", "", "CSV file to append monthly mean SST rows to")
 	quiet := flag.Bool("quiet", false, "suppress periodic diagnostics")
 	mapOut := flag.Bool("map", true, "print an ASCII SST map at the end")
-	saveChk := flag.String("checkpoint", "", "write a restart checkpoint here at the end")
+	saveChk := flag.String("checkpoint", "", "write a restart checkpoint here at the end (replaces the file atomically)")
 	resume := flag.String("resume", "", "resume from a checkpoint file")
 	workers := flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = serial); results are bit-identical for any value")
 	lag := flag.Int("lag", -1, "ocean coupling lag: 0 = synchronous, 1 = the paper's lagged coupling, -1 = the scenario's")
@@ -118,13 +118,15 @@ func main() {
 		os.Exit(1)
 	}
 	if *resume != "" {
+		// One line either way: a file that is not a version-1 checkpoint
+		// (core.ErrCheckpointFormat, ErrCheckpointCorrupt) or one from another
+		// configuration (ErrCheckpointMismatch); the error says which.
 		chk, err := foam.LoadCheckpointFile(*resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "resume:", err)
-			os.Exit(1)
+		if err == nil {
+			err = m.Restore(chk)
 		}
-		if err := m.Restore(chk); err != nil {
-			fmt.Fprintln(os.Stderr, "resume:", err)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "resume: %s: %v\n", *resume, err)
 			os.Exit(1)
 		}
 		fmt.Printf("resumed from %s at step %d (%.1f simulated days)\n",
@@ -180,7 +182,7 @@ func main() {
 		sim/86400, el.Round(time.Millisecond), sim/el.Seconds())
 	if *saveChk != "" {
 		if err := m.Checkpoint().SaveFile(*saveChk); err != nil {
-			fmt.Fprintln(os.Stderr, "checkpoint:", err)
+			fmt.Fprintf(os.Stderr, "checkpoint: %s not written (a previous file there is untouched): %v\n", *saveChk, err)
 			os.Exit(1)
 		}
 		fmt.Printf("checkpoint written to %s\n", *saveChk)

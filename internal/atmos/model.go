@@ -557,9 +557,45 @@ func (m *Model) Snapshot() *Snapshot {
 	}
 }
 
+// sameShape reports the first row of got whose length is not want's.
+func sameShape[T any](name string, got, want [][]T) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("atmos: snapshot field %s has %d rows, the model has %d", name, len(got), len(want))
+	}
+	for k := range want {
+		if len(got[k]) != len(want[k]) {
+			return fmt.Errorf("atmos: snapshot field %s row %d has length %d, the model has %d", name, k, len(got[k]), len(want[k]))
+		}
+	}
+	return nil
+}
+
+// Fits reports whether s has the shape of this model's state: the level
+// count, spectral truncation and grid it was built for.
+func (m *Model) Fits(s *Snapshot) error {
+	p := m.phy
+	for _, err := range []error{
+		sameShape("VortC", s.VortC, m.cur.vort), sameShape("DivC", s.DivC, m.cur.div), sameShape("TempC", s.TempC, m.cur.temp),
+		sameShape("VortO", s.VortO, m.old.vort), sameShape("DivO", s.DivO, m.old.div), sameShape("TempO", s.TempO, m.old.temp),
+		sameShape("Lnps", [][]complex128{s.LnpsC, s.LnpsO}, [][]complex128{m.cur.lnps, m.old.lnps}),
+		sameShape("Q", s.Q, m.q), sameShape("QR", s.QR, p.qr),
+		sameShape("surface fields", [][]float64{s.SWDn, s.LWDn, s.Rain, s.Snow, s.ExTSurf, s.ExAlbedo},
+			[][]float64{p.swdn, p.lwdn, p.rain, p.snow, p.lastEx.TSurf, p.lastEx.Albedo}),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Restore installs a checkpoint previously produced by Snapshot on a model
-// with the identical configuration.
-func (m *Model) Restore(s *Snapshot) {
+// with the identical configuration. A snapshot that does not fit (see Fits)
+// is an error and leaves the model untouched.
+func (m *Model) Restore(s *Snapshot) error {
+	if err := m.Fits(s); err != nil {
+		return err
+	}
 	m.step = s.Step
 	for k := range m.cur.vort {
 		copy(m.cur.vort[k], s.VortC[k])
@@ -582,4 +618,5 @@ func (m *Model) Restore(s *Snapshot) {
 	m.phy.meanPrecip = s.MeanPrecip
 	m.phy.meanEvap = s.MeanEvap
 	m.updateDiagnostics()
+	return nil
 }

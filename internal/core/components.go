@@ -148,14 +148,46 @@ func (c *atmComponent) Snapshot() any {
 	return s
 }
 
-// RestoreSnapshot implements sched.Snapshotter.
+// fits reports whether s has the shapes of this atmosphere and coupler.
+func (c *atmComponent) fits(s *atmState) error {
+	if err := c.at.Fits(s.atm); err != nil {
+		return err
+	}
+	cp := c.cpl
+	nAtm, nOcn := len(cp.Land.Water), cp.OcnGrid.Size()
+	for _, f := range []struct {
+		name      string
+		got, want int
+	}{
+		{"LandT", len(s.landT), len(cp.Land.T)}, {"LandWater", len(s.landWater), nAtm},
+		{"LandSnow", len(s.landSnow), len(cp.Land.Snow)}, {"RiverVol", len(s.riverVol), len(cp.River.Volume)},
+		{"IceThick", len(s.iceThick), len(cp.Ice.Thick)}, {"IceTSurf", len(s.iceTSurf), len(cp.Ice.TSurf)},
+		{"AccTauX", len(s.accTauX), nOcn}, {"AccTauY", len(s.accTauY), nOcn},
+		{"AccHeat", len(s.accHeat), nOcn}, {"AccFW", len(s.accFW), nOcn},
+		{"AccRunoff", len(s.accRunoff), nAtm},
+		{"CplSST", len(s.mirSST), nOcn}, {"CplIceForm", len(s.mirIceForm), nOcn},
+	} {
+		if f.got != f.want {
+			return fmt.Errorf("core: checkpoint field %s has length %d, the model has %d", f.name, f.got, f.want)
+		}
+	}
+	return nil
+}
+
+// RestoreSnapshot implements sched.Snapshotter. A state that does not fit
+// is an error and leaves the component untouched.
 func (c *atmComponent) RestoreSnapshot(v any) error {
 	s, ok := v.(*atmState)
 	if !ok {
 		return fmt.Errorf("core: atmosphere snapshot has type %T", v)
 	}
+	if err := c.fits(s); err != nil {
+		return err
+	}
 	cp := c.cpl
-	c.at.Restore(s.atm)
+	if err := c.at.Restore(s.atm); err != nil {
+		return err
+	}
 	copy(cp.Land.T, s.landT)
 	copy(cp.Land.Water, s.landWater)
 	copy(cp.Land.Snow, s.landSnow)
@@ -163,10 +195,8 @@ func (c *atmComponent) RestoreSnapshot(v any) error {
 	copy(cp.Ice.Thick, s.iceThick)
 	copy(cp.Ice.TSurf, s.iceTSurf)
 	cp.RestoreAccum(s.accTauX, s.accTauY, s.accHeat, s.accFW, s.accRunoff, s.accSteps)
-	if s.mirSST != nil {
-		cp.SetSST(s.mirSST)
-		cp.SetIceFormation(s.mirIceForm)
-	}
+	cp.SetSST(s.mirSST)
+	cp.SetIceFormation(s.mirIceForm)
 	return nil
 }
 
@@ -257,8 +287,7 @@ func (c *ocnComponent) RestoreSnapshot(v any) error {
 	if !ok {
 		return fmt.Errorf("core: ocean snapshot has type %T", v)
 	}
-	c.oc.Restore(s)
-	return nil
+	return c.oc.Restore(s)
 }
 
 // The components must satisfy the full contract (and its optional faces).

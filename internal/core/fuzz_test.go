@@ -2,48 +2,47 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
-
-	"foam/internal/atmos"
-	"foam/internal/ocean"
 )
 
 // FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint decoder.
-// Malformed input must produce an error, never a panic — restart chains
-// read files that may be truncated by a killed run or corrupted on disk.
+// Restart chains read files that a killed run truncated or a disk
+// corrupted, and foam-serve reads checkpoints from request bodies, so the
+// decoder must answer every input with a checkpoint or one of its two typed
+// errors — never a panic — and whatever it accepts must be the one encoding
+// of the state it returns.
 func FuzzLoadCheckpoint(f *testing.F) {
-	// Seed with a structurally valid (if tiny) checkpoint so the fuzzer
-	// explores mutations of real gob streams, plus degenerate inputs.
-	valid := &Checkpoint{
-		Step: 42,
-		Atm: &atmos.Snapshot{
-			Step:  42,
-			LnpsC: []complex128{1 + 2i},
-			Q:     [][]float64{{0.001, 0.002}},
-		},
-		Ocn: &ocean.Snapshot{
-			Step: 3,
-			Eta:  []float64{0.1, -0.1},
-			T:    [][]float64{{10, 11}},
-		},
-		LandWater: []float64{5},
+	w := encodeMini(f)
+	valid := w.Bytes()
+	f.Add(valid)
+	for _, end := range w.ends[:len(w.ends)-1] {
+		f.Add(valid[:end]) // truncated at each section boundary
 	}
-	var buf bytes.Buffer
-	if err := valid.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x04
+	f.Add(flipped)
+	f.Add(hugeClaim(f))
+	f.Add(readTestdata(f, "pre-v1.gob.ckpt"))
 	f.Add([]byte{})
-	f.Add([]byte("not a gob stream"))
-	f.Add(buf.Bytes()[:buf.Len()/2]) // truncated checkpoint
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := LoadCheckpoint(bytes.NewReader(data))
-		if err != nil && c != nil {
-			t.Fatalf("LoadCheckpoint returned both a checkpoint and error %v", err)
+		if err != nil {
+			if c != nil {
+				t.Fatalf("LoadCheckpoint returned both a checkpoint and error %v", err)
+			}
+			if !errors.Is(err, ErrCheckpointFormat) && !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("LoadCheckpoint error %v is neither ErrCheckpointFormat nor ErrCheckpointCorrupt", err)
+			}
+			return
 		}
-		if err == nil && c == nil {
-			t.Fatal("LoadCheckpoint returned nil checkpoint without error")
+		var again bytes.Buffer
+		if err := c.Save(&again); err != nil {
+			t.Fatalf("re-encoding an accepted checkpoint: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatal("LoadCheckpoint accepted bytes that are not the encoding of what it returned")
 		}
 	})
 }

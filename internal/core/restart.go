@@ -1,13 +1,26 @@
 package core
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	"foam/internal/atmos"
 	"foam/internal/ocean"
+)
+
+// The three ways a checkpoint fails. LoadCheckpoint returns the first two,
+// Model.Restore the third; each wraps the class with the detail.
+var (
+	// ErrCheckpointFormat: not a version-1 container, truncated, or not
+	// the sections this build's Checkpoint has.
+	ErrCheckpointFormat = errors.New("core: malformed checkpoint")
+	// ErrCheckpointCorrupt: a section's checksum does not match its bytes.
+	ErrCheckpointCorrupt = errors.New("core: corrupt checkpoint")
+	// ErrCheckpointMismatch: a checkpoint whose shapes are not the model's
+	// (another resolution, or a hand-built incomplete value).
+	ErrCheckpointMismatch = errors.New("core: checkpoint does not fit the model")
 )
 
 // Checkpoint is the complete restartable state of the coupled model. The
@@ -32,8 +45,7 @@ type Checkpoint struct {
 
 	// Mid-interval ocean-forcing accumulators (ocean grid; AccRunoff on
 	// the atmosphere grid) and the atmosphere steps they cover. All-zero
-	// at a coupling boundary. Nil in pre-PR5 checkpoints, which therefore
-	// restore exactly only at coupling boundaries — as they always did.
+	// at a coupling boundary.
 	AccTauX   []float64
 	AccTauY   []float64
 	AccHeat   []float64
@@ -43,9 +55,7 @@ type Checkpoint struct {
 
 	// The coupler's mirrored ocean surface. Under a lagged schedule this
 	// trails the ocean's live state by one interval, so it cannot be
-	// reconstructed from the ocean snapshot. Nil in pre-PR5 checkpoints
-	// (restored by re-absorbing the live ocean state, correct for the
-	// synchronous schedule those runs used).
+	// reconstructed from the ocean snapshot.
 	CplSST     []float64
 	CplIceForm []float64
 }
@@ -77,15 +87,15 @@ func (m *Model) Checkpoint() *Checkpoint {
 	}
 }
 
-// Restore installs a checkpoint onto a freshly constructed model with the
-// same configuration and re-phases the executor, so the next Step replays
-// exactly the op sequence the original run would have executed.
+// Restore installs a checkpoint onto a model with the same configuration
+// and re-phases the executor, so the next Step replays exactly the op
+// sequence the original run would have executed. Every slice length is
+// checked against the model before the first write: a checkpoint from
+// another resolution, or an incomplete one, is ErrCheckpointMismatch and
+// leaves the model as it was.
 func (m *Model) Restore(c *Checkpoint) error {
 	if c.Atm == nil || c.Ocn == nil {
-		return fmt.Errorf("core: incomplete checkpoint")
-	}
-	if err := m.ocnC.RestoreSnapshot(c.Ocn); err != nil {
-		return err
+		return fmt.Errorf("%w: incomplete checkpoint", ErrCheckpointMismatch)
 	}
 	as := &atmState{
 		atm:        c.Atm,
@@ -104,39 +114,57 @@ func (m *Model) Restore(c *Checkpoint) error {
 		mirSST:     c.CplSST,
 		mirIceForm: c.CplIceForm,
 	}
-	if err := m.atmC.RestoreSnapshot(as); err != nil {
-		return err
+	// The ocean restores first and checks itself; checking the atmosphere
+	// side before it means nothing is written unless both fit.
+	err := m.atmC.fits(as)
+	if err == nil {
+		err = m.ocnC.RestoreSnapshot(c.Ocn)
 	}
-	if c.CplSST == nil {
-		// Pre-PR5 checkpoint: the mirror is the live ocean surface.
-		m.Cpl.AbsorbOcean(m.Ocn)
+	if err == nil {
+		err = m.atmC.RestoreSnapshot(as)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCheckpointMismatch, err)
 	}
 	m.ex.Seek(c.Step)
 	return nil
 }
 
-// Save writes a checkpoint with gob encoding.
-func (c *Checkpoint) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(c)
-}
+// Save writes the checkpoint to w as a version-1 container (container.go):
+// versioned, checksummed per section, and byte-identical for identical
+// state.
+func (c *Checkpoint) Save(w io.Writer) error { return encodeCheckpoint(w, c) }
 
-// LoadCheckpoint reads a gob checkpoint.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := gob.NewDecoder(r).Decode(&c); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
+// LoadCheckpoint reads a version-1 container. Anything else — another
+// format or version, a truncated file — is ErrCheckpointFormat, and a
+// checksum failure ErrCheckpointCorrupt; r must end where the container
+// does.
+func LoadCheckpoint(r io.Reader) (*Checkpoint, error) { return decodeCheckpoint(r) }
 
-// SaveFile and LoadFile are path conveniences.
+// SaveFile writes the checkpoint to path atomically: to path+".tmp", which
+// replaces path only once it is completely written, synced and closed. A
+// failure leaves whatever was at path — the previous link of a restart
+// chain — untouched.
 func (c *Checkpoint) SaveFile(path string) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return c.Save(f)
+	err = c.Save(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort; the error that matters is already in hand
+	}
+	return err
 }
 
 // LoadCheckpointFile reads a checkpoint from a file.

@@ -616,9 +616,8 @@ func (cp *Coupler) MirrorSnapshot() (sst, iceForm []float64) {
 
 // RestoreAccum installs saved ocean-forcing accumulators, so a checkpoint
 // taken mid-coupling-interval resumes with the exact partial sums the
-// original run carried into its next DrainOceanForcing. Nil slices leave
-// the corresponding accumulator untouched (old checkpoints without
-// accumulator state restore at a coupling boundary, where all are zero).
+// original run carried into its next DrainOceanForcing. The caller checks
+// the lengths (core.Model.Restore does).
 func (cp *Coupler) RestoreAccum(tauX, tauY, heat, fw, runoff []float64, steps int) {
 	copy(cp.accTauX, tauX)
 	copy(cp.accTauY, tauY)

@@ -251,7 +251,7 @@ func (s *Scheduler) create(cfg core.Config, chk *core.Checkpoint, parent, scen s
 	if chk != nil {
 		if err := model.Restore(chk); err != nil {
 			model.Close()
-			return Info{}, fmt.Errorf("%w: checkpoint does not fit the config: %v", ErrInvalid, err)
+			return Info{}, fmt.Errorf("%w: %v", ErrInvalid, err) // core.ErrCheckpointMismatch says what does not fit
 		}
 	}
 

@@ -12,9 +12,12 @@ import (
 )
 
 // The HTTP/JSON API of foam-serve. All bodies are JSON; checkpoints travel
-// as gob blobs base64-encoded by encoding/json's []byte handling, so a
+// as version-1 checkpoint containers (core.Checkpoint.Save: versioned,
+// checksummed) base64-encoded by encoding/json's []byte handling, so a
 // SnapshotResponse can be POSTed back verbatim as a CreateRequest to
-// resume a member — on the same server or another one.
+// resume a member — on the same server or another one. A checkpoint that
+// is malformed, corrupt or from another resolution is a 400, never a
+// panic and never a partly restored member.
 //
 //	POST   /v1/members              create from a config (or resume, with a checkpoint)
 //	GET    /v1/members              list
@@ -122,6 +125,20 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
+// decodeCheckpoint decodes a request's checkpoint bytes; none is no
+// checkpoint. Every decoding failure (core.ErrCheckpointFormat,
+// core.ErrCheckpointCorrupt) is the client's: ErrInvalid, a 400.
+func decodeCheckpoint(b []byte) (*core.Checkpoint, error) {
+	if len(b) == 0 {
+		return nil, nil
+	}
+	chk, err := core.LoadCheckpoint(bytes.NewReader(b))
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad checkpoint: %v", ErrInvalid, err)
+	}
+	return chk, nil
+}
+
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -148,14 +165,10 @@ func (h *handler) create(w http.ResponseWriter, r *http.Request) {
 	if req.Flat != nil {
 		cfg.Flat = *req.Flat
 	}
-	var chk *core.Checkpoint
-	if len(req.Checkpoint) > 0 {
-		var err error
-		chk, err = core.LoadCheckpoint(bytes.NewReader(req.Checkpoint))
-		if err != nil {
-			writeErr(w, fmt.Errorf("%w: bad checkpoint: %v", ErrInvalid, err))
-			return
-		}
+	chk, err := decodeCheckpoint(req.Checkpoint)
+	if err != nil {
+		writeErr(w, err)
+		return
 	}
 	info, err := h.s.Create(cfg, chk)
 	if err != nil {
@@ -283,13 +296,10 @@ func (h *handler) createScenario(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		if len(req.Checkpoint) > 0 {
-			var err error
-			chk, err = core.LoadCheckpoint(bytes.NewReader(req.Checkpoint))
-			if err != nil {
-				writeErr(w, fmt.Errorf("%w: bad checkpoint: %v", ErrInvalid, err))
-				return
-			}
+		var err error
+		if chk, err = decodeCheckpoint(req.Checkpoint); err != nil {
+			writeErr(w, err)
+			return
 		}
 	}
 	info, err := h.s.CreateScenario(r.PathValue("name"), chk)

@@ -87,6 +87,27 @@ func TestHandlerTable(t *testing.T) {
 		t.Fatalf("delete: status %d", code)
 	}
 
+	// Checkpoints for the resume rows: the live member's own, the same with
+	// one bit flipped, and one from the paper's resolution, which used to
+	// panic inside Restore (index out of range) and reset the connection.
+	var snap ensemble.SnapshotResponse
+	if code := doJSON(t, srv, "POST", "/v1/members/"+live.ID+"/snapshot", "", &snap); code != http.StatusOK {
+		t.Fatalf("snapshot: status %d", code)
+	}
+	r5Checkpoint := snap.Checkpoint
+	corrupt := append([]byte(nil), r5Checkpoint...)
+	corrupt[len(corrupt)/2] ^= 1
+	paper, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paper.Close()
+	var buf bytes.Buffer
+	if err := paper.Checkpoint().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r15Checkpoint := buf.Bytes()
+
 	cases := []struct {
 		name   string
 		method string
@@ -101,7 +122,11 @@ func TestHandlerTable(t *testing.T) {
 		{"create overrides without config", "POST", "/v1/members", `{"ocean_lag":1,"flat":true}`, http.StatusBadRequest},
 		{"create checkpoint without config", "POST", "/v1/members", `{"checkpoint":"AAAA"}`, http.StatusBadRequest},
 		{"create invalid config", "POST", "/v1/members", `{"config":{"OceanEvery":-1}}`, http.StatusBadRequest},
-		{"create bad checkpoint", "POST", "/v1/members", reducedBody(t, []byte("not a gob stream")), http.StatusBadRequest},
+		{"create bad checkpoint", "POST", "/v1/members", reducedBody(t, []byte("not a checkpoint")), http.StatusBadRequest},
+		{"create truncated checkpoint", "POST", "/v1/members", reducedBody(t, r5Checkpoint[:len(r5Checkpoint)/2]), http.StatusBadRequest},
+		{"create corrupt checkpoint", "POST", "/v1/members", reducedBody(t, corrupt), http.StatusBadRequest},
+		{"create checkpoint of another resolution", "POST", "/v1/members", reducedBody(t, r15Checkpoint), http.StatusBadRequest},
+		{"create from its own checkpoint", "POST", "/v1/members", reducedBody(t, r5Checkpoint), http.StatusCreated},
 		{"info unknown", "GET", "/v1/members/m9999", "", http.StatusNotFound},
 		{"advance unknown", "POST", "/v1/members/m9999/advance", `{"steps":1}`, http.StatusNotFound},
 		{"advance deleted", "POST", "/v1/members/" + deleted.ID + "/advance", `{"steps":1}`, http.StatusNotFound},
@@ -124,10 +149,15 @@ func TestHandlerTable(t *testing.T) {
 		})
 	}
 
-	// The live member is untouched by all of the above.
+	// The live member is untouched by all of the above, the daemon still
+	// serves, and the only member added is the one valid resume.
 	var info ensemble.Info
 	if code := doJSON(t, srv, "GET", "/v1/members/"+live.ID, "", &info); code != http.StatusOK || info.Step != 0 {
 		t.Fatalf("live member: status %d info %+v", code, info)
+	}
+	var members []ensemble.Info
+	if code := doJSON(t, srv, "GET", "/v1/members", "", &members); code != http.StatusOK || len(members) != 2 {
+		t.Fatalf("member list: status %d, %d members, want 2", code, len(members))
 	}
 }
 

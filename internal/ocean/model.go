@@ -452,9 +452,40 @@ func (m *Model) Snapshot() *Snapshot {
 	}
 }
 
+// sameShape reports the first row of got whose length is not want's.
+func sameShape(name string, got, want [][]float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("ocean: snapshot field %s has %d rows, the model has %d", name, len(got), len(want))
+	}
+	for k := range want {
+		if len(got[k]) != len(want[k]) {
+			return fmt.Errorf("ocean: snapshot field %s row %d has length %d, the model has %d", name, k, len(got[k]), len(want[k]))
+		}
+	}
+	return nil
+}
+
+// Fits reports whether s has the shape of this model's state: the level
+// count and grid it was built for.
+func (m *Model) Fits(s *Snapshot) error {
+	for _, err := range []error{
+		sameShape("U", s.U, m.u), sameShape("V", s.V, m.v), sameShape("T", s.T, m.t), sameShape("S", s.S, m.s),
+		sameShape("surface fields", [][]float64{s.Eta, s.Ubt, s.Vbt, s.IceFlux}, [][]float64{m.eta, m.ubt, m.vbt, m.iceFlux}),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Restore installs a checkpoint onto a model with identical configuration
-// and bathymetry.
-func (m *Model) Restore(s *Snapshot) {
+// and bathymetry. A snapshot that does not fit (see Fits) is an error and
+// leaves the model untouched.
+func (m *Model) Restore(s *Snapshot) error {
+	if err := m.Fits(s); err != nil {
+		return err
+	}
 	m.step = s.Step
 	for k := range m.u {
 		copy(m.u[k], s.U[k])
@@ -465,8 +496,7 @@ func (m *Model) Restore(s *Snapshot) {
 	copy(m.eta, s.Eta)
 	copy(m.ubt, s.Ubt)
 	copy(m.vbt, s.Vbt)
-	if s.IceFlux != nil {
-		copy(m.iceFlux, s.IceFlux)
-	}
+	copy(m.iceFlux, s.IceFlux)
 	m.updateDiagnostics()
+	return nil
 }
