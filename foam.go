@@ -232,11 +232,21 @@ type Checkpoint = core.Checkpoint
 // Checkpoint returns a restartable snapshot of the model.
 func (m *Model) Checkpoint() *Checkpoint { return m.Model.Checkpoint() }
 
-// Restore installs a checkpoint onto a freshly built model with the same
-// configuration.
+// Restore installs a checkpoint onto a model with the same configuration.
+// One that does not fit is ErrCheckpointMismatch and leaves the model as
+// it was.
 func (m *Model) Restore(c *Checkpoint) error { return m.Model.Restore(c) }
 
 // LoadCheckpointFile reads a checkpoint written with Checkpoint.SaveFile.
+// A file that is not a version-1 checkpoint (or is truncated) is
+// ErrCheckpointFormat, a failed checksum ErrCheckpointCorrupt.
 func LoadCheckpointFile(path string) (*Checkpoint, error) {
 	return core.LoadCheckpointFile(path)
 }
+
+// The ways a checkpoint is refused; test for them with errors.Is.
+var (
+	ErrCheckpointFormat   = core.ErrCheckpointFormat
+	ErrCheckpointCorrupt  = core.ErrCheckpointCorrupt
+	ErrCheckpointMismatch = core.ErrCheckpointMismatch
+)

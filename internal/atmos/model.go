@@ -557,14 +557,22 @@ func (m *Model) Snapshot() *Snapshot {
 	}
 }
 
-// sameShape reports the first row of got whose length is not want's.
+// sameLen and sameShape report a snapshot field whose length, or whose
+// first differing row's length, is not the model's.
+func sameLen[T any](name string, got, want []T) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("atmos: snapshot field %s has length %d, the model has %d", name, len(got), len(want))
+	}
+	return nil
+}
+
 func sameShape[T any](name string, got, want [][]T) error {
 	if len(got) != len(want) {
-		return fmt.Errorf("atmos: snapshot field %s has %d rows, the model has %d", name, len(got), len(want))
+		return fmt.Errorf("atmos: snapshot field %s has %d levels, the model has %d", name, len(got), len(want))
 	}
 	for k := range want {
 		if len(got[k]) != len(want[k]) {
-			return fmt.Errorf("atmos: snapshot field %s row %d has length %d, the model has %d", name, k, len(got[k]), len(want[k]))
+			return fmt.Errorf("atmos: snapshot field %s level %d has length %d, the model has %d", name, k, len(got[k]), len(want[k]))
 		}
 	}
 	return nil
@@ -577,10 +585,10 @@ func (m *Model) Fits(s *Snapshot) error {
 	for _, err := range []error{
 		sameShape("VortC", s.VortC, m.cur.vort), sameShape("DivC", s.DivC, m.cur.div), sameShape("TempC", s.TempC, m.cur.temp),
 		sameShape("VortO", s.VortO, m.old.vort), sameShape("DivO", s.DivO, m.old.div), sameShape("TempO", s.TempO, m.old.temp),
-		sameShape("Lnps", [][]complex128{s.LnpsC, s.LnpsO}, [][]complex128{m.cur.lnps, m.old.lnps}),
+		sameLen("LnpsC", s.LnpsC, m.cur.lnps), sameLen("LnpsO", s.LnpsO, m.old.lnps),
 		sameShape("Q", s.Q, m.q), sameShape("QR", s.QR, p.qr),
-		sameShape("surface fields", [][]float64{s.SWDn, s.LWDn, s.Rain, s.Snow, s.ExTSurf, s.ExAlbedo},
-			[][]float64{p.swdn, p.lwdn, p.rain, p.snow, p.lastEx.TSurf, p.lastEx.Albedo}),
+		sameLen("SWDn", s.SWDn, p.swdn), sameLen("LWDn", s.LWDn, p.lwdn), sameLen("Rain", s.Rain, p.rain), sameLen("Snow", s.Snow, p.snow),
+		sameLen("ExTSurf", s.ExTSurf, p.lastEx.TSurf), sameLen("ExAlbedo", s.ExAlbedo, p.lastEx.Albedo),
 	} {
 		if err != nil {
 			return err

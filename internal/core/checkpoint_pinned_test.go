@@ -68,6 +68,11 @@ func buildScenario(t testing.TB, name string, workers int) *core.Model {
 	if !ok {
 		t.Fatalf("no scenario %q", name)
 	}
+	return buildSpec(t, sp, workers)
+}
+
+func buildSpec(t testing.TB, sp scenario.Spec, workers int) *core.Model {
+	t.Helper()
 	cfg, err := scenario.Build(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +105,9 @@ func TestCheckpointStatePinned(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.scenario, workers), func(t *testing.T) {
+				if testing.Short() && tc.scenario == "paper-foam" {
+					t.Skip("paper resolution; the bit-identity job and plain go test run it")
+				}
 				m := buildScenario(t, tc.scenario, workers)
 				if tc.steps > 0 {
 					for i := 0; i < tc.steps; i++ {

@@ -12,21 +12,6 @@ import (
 	"foam/internal/scenario"
 )
 
-func buildSpec(t testing.TB, sp scenario.Spec) *core.Model {
-	t.Helper()
-	cfg, err := scenario.Build(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 1
-	m, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	return m
-}
-
 func save(t testing.TB, c *core.Checkpoint) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -54,7 +39,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := buildSpec(t, tc.spec)
+			if testing.Short() && tc.spec.Rung != "r5" {
+				t.Skip("paper resolution; plain go test runs it")
+			}
+			m := buildSpec(t, tc.spec, 1)
 			for i := 0; i < tc.steps; i++ {
 				m.Step()
 			}
@@ -120,7 +108,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		{"missing atmosphere levels", "VortC", func(c *core.Checkpoint) { c.Atm.VortC = nil }},
 		{"short atmosphere row", "Q", func(c *core.Checkpoint) { c.Atm.Q[3] = c.Atm.Q[3][:10] }},
 		{"short ocean row", "T", func(c *core.Checkpoint) { c.Ocn.T[0] = c.Ocn.T[0][:10] }},
-		{"missing ocean diagnostic", "surface fields", func(c *core.Checkpoint) { c.Ocn.IceFlux = nil }},
+		{"missing ocean diagnostic", "IceFlux", func(c *core.Checkpoint) { c.Ocn.IceFlux = nil }},
 		{"short land field", "LandSnow", func(c *core.Checkpoint) { c.LandSnow = c.LandSnow[:5] }},
 		{"nil coupler mirror", "CplSST", func(c *core.Checkpoint) { c.CplSST = nil }},
 		{"nil accumulator", "AccRunoff", func(c *core.Checkpoint) { c.AccRunoff = nil }},

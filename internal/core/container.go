@@ -293,7 +293,7 @@ func decodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	} else if v != ckptVersion {
 		return nil, d.format("format version %d, this build reads version %d", v, ckptVersion)
 	}
-	if n := binary.LittleEndian.Uint32(h[12:]); int64(n) != int64(len(secs)) {
+	if n := binary.LittleEndian.Uint32(h[12:]); int(n) != len(secs) {
 		return nil, d.format("%d sections, this build's checkpoint has %d", n, len(secs))
 	}
 	var bm []byte

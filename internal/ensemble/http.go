@@ -125,10 +125,10 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// decodeCheckpoint decodes a request's checkpoint bytes; none is no
+// requestCheckpoint decodes a request's checkpoint bytes; none is no
 // checkpoint. Every decoding failure (core.ErrCheckpointFormat,
 // core.ErrCheckpointCorrupt) is the client's: ErrInvalid, a 400.
-func decodeCheckpoint(b []byte) (*core.Checkpoint, error) {
+func requestCheckpoint(b []byte) (*core.Checkpoint, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
@@ -165,7 +165,7 @@ func (h *handler) create(w http.ResponseWriter, r *http.Request) {
 	if req.Flat != nil {
 		cfg.Flat = *req.Flat
 	}
-	chk, err := decodeCheckpoint(req.Checkpoint)
+	chk, err := requestCheckpoint(req.Checkpoint)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -297,7 +297,7 @@ func (h *handler) createScenario(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var err error
-		if chk, err = decodeCheckpoint(req.Checkpoint); err != nil {
+		if chk, err = requestCheckpoint(req.Checkpoint); err != nil {
 			writeErr(w, err)
 			return
 		}

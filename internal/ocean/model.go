@@ -452,14 +452,22 @@ func (m *Model) Snapshot() *Snapshot {
 	}
 }
 
-// sameShape reports the first row of got whose length is not want's.
+// sameLen and sameShape report a snapshot field whose length, or whose
+// first differing level's length, is not the model's.
+func sameLen(name string, got, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("ocean: snapshot field %s has length %d, the model has %d", name, len(got), len(want))
+	}
+	return nil
+}
+
 func sameShape(name string, got, want [][]float64) error {
 	if len(got) != len(want) {
-		return fmt.Errorf("ocean: snapshot field %s has %d rows, the model has %d", name, len(got), len(want))
+		return fmt.Errorf("ocean: snapshot field %s has %d levels, the model has %d", name, len(got), len(want))
 	}
 	for k := range want {
 		if len(got[k]) != len(want[k]) {
-			return fmt.Errorf("ocean: snapshot field %s row %d has length %d, the model has %d", name, k, len(got[k]), len(want[k]))
+			return fmt.Errorf("ocean: snapshot field %s level %d has length %d, the model has %d", name, k, len(got[k]), len(want[k]))
 		}
 	}
 	return nil
@@ -470,7 +478,7 @@ func sameShape(name string, got, want [][]float64) error {
 func (m *Model) Fits(s *Snapshot) error {
 	for _, err := range []error{
 		sameShape("U", s.U, m.u), sameShape("V", s.V, m.v), sameShape("T", s.T, m.t), sameShape("S", s.S, m.s),
-		sameShape("surface fields", [][]float64{s.Eta, s.Ubt, s.Vbt, s.IceFlux}, [][]float64{m.eta, m.ubt, m.vbt, m.iceFlux}),
+		sameLen("Eta", s.Eta, m.eta), sameLen("Ubt", s.Ubt, m.ubt), sameLen("Vbt", s.Vbt, m.vbt), sameLen("IceFlux", s.IceFlux, m.iceFlux),
 	} {
 		if err != nil {
 			return err
