@@ -317,12 +317,32 @@ func TestMoistureAdvectionConservesUnderSolidRotation(t *testing.T) {
 func TestPow4ByMultiplication(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	check := func(x float64) {
-		if got, want := pow4(x), math.Pow(x, 4); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("pow4(%v) = %v, math.Pow = %v", x, got, want)
+		if got, want := Pow4(x), math.Pow(x, 4); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Pow4(%v) = %v, math.Pow = %v", x, got, want)
 		}
 	}
 	for i := 0; i < 200000; i++ {
 		check(150 + 200*rng.Float64())        // the model's temperatures
+		check(math.Exp(20*rng.Float64() - 5)) // 0.007 .. 3e6
+	}
+	for x := 150.0; x <= 350; x = math.Nextafter(x, 400) + 1e-3 {
+		check(x)
+	}
+}
+
+// TestPow3ByMultiplication proves the substitution the land, sea-ice and
+// coupler surface balances make for the linearized emission dF/dT:
+// x*(x*x) equals math.Pow(x, 3) bit for bit over the surface-temperature
+// range (and well beyond it).
+func TestPow3ByMultiplication(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(x float64) {
+		if got, want := Pow3(x), math.Pow(x, 3); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Pow3(%v) = %v, math.Pow = %v", x, got, want)
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		check(150 + 200*rng.Float64())        // surface temperatures
 		check(math.Exp(20*rng.Float64() - 5)) // 0.007 .. 3e6
 	}
 	for x := 150.0; x <= 350; x = math.Nextafter(x, 400) + 1e-3 {

@@ -454,7 +454,7 @@ func (cp *Coupler) computePieceFlux(piece *OverlapCell, in *atmos.LowestLevel, i
 
 	// Ocean side: stress, net heat, fresh water. Snow falling on open
 	// water melts: mass gain, heat loss.
-	lwUp := 0.97 * atmos.StefBo * math.Pow(sstK, 4)
+	lwUp := 0.97 * atmos.StefBo * atmos.Pow4(sstK)
 	lat := atmos.LVap * ev
 	netHeat := in.SWDown[a]*(1-0.07) + 0.97*in.LWDown[a] - lwUp - sh - lat
 	netHeat -= in.SnowRate[a] * atmos.LFus

@@ -189,12 +189,12 @@ func (m *Model) Step(c int, in Input, dt float64) Output {
 	emit := 0.96
 	// Explicit fluxes at current Ts.
 	net := in.SWDown*(1-out.Albedo) + emit*in.LWDown -
-		emit*atmos.StefBo*math.Pow(T[0], 4) -
+		emit*atmos.StefBo*atmos.Pow4(T[0]) -
 		rho*atmos.Cp*ce*wEff*(T[0]-in.TAir) -
 		lv*evap +
 		cond*(T[1]-T[0])
 	// Linearized implicit update: dF/dTs of the stabilizing terms.
-	dfdt := 4*emit*atmos.StefBo*math.Pow(T[0], 3) + rho*atmos.Cp*ce*wEff + cond
+	dfdt := 4*emit*atmos.StefBo*atmos.Pow3(T[0]) + rho*atmos.Cp*ce*wEff + cond
 	dT := net * dt / (heatCap + dfdt*dt)
 	T[0] += dT
 

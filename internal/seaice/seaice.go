@@ -168,11 +168,11 @@ func (m *Model) Step(c int, in Input, dt float64) Output {
 	const emit = 0.97
 	heatCap := RhoWater * CpIce * math.Min(m.Thick[c], 0.5) // ice heat capacity of the active layer
 	net := in.SWDown*(1-out.Albedo) + emit*in.LWDown -
-		emit*atmos.StefBo*math.Pow(ts, 4) -
+		emit*atmos.StefBo*atmos.Pow4(ts) -
 		rho*atmos.Cp*ce*wEff*(ts-in.TAir) -
 		lv*evap +
 		cond*(FreezePoint-ts)
-	dfdt := 4*emit*atmos.StefBo*math.Pow(ts, 3) + rho*atmos.Cp*ce*wEff + cond
+	dfdt := 4*emit*atmos.StefBo*atmos.Pow3(ts) + rho*atmos.Cp*ce*wEff + cond
 	ts += net * dt / (heatCap + dfdt*dt)
 
 	// Surface melt when above freezing.
