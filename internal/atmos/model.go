@@ -122,6 +122,10 @@ func ConfigForTruncation(t spectral.Truncation, nlev int) Config {
 
 // Validate checks internal consistency.
 func (c Config) Validate() error {
+	if c.NLat < 2 || c.NLat%2 != 0 {
+		// The transform pairs row j with its mirror row NLat-1-j.
+		return fmt.Errorf("atmos: nlat %d must be a positive even number", c.NLat)
+	}
 	if c.NLon <= 2*c.Trunc.M {
 		return fmt.Errorf("atmos: nlon %d cannot resolve truncation M=%d", c.NLon, c.Trunc.M)
 	}

@@ -109,6 +109,9 @@ func TestConfigNormalizeRejections(t *testing.T) {
 		{"ocean-lag-out-of-range", func(c *Config) { c.OceanLag = 2 }},
 		{"non-divisor-radiation-cadence", func(c *Config) { c.OceanEvery = 7 }}, // 24 % 7 != 0
 		{"bad-truncation-grid-pair", func(c *Config) { c.Atm.NLon = 2 * c.Atm.Trunc.M }},
+		{"zero-atm-latitudes", func(c *Config) { c.Atm.NLat = 0 }},
+		{"negative-atm-latitudes", func(c *Config) { c.Atm.NLat = -4 }},
+		{"odd-atm-latitudes", func(c *Config) { c.Atm.NLat = 41 }},
 		{"too-few-atm-levels", func(c *Config) { c.Atm.NLev = 1 }},
 		{"nonpositive-atm-dt", func(c *Config) { c.Atm.Dt = 0 }},
 		{"negative-atm-hyperdiffusion", func(c *Config) { c.Atm.Diff4 = -1e17 }},

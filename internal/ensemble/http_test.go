@@ -107,6 +107,17 @@ func TestHandlerTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	r15Checkpoint := buf.Bytes()
+	// Atmosphere latitude counts with no mirror-row pairing used to pass
+	// Normalize and panic in BuildTables (0, -4) or run unpaired (odd).
+	nlatBody := func(n int) string {
+		cfg := core.ReducedConfig()
+		cfg.Atm.NLat = n
+		blob, err := json.Marshal(ensemble.CreateRequest{Config: &cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
 
 	cases := []struct {
 		name   string
@@ -122,6 +133,9 @@ func TestHandlerTable(t *testing.T) {
 		{"create overrides without config", "POST", "/v1/members", `{"ocean_lag":1,"flat":true}`, http.StatusBadRequest},
 		{"create checkpoint without config", "POST", "/v1/members", `{"checkpoint":"AAAA"}`, http.StatusBadRequest},
 		{"create invalid config", "POST", "/v1/members", `{"config":{"OceanEvery":-1}}`, http.StatusBadRequest},
+		{"create zero atmosphere latitudes", "POST", "/v1/members", nlatBody(0), http.StatusBadRequest},
+		{"create negative atmosphere latitudes", "POST", "/v1/members", nlatBody(-4), http.StatusBadRequest},
+		{"create odd atmosphere latitudes", "POST", "/v1/members", nlatBody(15), http.StatusBadRequest},
 		{"create bad checkpoint", "POST", "/v1/members", reducedBody(t, []byte("not a checkpoint")), http.StatusBadRequest},
 		{"create truncated checkpoint", "POST", "/v1/members", reducedBody(t, r5Checkpoint[:len(r5Checkpoint)/2]), http.StatusBadRequest},
 		{"create corrupt checkpoint", "POST", "/v1/members", reducedBody(t, corrupt), http.StatusBadRequest},
