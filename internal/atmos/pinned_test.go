@@ -16,8 +16,12 @@ import (
 
 // atmosPinnedCase is one row of the atmosphere trajectory-pinning matrix:
 // a truncation rung, a physics package, a step count and the SHA-256 of the
-// end state recorded on the tree before the atmosphere kernel pass (commit
-// 4fc9363).
+// end state. The hashes were first recorded before the atmosphere kernel
+// pass (commit 4fc9363) and re-recorded once for the hemispheric-pair
+// transform and the factored Exner tables, the first change meant to move
+// bits: every Snapshot field of every case then differed from the previous
+// end state by at most 7.4e-13 of its largest magnitude (DESIGN.md §21,
+// EXPERIMENTS.md E20).
 type atmosPinnedCase struct {
 	name      string
 	m, nlev   int
@@ -29,16 +33,16 @@ type atmosPinnedCase struct {
 }
 
 var atmosPinnedCases = []atmosPinnedCase{
-	{name: "r5-ccm3", m: 5, nlev: 8, physics: PhysicsCCM3, steps: 12, want: "130931e8ad3ed2ba3c9bd6518471f86b707e307a19587a2627011a9defa21c4a"},
-	{name: "r5-ccm2", m: 5, nlev: 8, physics: PhysicsCCM2, steps: 12, want: "4f9d94d7612b2169290c3b60d0a082cead4e7cce67170878392520e717b806f5"},
-	{name: "r5-adiabatic", m: 5, nlev: 8, adiabatic: true, steps: 12, want: "e5eacb9a2b016a1a53927135028b918b1842fd5b0aa2d86e6e670f600c51cfca"},
-	{name: "r15-ccm3", m: 15, nlev: 18, physics: PhysicsCCM3, steps: 6, want: "d390f15530d688e50d2cd88f94bf91f1b58d4ac7a33e8c7ef70161017e441526"},
-	{name: "r15-ccm2", m: 15, nlev: 18, physics: PhysicsCCM2, steps: 6, want: "7a03ddf023aab752bbf04ca91a90112086cb48aa95314d2055ba655002dc2fd2"},
-	{name: "r15-adiabatic", m: 15, nlev: 18, adiabatic: true, steps: 6, want: "927c122333dd57cdcd870021a1429319128f27a18c10dd176aa07f0dcddffaa0"},
-	{name: "r15-ccm3-orography", m: 15, nlev: 18, physics: PhysicsCCM3, orography: true, steps: 6, want: "2e202f475d84abbb08357f7df4b7bebfb5b269ecd25de081f0df4f0f99a577f3"},
-	{name: "r21-ccm3", m: 21, nlev: 18, physics: PhysicsCCM3, steps: 4, want: "8391e35a1f3c791de701fe10c61085f36871a6aa56e8acb2d78e27f2aeab1b6e"},
-	{name: "r21-ccm2", m: 21, nlev: 18, physics: PhysicsCCM2, steps: 4, want: "346fa7fcc5d82984f8fcdb092dfd315f0efe1a93b9388a1339510f263472e743"},
-	{name: "r21-adiabatic", m: 21, nlev: 18, adiabatic: true, steps: 4, want: "a3833b91d934acc3db2296a47a266032ada86882d999d8b47d3d40b7b74e3444"},
+	{name: "r5-ccm3", m: 5, nlev: 8, physics: PhysicsCCM3, steps: 12, want: "285eea6e8ccfe66879ac6e01c80719aa802f813aef4714d2af7761a0f93925e9"},
+	{name: "r5-ccm2", m: 5, nlev: 8, physics: PhysicsCCM2, steps: 12, want: "48c52987dd87c98fa676f51dd000c12adaddab8db4864f62925b61d03525b2cc"},
+	{name: "r5-adiabatic", m: 5, nlev: 8, adiabatic: true, steps: 12, want: "9ae6569d85fa8624a9199e02732fc267c1925e628667852ba69ad41a08fbbddd"},
+	{name: "r15-ccm3", m: 15, nlev: 18, physics: PhysicsCCM3, steps: 6, want: "21a6fe91133b979fcc9d564d219012715dcf058c0b4e6aa54d8c0fb3123f43bd"},
+	{name: "r15-ccm2", m: 15, nlev: 18, physics: PhysicsCCM2, steps: 6, want: "5b866511ac24fe90698a3a1c07d83ec4dd268e2ccbd9981568f8cf1bfc4c7da2"},
+	{name: "r15-adiabatic", m: 15, nlev: 18, adiabatic: true, steps: 6, want: "eefbb537a41fd4ed260667319c8124439ce68cc44e80c48c21a1447c53b12ade"},
+	{name: "r15-ccm3-orography", m: 15, nlev: 18, physics: PhysicsCCM3, orography: true, steps: 6, want: "f7d8781afd3b548615fe6dcf38abd8bc962a389bb44ba8c521769e0b7ea4ae92"},
+	{name: "r21-ccm3", m: 21, nlev: 18, physics: PhysicsCCM3, steps: 4, want: "257945ba507fa425e38f9abc41affae02d298df2b211fbe39109ae68d1ccfbd3"},
+	{name: "r21-ccm2", m: 21, nlev: 18, physics: PhysicsCCM2, steps: 4, want: "14abbc274d27e4272927f4674e10e2c9bd08cbe6fdee29dffa158f7f338efa62"},
+	{name: "r21-adiabatic", m: 21, nlev: 18, adiabatic: true, steps: 4, want: "9b435caebecd33eaf31f705c6f34b0e45340dee757f4fff60174e5942171473a"},
 }
 
 // atmosPinnedStart builds the case's model and perturbs the default start
@@ -134,11 +138,12 @@ func atmosPinnedHash(m *Model) string {
 }
 
 // TestAtmosTrajectoryPinned pins the atmosphere's floating-point trajectory:
-// the end state of a short run must hash to the constant recorded on the
-// parent tree, for every rung and physics package in the matrix and for the
-// serial driver and a 3-worker pool alike. Any kernel rewrite that reorders
-// a sum, replaces a math.Pow by a reciprocal or lets a -0 through fails
-// here. The constants are amd64 results; other architectures may contract
+// the end state of a short run must hash to the recorded constant, for
+// every rung and physics package in the matrix and for the serial driver
+// and a 3-worker pool alike. Any kernel rewrite that reorders a sum,
+// replaces a math.Pow by a reciprocal or lets a -0 through fails here; one
+// that does so on purpose re-records the constants in one commit with the
+// per-field old-vs-new distance beside them (DESIGN.md §21). The constants are amd64 results; other architectures may contract
 // a*b+c into a fused multiply-add and so are skipped.
 func TestAtmosTrajectoryPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {

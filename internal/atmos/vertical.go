@@ -41,6 +41,10 @@ type VGrid struct {
 	// level below up to full level k, lnUp[k] from there to the half level
 	// above (+Inf is never produced: Half[0] = sigmaTop > 0).
 	lnLow, lnUp []float64
+	// Full-level Exner factors of sigma, sigK[k] = Full[k]^kappa and
+	// sigKInv[k] = Full[k]^-kappa: a column's (p_k/P00)^kappa is
+	// sigK[k]*(ps/P00)^kappa.
+	sigK, sigKInv []float64
 }
 
 // NewVGrid builds an nl-level stretched sigma grid. The smoothstep
@@ -67,11 +71,15 @@ func NewVGrid(nl int, sigmaTop float64) *VGrid {
 	v.DSig = make([]float64, nl)
 	v.lnLow = make([]float64, nl)
 	v.lnUp = make([]float64, nl)
+	v.sigK = make([]float64, nl)
+	v.sigKInv = make([]float64, nl)
 	for k := 0; k < nl; k++ {
 		v.Full[k] = 0.5 * (v.Half[k] + v.Half[k+1])
 		v.DSig[k] = v.Half[k+1] - v.Half[k]
 		v.lnLow[k] = math.Log(v.Half[k+1] / v.Full[k])
 		v.lnUp[k] = math.Log(v.Full[k] / v.Half[k])
+		v.sigK[k] = math.Pow(v.Full[k], Kappa)
+		v.sigKInv[k] = math.Pow(v.Full[k], -Kappa)
 	}
 	v.buildHydro()
 	v.buildThermo()

@@ -105,11 +105,11 @@ func NewFFT(n int) *FFT {
 // N returns the transform length.
 func (f *FFT) N() int { return f.n }
 
-// FFTScratch holds the working storage of the *SplitInto entry points: the
-// synthesis staging planes (buf), the real entry points' output planes
-// (out) and the ping-pong planes of the stage sweep (cp). One scratch
-// serves one concurrent caller; per-worker use requires one scratch per
-// worker (see Workspace).
+// FFTScratch holds the working storage of the split transforms: the pair
+// synthesis staging planes (buf), the pair analysis output planes (out) and
+// the ping-pong planes of the stage sweep (cp). One scratch serves one
+// concurrent caller; per-worker use requires one scratch per worker (see
+// Workspace).
 type FFTScratch struct {
 	bufRe, bufIm []float64
 	outRe, outIm []float64
@@ -127,29 +127,14 @@ func (f *FFT) NewScratch() *FFTScratch {
 	}
 }
 
-// fftRole tells the stage sweep what its caller will and will not read, so
-// the kernels can skip work whose result is provably discarded or whose
-// operand is a structural zero. Every skipped operation is exact (see
-// iterSplit); nothing that rounds is touched.
+// fftRole tells the stage sweep whether it runs the inverse transform and
+// which source entries are structural zeros: entries j with live < j <
+// n-live are the synthesis gap above mmax that the caller has not even
+// written, and are never read; live = n means every entry is read.
 type fftRole struct {
 	inverse bool
-	// live: source entries j with live < j < n-live are structural zeros
-	// the caller has not even written (the synthesis gap above mmax); n
-	// means every entry is read.
-	live int
-	// nout: only outputs [0,nout) of the last stage are read (analysis
-	// keeps 0..mmax); n means all.
-	nout int
-	// reOnly: the caller reads only the real plane of the last stage
-	// (synthesis of a real row).
-	reOnly bool
+	live    int
 }
-
-// fftTiny bounds the one case where an unread imaginary lane still decides
-// a bit: a negative real output so small that scaling it by 1/n underflows
-// to -0, whose sign then survives or not depending on the sign of the
-// imaginary lane's zero product. n*2^-1075 is far below it for any n.
-const fftTiny = 0x1p-1000
 
 // iterSplit is the mixed-radix decimation-in-time transform on the split
 // re/im layout: the leaf stage reads src through the digit reversal, then
@@ -167,15 +152,12 @@ const fftTiny = 0x1p-1000
 //
 //   - the r = 0 twiddle of every stage is exactly (1, ±0), so its term is
 //     t - (±0·t') = t or a zero, and the accumulator takes 0 + t;
-//   - a term whose input is a structural zero (fftRole.live), and the ·tIm
-//     products of a real row (srcIm == nil), are ±0: an accumulator that
-//     starts at +0 never becomes -0 under round-to-nearest, so adding ±0
-//     never changes it;
-//   - outputs and lanes the caller does not read (fftRole.nout, reOnly)
-//     are not computed, except the imaginary lane of a real output inside
-//     (-fftTiny, 0).
+//   - a term whose input is a structural zero (fftRole.live) is ±0: an
+//     accumulator that starts at +0 never becomes -0 under round-to-nearest,
+//     so adding ±0 never changes it.
 //
-// All of it assumes finite inputs.
+// With live = n (ForwardSplitInto, InverseSplitInto) the sweep is therefore
+// bit-identical to the complex reference. All of it assumes finite inputs.
 //
 //foam:hotpath
 func (f *FFT) iterSplit(xRe, xIm, yRe, yIm, srcRe, srcIm []float64, role fftRole) {
@@ -203,19 +185,15 @@ func (f *FFT) iterSplit(xRe, xIm, yRe, yIm, srcRe, srcIm []float64, role fftRole
 			}
 			continue
 		}
-		nout, full := st.size, true
-		if d == 0 {
-			nout, full = role.nout, !role.reOnly
-		}
 		switch st.p {
 		case 2:
-			fftStage2(yRe, yIm, xRe, xIm, tw, st.m, st.size, nout, full)
+			fftStage2(yRe, yIm, xRe, xIm, tw, st.m, st.size)
 		case 3:
-			fftStage3(yRe, yIm, xRe, xIm, tw, st.m, st.size, nout, full)
+			fftStage3(yRe, yIm, xRe, xIm, tw, st.m, st.size)
 		case 4:
-			fftStage4(yRe, yIm, xRe, xIm, tw, st.m, st.size, nout, full)
+			fftStage4(yRe, yIm, xRe, xIm, tw, st.m, st.size)
 		case 5:
-			fftStage5(yRe, yIm, xRe, xIm, tw, st.m, st.size, nout, full)
+			fftStage5(yRe, yIm, xRe, xIm, tw, st.m, st.size)
 		}
 		xRe, xIm, yRe, yIm = yRe, yIm, xRe, xIm
 	}
@@ -223,27 +201,13 @@ func (f *FFT) iterSplit(xRe, xIm, yRe, yIm, srcRe, srcIm []float64, role fftRole
 
 // The fftLeafP kernels are the first stage: m = 1, so the block at output
 // offset pos[j0] combines src[j0+r*S], S = n/p, under the p×p twiddle
-// matrix, r unrolled and ascending, the r = 0 term a plain add. A real row
-// (sIm == nil, every entry live) pays one multiply per lane; on complex
-// input a term whose source index lies strictly between lo and hi is a
-// structural zero and is skipped, never read.
+// matrix, r unrolled and ascending, the r = 0 term a plain add. A term whose
+// source index lies strictly between lo and hi is a structural zero and is
+// skipped, never read.
 
 //foam:hotpath
 func fftLeaf2(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
 	S := len(pos)
-	if sIm == nil {
-		for j0, o := range pos {
-			t0, t1 := sRe[j0], sRe[j0+S]
-			for q := 0; q < 2; q++ {
-				w := (*[2]float64)(tw[2*q:])
-				sr := 0 + t0
-				sr += float64(w[0] * t1)
-				si := 0 + float64(w[1]*t1)
-				dRe[o+q], dIm[o+q] = sr, si
-			}
-		}
-		return
-	}
 	for j0, o := range pos {
 		var t0r, t0i, t1r, t1i float64
 		if j0 <= lo || j0 >= hi {
@@ -269,21 +233,6 @@ func fftLeaf2(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
 //foam:hotpath
 func fftLeaf3(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
 	S := len(pos)
-	if sIm == nil {
-		for j0, o := range pos {
-			t0, t1, t2 := sRe[j0], sRe[j0+S], sRe[j0+2*S]
-			for q := 0; q < 3; q++ {
-				w := (*[4]float64)(tw[4*q:])
-				sr := 0 + t0
-				sr += float64(w[0] * t1)
-				sr += float64(w[2] * t2)
-				si := 0 + float64(w[1]*t1)
-				si += float64(w[3] * t2)
-				dRe[o+q], dIm[o+q] = sr, si
-			}
-		}
-		return
-	}
 	for j0, o := range pos {
 		var t0r, t0i, t1r, t1i, t2r, t2i float64
 		if j0 <= lo || j0 >= hi {
@@ -318,23 +267,6 @@ func fftLeaf3(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
 //foam:hotpath
 func fftLeaf4(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
 	S := len(pos)
-	if sIm == nil {
-		for j0, o := range pos {
-			t0, t1, t2, t3 := sRe[j0], sRe[j0+S], sRe[j0+2*S], sRe[j0+3*S]
-			for q := 0; q < 4; q++ {
-				w := (*[6]float64)(tw[6*q:])
-				sr := 0 + t0
-				sr += float64(w[0] * t1)
-				sr += float64(w[2] * t2)
-				sr += float64(w[4] * t3)
-				si := 0 + float64(w[1]*t1)
-				si += float64(w[3] * t2)
-				si += float64(w[5] * t3)
-				dRe[o+q], dIm[o+q] = sr, si
-			}
-		}
-		return
-	}
 	for j0, o := range pos {
 		var t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i float64
 		if j0 <= lo || j0 >= hi {
@@ -378,25 +310,6 @@ func fftLeaf4(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
 //foam:hotpath
 func fftLeaf5(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
 	S := len(pos)
-	if sIm == nil {
-		for j0, o := range pos {
-			t0, t1, t2, t3, t4 := sRe[j0], sRe[j0+S], sRe[j0+2*S], sRe[j0+3*S], sRe[j0+4*S]
-			for q := 0; q < 5; q++ {
-				w := (*[8]float64)(tw[8*q:])
-				sr := 0 + t0
-				sr += float64(w[0] * t1)
-				sr += float64(w[2] * t2)
-				sr += float64(w[4] * t3)
-				sr += float64(w[6] * t4)
-				si := 0 + float64(w[1]*t1)
-				si += float64(w[3] * t2)
-				si += float64(w[5] * t3)
-				si += float64(w[7] * t4)
-				dRe[o+q], dIm[o+q] = sr, si
-			}
-		}
-		return
-	}
 	for j0, o := range pos {
 		var t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i, t4r, t4i float64
 		if j0 <= lo || j0 >= hi {
@@ -449,15 +362,13 @@ func fftLeaf5(dRe, dIm, sRe, sIm, tw []float64, pos []int, lo, hi int) {
 // The fftStageP kernels combine one later stage in gather form: output idx
 // = q*m+k of each size-long block is the r-ascending sum over the block's p
 // subsequences at k, r unrolled, the r = 0 term a plain add; its twiddles
-// are the record tw[2(p-1)*idx:]. Outputs at or beyond nout are not formed;
-// with full unset the imaginary lane is formed only where fftTiny requires
-// it and stored as +0 elsewhere.
+// are the record tw[2(p-1)*idx:].
 
 //foam:hotpath
-func fftStage2(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
+func fftStage2(dRe, dIm, sRe, sIm, tw []float64, m, size int) {
 	for b := 0; b < len(sRe); b += size {
 		xr, xi := sRe[b:b+size], sIm[b:b+size]
-		yr, yi := dRe[b:b+nout], dIm[b:b+nout]
+		yr, yi := dRe[b:b+size], dIm[b:b+size]
 		k := 0
 		for idx := range yr {
 			w := (*[2]float64)(tw[2*idx:])
@@ -465,11 +376,8 @@ func fftStage2(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
 			sr := 0 + xr[k]
 			sr += float64(w[0]*t1r) - float64(w[1]*t1i)
 			yr[idx] = sr
-			si := 0.0
-			if full || (sr < 0 && sr > -fftTiny) {
-				si += xi[k]
-				si += float64(w[0]*t1i) + float64(w[1]*t1r)
-			}
+			si := 0 + xi[k]
+			si += float64(w[0]*t1i) + float64(w[1]*t1r)
 			yi[idx] = si
 			if k++; k == m {
 				k = 0
@@ -479,10 +387,10 @@ func fftStage2(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
 }
 
 //foam:hotpath
-func fftStage3(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
+func fftStage3(dRe, dIm, sRe, sIm, tw []float64, m, size int) {
 	for b := 0; b < len(sRe); b += size {
 		xr, xi := sRe[b:b+size], sIm[b:b+size]
-		yr, yi := dRe[b:b+nout], dIm[b:b+nout]
+		yr, yi := dRe[b:b+size], dIm[b:b+size]
 		k := 0
 		for idx := range yr {
 			w := (*[4]float64)(tw[4*idx:])
@@ -492,12 +400,9 @@ func fftStage3(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
 			sr += float64(w[0]*t1r) - float64(w[1]*t1i)
 			sr += float64(w[2]*t2r) - float64(w[3]*t2i)
 			yr[idx] = sr
-			si := 0.0
-			if full || (sr < 0 && sr > -fftTiny) {
-				si += xi[k]
-				si += float64(w[0]*t1i) + float64(w[1]*t1r)
-				si += float64(w[2]*t2i) + float64(w[3]*t2r)
-			}
+			si := 0 + xi[k]
+			si += float64(w[0]*t1i) + float64(w[1]*t1r)
+			si += float64(w[2]*t2i) + float64(w[3]*t2r)
 			yi[idx] = si
 			if k++; k == m {
 				k = 0
@@ -507,10 +412,10 @@ func fftStage3(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
 }
 
 //foam:hotpath
-func fftStage4(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
+func fftStage4(dRe, dIm, sRe, sIm, tw []float64, m, size int) {
 	for b := 0; b < len(sRe); b += size {
 		xr, xi := sRe[b:b+size], sIm[b:b+size]
-		yr, yi := dRe[b:b+nout], dIm[b:b+nout]
+		yr, yi := dRe[b:b+size], dIm[b:b+size]
 		k := 0
 		for idx := range yr {
 			w := (*[6]float64)(tw[6*idx:])
@@ -522,13 +427,10 @@ func fftStage4(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
 			sr += float64(w[2]*t2r) - float64(w[3]*t2i)
 			sr += float64(w[4]*t3r) - float64(w[5]*t3i)
 			yr[idx] = sr
-			si := 0.0
-			if full || (sr < 0 && sr > -fftTiny) {
-				si += xi[k]
-				si += float64(w[0]*t1i) + float64(w[1]*t1r)
-				si += float64(w[2]*t2i) + float64(w[3]*t2r)
-				si += float64(w[4]*t3i) + float64(w[5]*t3r)
-			}
+			si := 0 + xi[k]
+			si += float64(w[0]*t1i) + float64(w[1]*t1r)
+			si += float64(w[2]*t2i) + float64(w[3]*t2r)
+			si += float64(w[4]*t3i) + float64(w[5]*t3r)
 			yi[idx] = si
 			if k++; k == m {
 				k = 0
@@ -538,10 +440,10 @@ func fftStage4(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
 }
 
 //foam:hotpath
-func fftStage5(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
+func fftStage5(dRe, dIm, sRe, sIm, tw []float64, m, size int) {
 	for b := 0; b < len(sRe); b += size {
 		xr, xi := sRe[b:b+size], sIm[b:b+size]
-		yr, yi := dRe[b:b+nout], dIm[b:b+nout]
+		yr, yi := dRe[b:b+size], dIm[b:b+size]
 		k := 0
 		for idx := range yr {
 			w := (*[8]float64)(tw[8*idx:])
@@ -555,14 +457,11 @@ func fftStage5(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
 			sr += float64(w[4]*t3r) - float64(w[5]*t3i)
 			sr += float64(w[6]*t4r) - float64(w[7]*t4i)
 			yr[idx] = sr
-			si := 0.0
-			if full || (sr < 0 && sr > -fftTiny) {
-				si += xi[k]
-				si += float64(w[0]*t1i) + float64(w[1]*t1r)
-				si += float64(w[2]*t2i) + float64(w[3]*t2r)
-				si += float64(w[4]*t3i) + float64(w[5]*t3r)
-				si += float64(w[6]*t4i) + float64(w[7]*t4r)
-			}
+			si := 0 + xi[k]
+			si += float64(w[0]*t1i) + float64(w[1]*t1r)
+			si += float64(w[2]*t2i) + float64(w[3]*t2r)
+			si += float64(w[4]*t3i) + float64(w[5]*t3r)
+			si += float64(w[6]*t4i) + float64(w[7]*t4r)
 			yi[idx] = si
 			if k++; k == m {
 				k = 0
@@ -572,8 +471,7 @@ func fftStage5(dRe, dIm, sRe, sIm, tw []float64, m, size, nout int, full bool) {
 }
 
 // directSplit is the non-smooth-length fallback on the split layout: the
-// plain O(n^2) sum. Of the role it honours what it must — structural zeros
-// are not read, a nil srcIm reads as zeros — and forms every output.
+// plain O(n^2) sum. Structural zeros (role.live) are not read.
 //
 //foam:hotpath
 func (f *FFT) directSplit(dstRe, dstIm, srcRe, srcIm []float64, role fftRole) {
@@ -589,10 +487,7 @@ func (f *FFT) directSplit(dstRe, dstIm, srcRe, srcIm []float64, role fftRole) {
 				w = cmplx.Conj(w)
 			}
 			wr, wi := real(w), imag(w)
-			tre, tim := srcRe[j], 0.0
-			if srcIm != nil {
-				tim = srcIm[j]
-			}
+			tre, tim := srcRe[j], srcIm[j]
 			sumRe += float64(wr*tre) - float64(wi*tim)
 			sumIm += float64(wr*tim) + float64(wi*tre)
 		}
@@ -622,7 +517,7 @@ func (f *FFT) transformSplit(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch
 //foam:hotpath
 func (f *FFT) ForwardSplitInto(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch) {
 	f.checkSplitPlanes(dstRe, dstIm, srcRe, srcIm)
-	f.transformSplit(dstRe, dstIm, srcRe, srcIm, s, fftRole{live: f.n, nout: f.n})
+	f.transformSplit(dstRe, dstIm, srcRe, srcIm, s, fftRole{live: f.n})
 }
 
 // InverseSplitInto computes dst[j] = (1/n) * sum_k src[k] * e^{+2*pi*i*j*k/n}
@@ -632,7 +527,7 @@ func (f *FFT) ForwardSplitInto(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScrat
 //foam:hotpath
 func (f *FFT) InverseSplitInto(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch) {
 	f.checkSplitPlanes(dstRe, dstIm, srcRe, srcIm)
-	f.transformSplit(dstRe, dstIm, srcRe, srcIm, s, fftRole{inverse: true, live: f.n, nout: f.n})
+	f.transformSplit(dstRe, dstIm, srcRe, srcIm, s, fftRole{inverse: true, live: f.n})
 	inv := complex(1/float64(f.n), 0)
 	for i := range dstRe {
 		v := complex(dstRe[i], dstIm[i]) * inv
@@ -655,64 +550,50 @@ func (f *FFT) checkSplitPlanes(dstRe, dstIm, srcRe, srcIm []float64) {
 	}
 }
 
-// AnalyzeRealSplitInto computes the first mmax+1 complex Fourier
-// coefficients of a real periodic sequence into split re/im planes:
-// F_m = (1/n) * sum_j x_j e^{-i m lambda_j} with lambda_j = 2*pi*j/n.
-// Negative-m coefficients are the conjugates and are not stored. dst planes
-// must have length mmax+1; mmax must be < n/2 so the coefficients are
-// unaliased. Bit-identical to the complex reference: the real row's zero
-// imaginary plane is never multiplied, only outputs 0..mmax of the last
-// stage are formed, and the output scaling reconstructs the complex value
-// so the boundary multiply rounds exactly as the complex path.
+// analyzePair computes the first mmax+1 complex Fourier coefficients of
+// two real periodic rows x and y, F_m = (1/n) * sum_j x_j e^{-i m lambda_j},
+// with one complex transform of z = x + i*y: with Z = DFT(z),
+// X_m = (Z_m + conj(Z_{n-m}))/2 and Y_m = (Z_m - conj(Z_{n-m}))/(2i). The
+// m = 0 imaginary parts are stored as +0 (DESIGN.md §21). mmax = len(xRe)-1
+// must be < n/2 so the coefficients are unaliased.
 //
 //foam:hotpath
-func (f *FFT) AnalyzeRealSplitInto(dstRe, dstIm []float64, x []float64, mmax int, s *FFTScratch) {
-	if len(x) != f.n {
-		panic("spectral: AnalyzeReal input length mismatch")
+func (f *FFT) analyzePair(xRe, xIm, yRe, yIm, x, y []float64, s *FFTScratch) {
+	n, mmax := f.n, len(xRe)-1
+	if len(x) != n || len(y) != n || 2*mmax >= n {
+		panic(fmt.Sprintf("spectral: analyzePair rows %d/%d, mmax %d for n=%d", len(x), len(y), mmax, n))
 	}
-	if mmax >= (f.n+1)/2 {
-		panic(fmt.Sprintf("spectral: mmax %d too large for n=%d", mmax, f.n))
-	}
-	f.transformSplit(s.outRe, s.outIm, x, nil, s, fftRole{live: f.n, nout: mmax + 1})
-	scale := complex(1/float64(f.n), 0)
-	for m := 0; m <= mmax; m++ {
-		v := complex(s.outRe[m], s.outIm[m]) * scale
-		dstRe[m] = real(v)
-		dstIm[m] = imag(v)
+	f.transformSplit(s.outRe, s.outIm, x, y, s, fftRole{live: n})
+	inv := 1 / float64(n)
+	h := 0.5 * inv
+	zr, zi := s.outRe, s.outIm
+	xRe[0], xIm[0] = zr[0]*inv, 0
+	yRe[0], yIm[0] = zi[0]*inv, 0
+	for m := 1; m <= mmax; m++ {
+		a, b, c, d := zr[m], zi[m], zr[n-m], zi[n-m]
+		xRe[m], xIm[m] = (a+c)*h, (b-d)*h
+		yRe[m], yIm[m] = (b+d)*h, (c-a)*h
 	}
 }
 
-// SynthesizeRealSplitInto reconstructs a real sequence from its
-// non-negative Fourier coefficients in split re/im planes:
-// x_j = Re(F_0) + 2*sum_{m=1..mmax} Re(F_m e^{i m lambda_j}). Bit-identical
-// to the complex reference: conjugate mirroring negates the imaginary plane
-// exactly as cmplx.Conj, the zeros between mmax and n-mmax are neither
-// written nor multiplied, only the real plane of the last stage is formed,
-// and the final 1/n · n de-scaling reconstructs the complex product so it
-// rounds identically.
+// synthesizePair reconstructs two real rows from their non-negative Fourier
+// coefficients, x_j = Re(A_0) + 2*sum_{m=1..mmax} Re(A_m e^{i m lambda_j})
+// and likewise y from B, with one inverse complex transform of
+// C_m = A_m + i*B_m (and C_{n-m} = conj(A_m) + i*conj(B_m)): the real plane
+// of the result is x, the imaginary plane y. The gap between mmax and
+// n-mmax is neither written nor read. x and y must not overlap the scratch.
 //
 //foam:hotpath
-func (f *FFT) SynthesizeRealSplitInto(dst []float64, cRe, cIm []float64, s *FFTScratch) {
-	if len(dst) != f.n {
-		panic("spectral: SynthesizeReal output length mismatch")
+func (f *FFT) synthesizePair(x, y, aRe, aIm, bRe, bIm []float64, s *FFTScratch) {
+	n, mmax := f.n, len(aRe)-1
+	if len(x) != n || len(y) != n || 2*mmax >= n {
+		panic(fmt.Sprintf("spectral: synthesizePair rows %d/%d, mmax %d for n=%d", len(x), len(y), mmax, n))
 	}
-	mmax := len(cRe) - 1
-	if mmax >= (f.n+1)/2 {
-		panic(fmt.Sprintf("spectral: SynthesizeReal coefs length %d too large for n=%d", len(cRe), f.n))
-	}
-	bufRe, bufIm := s.bufRe, s.bufIm
-	bufRe[0] = cRe[0]
-	bufIm[0] = 0
+	cr, ci := s.bufRe, s.bufIm
+	cr[0], ci[0] = aRe[0], bRe[0]
 	for m := 1; m <= mmax; m++ {
-		bufRe[m] = cRe[m]
-		bufIm[m] = cIm[m]
-		bufRe[f.n-m] = cRe[m]
-		bufIm[f.n-m] = -cIm[m]
+		cr[m], ci[m] = aRe[m]-bIm[m], aIm[m]+bRe[m]
+		cr[n-m], ci[n-m] = aRe[m]+bIm[m], bRe[m]-aIm[m]
 	}
-	f.transformSplit(s.outRe, s.outIm, bufRe, bufIm, s, fftRole{inverse: true, live: mmax, nout: f.n, reOnly: true})
-	inv := complex(1/float64(f.n), 0)
-	n := float64(f.n)
-	for j := 0; j < f.n; j++ {
-		dst[j] = real(complex(s.outRe[j], s.outIm[j])*inv) * n
-	}
+	f.transformSplit(x, y, cr, ci, s, fftRole{inverse: true, live: mmax})
 }
