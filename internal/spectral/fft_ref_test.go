@@ -2,9 +2,10 @@ package spectral
 
 // The recursive complex128 FFT the package shipped before the iterative
 // split-plane kernels (fft.go) replaced it on every non-test path. It stays
-// here as the bit-identity oracle: TestFFTSplitRealBitIdentical,
-// TestFFTSplitPlanesBitIdentical and the refKit transforms compare the
-// pruned kernels against it with ==, so it must not be "optimized".
+// here as the oracle: TestFFTSplitPlanesBitIdentical compares the generic
+// split transforms against it with ==, and TestFFTPairRowsMatchReference
+// and the refKit transforms bound the pair kernels against it, so it must
+// not be "optimized".
 
 import (
 	"fmt"

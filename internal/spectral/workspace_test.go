@@ -245,3 +245,39 @@ func TestGridForPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestTransformPoolMatchesSerial: the pair phases split row pairs (and the
+// accumulations zonal wavenumbers) across workers, and every pair or m
+// belongs to one worker, so every entry point must give results == to
+// serial at any worker count — including counts that leave blocks uneven.
+func TestTransformPoolMatchesSerial(t *testing.T) {
+	const nf = 3
+	run := func(workers int) (outS [][]complex128, outG [][]float64) {
+		tr := newRefTransform(t, 15, workers)
+		ws := tr.NewWorkspaceMany(nf)
+		grids, specs := randFields(tr, 77, 2*nf, 2*nf)
+		for i := 0; i < 2*nf; i++ {
+			outS = append(outS, make([]complex128, tr.Trunc.Count()))
+			outG = append(outG, make([]float64, tr.NLat*tr.NLon))
+		}
+		tr.AnalyzeManyInto(outS[:nf], grids[:nf], ws)
+		tr.AnalyzeDivPairManyInto(outS[nf:], outS[:nf], grids[:nf], grids[nf:], 1, -1, -1, 1, ws)
+		tr.SynthesizeManyInto(outG[:nf], specs[:nf], ws)
+		tr.SynthesizeUVManyInto(outG[:nf], outG[nf:], specs[:nf], specs[nf:], ws)
+		tr.SynthesizeWithDerivsInto(outG[0], outG[1], outG[2], specs[0], ws)
+		tr.VortDivTendInto(outS[0], outS[1], grids[0], grids[1], ws)
+		return outS, outG
+	}
+	wantS, wantG := run(1)
+	for _, workers := range []int{3, 7} {
+		gotS, gotG := run(workers)
+		for f := range wantS {
+			if i := sameF64(flatC(gotS[f]), flatC(wantS[f])); i >= 0 {
+				t.Fatalf("workers=%d spectral field %d differs at %d", workers, f, i)
+			}
+			if i := sameF64(gotG[f], wantG[f]); i >= 0 {
+				t.Fatalf("workers=%d grid field %d differs at %d", workers, f, i)
+			}
+		}
+	}
+}
