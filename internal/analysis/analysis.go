@@ -129,18 +129,10 @@ type Program struct {
 
 	byPath  map[string]*Package
 	pragmas *pragmaInfo
-	funcs   map[*types.Func]*funcNode
-}
-
-// funcNode is the per-function-declaration record behind the hotpathalloc
-// call-graph traversal.
-type funcNode struct {
-	fn     *types.Func
-	decl   *ast.FuncDecl
-	pkg    *Package
-	hot    bool
-	phases bool
-	cold   bool
+	// funcs indexes the module's functions (see core.go); funcList holds
+	// the same nodes in source position order.
+	funcs    map[*types.Func]*funcNode
+	funcList []*funcNode
 }
 
 // Analyzer is one rule of the suite. Run inspects the whole program (the
@@ -170,26 +162,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerUnitCheck,
 		AnalyzerSnapshotComplete,
 	}
-}
-
-// analyzerNames are the names accepted by //foam:allow. The pragma
-// pseudo-analyzer is deliberately absent: directive errors cannot be
-// suppressed.
-var analyzerNames = map[string]bool{
-	"hotpathalloc":   true,
-	"poolclosure":    true,
-	"nondeterminism": true,
-	"intoalias":      true,
-	"floatcmp":       true,
-	"phasesafety":    true,
-	"fieldshape":     true,
-	"sharedro":       true,
-	"lockdiscipline": true,
-	"schedcontract":  true,
-	"batchalias":     true,
-
-	"unitcheck":        true,
-	"snapshotcomplete": true,
 }
 
 // Run executes the given analyzers over the program and returns the

@@ -95,78 +95,6 @@ func sameShape(a, b []gdim) bool {
 	return true
 }
 
-// fnScope resolves expressions inside one function body to dimensions,
-// following locals that are assigned exactly once.
-type fnScope struct {
-	pkg    *Package
-	single map[types.Object]ast.Expr // single-assignment RHS; nil = reassigned
-}
-
-const dimDepth = 8
-
-func newFnScope(pkg *Package, body ast.Node) *fnScope {
-	s := &fnScope{pkg: pkg, single: make(map[types.Object]ast.Expr)}
-	record := func(id *ast.Ident, rhs ast.Expr) {
-		obj := pkg.Info.Defs[id]
-		if obj == nil {
-			obj = pkg.Info.Uses[id]
-		}
-		if obj == nil || id.Name == "_" {
-			return
-		}
-		if _, seen := s.single[obj]; seen {
-			s.single[obj] = nil
-			return
-		}
-		s.single[obj] = rhs
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			oneToOne := len(st.Lhs) == len(st.Rhs)
-			for i, lhs := range st.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if oneToOne {
-					record(id, st.Rhs[i])
-				} else {
-					record(id, nil)
-				}
-			}
-		case *ast.IncDecStmt:
-			if id, ok := ast.Unparen(st.X).(*ast.Ident); ok {
-				record(id, nil)
-				record(id, nil) // force reassigned
-			}
-		case *ast.RangeStmt:
-			for _, e := range []ast.Expr{st.Key, st.Value} {
-				if id, ok := e.(*ast.Ident); ok {
-					record(id, nil)
-				}
-			}
-		case *ast.ValueSpec:
-			for i, id := range st.Names {
-				if i < len(st.Values) {
-					record(id, st.Values[i])
-				} else {
-					record(id, nil)
-				}
-			}
-		}
-		return true
-	})
-	return s
-}
-
-func (s *fnScope) obj(id *ast.Ident) types.Object {
-	if o := s.pkg.Info.Uses[id]; o != nil {
-		return o
-	}
-	return s.pkg.Info.Defs[id]
-}
-
 func objKey(obj types.Object) string {
 	if obj.Pkg() != nil {
 		return obj.Pkg().Path() + "." + obj.Name()
@@ -176,7 +104,7 @@ func objKey(obj types.Object) string {
 
 // dimOf resolves expr to a single named dimension.
 func (s *fnScope) dimOf(expr ast.Expr, depth int) (gdim, bool) {
-	if depth > dimDepth {
+	if depth > maxDepth {
 		return gdim{}, false
 	}
 	expr = ast.Unparen(expr)
@@ -231,7 +159,7 @@ func (s *fnScope) dimOf(expr ast.Expr, depth int) (gdim, bool) {
 // flattenDims decomposes expr as a product of named dimensions,
 // following single-assignment locals, or reports failure.
 func (s *fnScope) flattenDims(expr ast.Expr, depth int, out *[]gdim) bool {
-	if depth > dimDepth {
+	if depth > maxDepth {
 		return false
 	}
 	expr = ast.Unparen(expr)
@@ -601,7 +529,7 @@ func (c *shapeChecker) resolveShape(sc *fnScope, expr ast.Expr, paramShapes map[
 // flattenSumSc decomposes an index expression into sum terms, following
 // single-assignment locals (c := j*nlon + i; buf[c]).
 func flattenSumSc(sc *fnScope, expr ast.Expr, depth int) []ast.Expr {
-	if depth > dimDepth {
+	if depth > maxDepth {
 		return []ast.Expr{expr}
 	}
 	expr = ast.Unparen(expr)

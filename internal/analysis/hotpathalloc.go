@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // AnalyzerHotPathAlloc enforces the zero-allocation contract of PR 2:
@@ -47,72 +46,46 @@ type hotItem struct {
 	pkg  *Package
 	body *ast.BlockStmt
 	sig  *types.Signature
-	node *funcNode // nil for phase-closure roots
-	root string    // display name of the hot root that reached it
+	root string // display name of the hot root that reached it
 }
 
 func runHotPathAlloc(prog *Program, report func(Diagnostic)) {
-	var queue []hotItem
-	var annotated []*funcNode
-	for _, n := range prog.funcs {
-		if n.hot || n.phases {
-			annotated = append(annotated, n)
-		}
-	}
-	// Deterministic traversal order: roots by source position.
-	sort.Slice(annotated, func(i, j int) bool {
-		return posLess(prog, annotated[i].decl.Pos(), annotated[j].decl.Pos())
-	})
-	for _, n := range annotated {
-		name := funcDisplayName(n.fn)
+	// Roots in source order: //foam:hotpath functions, and the phases of
+	// //foam:hotphases binders — the binder runs once at construction and
+	// may allocate freely, but every outermost function literal it binds
+	// runs on the hot path. A phase is a root of its own, so findings name
+	// the phase that reaches them.
+	var roots []*funcNode
+	var names []string
+	lits := make(map[*funcNode]*ast.FuncLit)
+	for _, n := range prog.funcList {
 		if n.hot {
-			if n.decl.Body == nil {
-				continue
-			}
-			queue = append(queue, hotItem{
-				pkg: n.pkg, body: n.decl.Body,
-				sig: n.fn.Type().(*types.Signature), node: n, root: name,
-			})
+			roots, names = append(roots, n), append(names, funcDisplayName(n.fn))
 			continue
 		}
-		// //foam:hotphases: the binder runs once at construction and may
-		// allocate freely, but every outermost function literal it binds
-		// is a phase that runs on the hot path.
+		if !n.phases {
+			continue
+		}
 		for i, lit := range outermostFuncLits(n.decl.Body) {
-			sig, ok := n.pkg.Info.TypeOf(lit).(*types.Signature)
-			if !ok {
+			if _, ok := n.pkg.Info.TypeOf(lit).(*types.Signature); !ok {
 				continue
 			}
-			queue = append(queue, hotItem{
-				pkg: n.pkg, body: lit.Body, sig: sig,
-				root: fmt.Sprintf("%s$%d", name, i+1),
-			})
+			phase := &funcNode{pkg: n.pkg, callees: prog.calleesIn(n.pkg, lit.Body)}
+			lits[phase] = lit
+			roots = append(roots, phase)
+			names = append(names, fmt.Sprintf("%s$%d", funcDisplayName(n.fn), i+1))
 		}
 	}
-
-	visited := make(map[*funcNode]bool)
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if it.node != nil {
-			// Cold functions are the audited exemption; a hotphases binder
-			// reached as a callee is also skipped — its own body runs at
-			// construction, and its bound literals are already roots.
-			if visited[it.node] || it.node.cold || it.node.phases {
-				continue
-			}
-			visited[it.node] = true
+	// Cold functions are the audited exemption; a hotphases binder reached
+	// as a callee is skipped too — its bound literals are roots already.
+	for n, root := range cone(roots, func(n *funcNode) bool { return n.cold || n.phases }) {
+		it := hotItem{pkg: n.pkg, root: names[root]}
+		if lit := lits[n]; lit != nil {
+			it.body, it.sig = lit.Body, n.pkg.Info.TypeOf(lit).(*types.Signature)
+		} else {
+			it.body, it.sig = n.decl.Body, n.fn.Type().(*types.Signature)
 		}
 		checkHotBody(prog, it, report)
-		for _, callee := range calleesOf(prog, it.pkg, it.body) {
-			if callee.decl.Body == nil {
-				continue
-			}
-			queue = append(queue, hotItem{
-				pkg: callee.pkg, body: callee.decl.Body,
-				sig: callee.fn.Type().(*types.Signature), node: callee, root: it.root,
-			})
-		}
 	}
 }
 
@@ -136,51 +109,6 @@ func outermostFuncLits(body *ast.BlockStmt) []*ast.FuncLit {
 		return true
 	})
 	return lits
-}
-
-func posLess(prog *Program, a, b token.Pos) bool {
-	pa, pb := prog.position(a), prog.position(b)
-	if pa.Filename != pb.Filename {
-		return pa.Filename < pb.Filename
-	}
-	return pa.Offset < pb.Offset
-}
-
-// funcDisplayName renders "pkg.Func" or "pkg.(*T).Method" for messages.
-func funcDisplayName(fn *types.Func) string {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Name() + "."
-	}
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		return pkg + "(" + types.TypeString(recv.Type(), func(*types.Package) string { return "" }) + ")." + fn.Name()
-	}
-	return pkg + fn.Name()
-}
-
-// calleesOf returns the module-local functions body references — by call
-// or by value — in deterministic source order.
-func calleesOf(prog *Program, pkg *Package, body *ast.BlockStmt) []*funcNode {
-	var out []*funcNode
-	seen := make(map[*funcNode]bool)
-	ast.Inspect(body, func(node ast.Node) bool {
-		id, ok := node.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		fn, ok := pkg.Info.Uses[id].(*types.Func)
-		if !ok {
-			return true
-		}
-		callee := prog.funcs[fn]
-		if callee == nil || seen[callee] {
-			return true
-		}
-		seen[callee] = true
-		out = append(out, callee)
-		return true
-	})
-	return out
 }
 
 // checkHotBody reports every allocating construct in one hot body.

@@ -221,31 +221,3 @@ func (pi *programImporter) Import(path string) (*types.Package, error) {
 	}
 	return sourceImporter().Import(path)
 }
-
-// buildFuncIndex maps every declared function and method to its AST and
-// pragma state; hotpathalloc traverses this index across packages.
-func (prog *Program) buildFuncIndex() {
-	prog.funcs = make(map[*types.Func]*funcNode)
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				prog.funcs[obj] = &funcNode{
-					fn:     obj,
-					decl:   fd,
-					pkg:    pkg,
-					hot:    prog.pragmas.hot[obj],
-					phases: prog.pragmas.phases[obj],
-					cold:   prog.pragmas.cold[obj],
-				}
-			}
-		}
-	}
-}

@@ -42,26 +42,21 @@ func runLockDiscipline(prog *Program, report func(Diagnostic)) {
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.GenDecl:
-					if d.Tok == token.TYPE {
-						checkGuardDecls(prog, pkg, d, report)
-					}
-				case *ast.FuncDecl:
-					if d.Body == nil {
-						continue
-					}
-					c := &lockChecker{
-						prog:      prog,
-						pkg:       pkg,
-						sc:        newFnScope(pkg, d.Body),
-						skipGuard: strings.HasSuffix(d.Name.Name, "Locked"),
-						report:    report,
-					}
-					c.walkBody(d.Body)
+				if d, ok := decl.(*ast.GenDecl); ok && d.Tok == token.TYPE {
+					checkGuardDecls(prog, pkg, d, report)
 				}
 			}
 		}
+	}
+	for _, n := range prog.funcList {
+		c := &lockChecker{
+			prog:      prog,
+			pkg:       n.pkg,
+			sc:        n.scope,
+			skipGuard: strings.HasSuffix(n.decl.Name.Name, "Locked"),
+			report:    report,
+		}
+		c.walkBody(n.decl.Body)
 	}
 }
 
@@ -579,7 +574,7 @@ func guardNames(entries []guardEntry) string {
 // variable initialized from a composite literal or new() — a value
 // under construction that no other goroutine can see yet.
 func (c *lockChecker) locallyCreated(x ast.Expr, depth int) bool {
-	if depth > dimDepth {
+	if depth > maxDepth {
 		return false
 	}
 	switch e := ast.Unparen(x).(type) {

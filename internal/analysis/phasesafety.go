@@ -222,14 +222,11 @@ func runPhaseSafety(prog *Program, report func(Diagnostic)) {
 	// Binder-bound phases: every outermost func(worker, lo, hi int)
 	// literal of a //foam:hotphases binder, in deterministic order.
 	var binders []*funcNode
-	for _, n := range prog.funcs {
-		if n.phases && n.decl.Body != nil {
+	for _, n := range prog.funcList {
+		if n.phases {
 			binders = append(binders, n)
 		}
 	}
-	sort.Slice(binders, func(i, j int) bool {
-		return posLess(prog, binders[i].decl.Pos(), binders[j].decl.Pos())
-	})
 	for _, n := range binders {
 		locals := binderFuncLits(n.pkg, n.decl.Body)
 		for i, lit := range outermostFuncLits(n.decl.Body) {

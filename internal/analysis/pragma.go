@@ -117,6 +117,54 @@ func collectPragmas(prog *Program) *pragmaInfo {
 	return pi
 }
 
+// pragmaSite is a place a directive comment can be attached.
+type pragmaSite uint8
+
+const (
+	sitePackage pragmaSite = 1 << iota // package doc comment
+	siteFunc                           // func declaration doc comment
+	siteType                           // struct type declaration doc or line comment
+	siteField                          // struct field doc or line comment
+	siteValue                          // var/const spec (or block) doc or line comment
+	siteAny     = sitePackage | siteFunc | siteType | siteField | siteValue
+)
+
+// siteNoun names the strict sites — package and function docs, where
+// every directive is taken and a wrong one is reported against the site.
+var siteNoun = map[pragmaSite]string{sitePackage: "the package doc", siteFunc: "a function"}
+
+// pragmaVerb is one directive of the vocabulary: where it may be
+// attached, whether it takes arguments, and the phrases completing its
+// misplacement messages — must after "//foam:<verb> must" (with the site
+// noun for %s), free after "misplaced //foam:<verb>: it must".
+type pragmaVerb struct {
+	sites  pragmaSite
+	noArgs bool
+	must   string
+	free   string
+}
+
+var pragmaVerbs = map[string]pragmaVerb{
+	"allow": {sites: siteAny},
+	"deterministic": {sitePackage, true,
+		"be in the package doc comment, not on %s", "be in the package doc comment"},
+	"hotpath": {siteFunc, true,
+		"be attached to a function declaration, not %s", "be the doc comment of a function declaration"},
+	"hotphases": {siteFunc, true,
+		"be attached to a function declaration, not %s", "be the doc comment of a function declaration"},
+	"coldpath": {siteFunc, true,
+		"be attached to a function declaration, not %s", "be the doc comment of a function declaration"},
+	"sharedro": {siteType, true,
+		"be attached to a struct type declaration, not %s", "be the doc comment of a struct type declaration"},
+	"guards": {siteField, false,
+		"be attached to a sync.Mutex struct field, not %s", "be attached to a sync.Mutex struct field"},
+	"units": {siteField | siteValue | siteFunc, false,
+		"be attached to a struct field, var/const spec, or func declaration, not %s",
+		"be attached to a struct field, var/const spec, or func declaration"},
+	"transient": {siteField, false,
+		"be attached to a struct field, not %s", "be attached to a struct field"},
+}
+
 func (pi *pragmaInfo) collectFile(prog *Program, pkg *Package, file *ast.File) {
 	report := func(pos token.Pos, format string, args ...any) {
 		pi.diags = append(pi.diags, Diagnostic{
@@ -126,66 +174,60 @@ func (pi *pragmaInfo) collectFile(prog *Program, pkg *Package, file *ast.File) {
 		})
 	}
 
-	// consumed marks directive comments that are legitimately attached to
-	// a declaration; any directive left over at the end is misplaced.
+	// consumed marks directive comments taken at an attachment site; any
+	// directive left over at the end is misplaced.
 	consumed := make(map[*ast.Comment]bool)
 
-	// Package attachment: //foam:deterministic in the package doc.
-	if file.Doc != nil {
-		for _, c := range file.Doc.List {
-			verb, args, ok := splitDirective(c.Text)
-			if !ok {
+	// attach hands the directives of one site's comment groups to bind. A
+	// strict site takes every directive and reports the ones that do not
+	// belong there; any other site takes only the verbs it accepts and
+	// leaves the rest to the misplaced pass below.
+	attach := func(site pragmaSite, bind func(c *ast.Comment, verb, args string), groups ...*ast.CommentGroup) {
+		for _, cg := range groups {
+			if cg == nil {
 				continue
 			}
-			consumed[c] = true
-			switch verb {
-			case "deterministic":
-				if args != "" {
-					report(c.Pos(), "//foam:deterministic takes no arguments (got %q)", args)
+			for _, c := range cg.List {
+				verb, args, ok := splitDirective(c.Text)
+				if !ok {
 					continue
 				}
-				pkg.Deterministic = true
-			case "allow":
-				pi.parseAllow(prog, c, report)
-			case "hotpath", "hotphases", "coldpath":
-				report(c.Pos(), "//foam:%s must be attached to a function declaration, not the package doc", verb)
-			case "sharedro":
-				report(c.Pos(), "//foam:sharedro must be attached to a struct type declaration, not the package doc")
-			case "guards":
-				report(c.Pos(), "//foam:guards must be attached to a sync.Mutex struct field, not the package doc")
-			case "units":
-				report(c.Pos(), "//foam:units must be attached to a struct field, var/const spec, or func declaration, not the package doc")
-			case "transient":
-				report(c.Pos(), "//foam:transient must be attached to a struct field, not the package doc")
-			default:
-				report(c.Pos(), "unknown foam directive //foam:%s", verb)
+				v, known := pragmaVerbs[verb]
+				accepted := known && v.sites&site != 0
+				if !accepted && siteNoun[site] == "" {
+					continue
+				}
+				consumed[c] = true
+				switch {
+				case verb == "allow":
+					pi.parseAllow(prog, c, report)
+				case !known:
+					report(c.Pos(), "unknown foam directive //foam:%s", verb)
+				case !accepted:
+					report(c.Pos(), "//foam:%s must "+v.must, verb, siteNoun[site])
+				case v.noArgs && args != "":
+					report(c.Pos(), "//foam:%s takes no arguments (got %q)", verb, args)
+				default:
+					bind(c, verb, args)
+				}
 			}
 		}
 	}
 
-	// Function attachment: //foam:hotpath and //foam:coldpath in doc
-	// comments of func declarations.
+	attach(sitePackage, func(*ast.Comment, string, string) { pkg.Deterministic = true }, file.Doc)
+
 	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil {
-			continue
-		}
-		obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-		for _, c := range fd.Doc.List {
-			verb, args, ok := splitDirective(c.Text)
-			if !ok {
-				continue
-			}
-			consumed[c] = true
-			switch verb {
-			case "hotpath", "hotphases", "coldpath":
-				if args != "" {
-					report(c.Pos(), "//foam:%s takes no arguments (got %q)", verb, args)
-					continue
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			obj, _ := pkg.Info.Defs[d.Name].(*types.Func)
+			attach(siteFunc, func(c *ast.Comment, verb, args string) {
+				if verb == "units" {
+					pi.parseFuncUnits(pkg, d, c, args, report)
+					return
 				}
 				if obj == nil {
 					report(c.Pos(), "//foam:%s on an undeclared function", verb)
-					continue
+					return
 				}
 				switch verb {
 				case "hotpath":
@@ -202,137 +244,45 @@ func (pi *pragmaInfo) collectFile(prog *Program, pkg *Package, file *ast.File) {
 					}
 				}
 				if n > 1 {
-					report(c.Pos(), "%s carries conflicting foam annotations (hotpath/hotphases/coldpath are mutually exclusive)", fd.Name.Name)
+					report(c.Pos(), "%s carries conflicting foam annotations (hotpath/hotphases/coldpath are mutually exclusive)", d.Name.Name)
 				}
-			case "deterministic":
-				report(c.Pos(), "//foam:deterministic must be in the package doc comment, not on a function")
-			case "sharedro":
-				report(c.Pos(), "//foam:sharedro must be attached to a struct type declaration, not a function")
-			case "guards":
-				report(c.Pos(), "//foam:guards must be attached to a sync.Mutex struct field, not a function")
-			case "units":
-				pi.parseFuncUnits(pkg, fd, c, args, report)
-			case "transient":
-				report(c.Pos(), "//foam:transient must be attached to a struct field, not a function")
-			case "allow":
-				pi.parseAllow(prog, c, report)
-			default:
-				report(c.Pos(), "unknown foam directive //foam:%s", verb)
+			}, d.Doc)
+		case *ast.GenDecl:
+			var single *ast.CommentGroup
+			if len(d.Specs) == 1 {
+				single = d.Doc
+			} else if len(d.Specs) > 1 && (d.Tok == token.VAR || d.Tok == token.CONST) {
+				// A directive on a multi-spec block's doc comment resolves
+				// its names across every spec (how constant tables are
+				// annotated).
+				attach(siteValue, func(c *ast.Comment, _, args string) {
+					pi.parseDeclUnits(pkg, d, c, args, report)
+				}, d.Doc)
 			}
-		}
-	}
-
-	// Type attachment: //foam:sharedro on struct type declarations, and
-	// //foam:guards on sync.Mutex struct fields inside them.
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.TYPE {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			ts, ok := spec.(*ast.TypeSpec)
-			if !ok {
-				continue
-			}
-			docs := []*ast.CommentGroup{ts.Doc, ts.Comment}
-			if len(gd.Specs) == 1 {
-				docs = append(docs, gd.Doc)
-			}
-			for _, cg := range docs {
-				if cg == nil {
-					continue
-				}
-				for _, c := range cg.List {
-					verb, args, ok := splitDirective(c.Text)
-					if !ok || verb != "sharedro" {
-						continue // other verbs fall through to the catch-all
-					}
-					consumed[c] = true
-					if args != "" {
-						report(c.Pos(), "//foam:sharedro takes no arguments (got %q)", args)
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					attach(siteType, func(c *ast.Comment, _, _ string) { pi.parseSharedRO(pkg, s, c, report) }, s.Doc, s.Comment, single)
+					st, ok := s.Type.(*ast.StructType)
+					if !ok {
 						continue
 					}
-					tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-					if tn == nil {
-						report(c.Pos(), "//foam:sharedro on an undeclared type")
-						continue
+					for _, field := range st.Fields.List {
+						attach(siteField, func(c *ast.Comment, verb, args string) {
+							switch verb {
+							case "guards":
+								pi.parseGuards(pkg, s, field, c, args, report)
+							case "units":
+								pi.parseFieldUnits(pkg, field, c, args, report)
+							case "transient":
+								pi.parseTransient(pkg, field, c, args, report)
+							}
+						}, field.Doc, field.Comment)
 					}
-					if _, isStruct := tn.Type().Underlying().(*types.Struct); !isStruct {
-						report(c.Pos(), "//foam:sharedro must mark a struct type (%s is not a struct)", ts.Name.Name)
-						continue
-					}
-					pi.sharedro[tn] = true
-				}
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				continue
-			}
-			for _, field := range st.Fields.List {
-				for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-					if cg == nil {
-						continue
-					}
-					for _, c := range cg.List {
-						verb, args, ok := splitDirective(c.Text)
-						if !ok {
-							continue
-						}
-						switch verb {
-						case "guards":
-							consumed[c] = true
-							pi.parseGuards(pkg, ts, field, c, args, report)
-						case "units":
-							consumed[c] = true
-							pi.parseFieldUnits(pkg, field, c, args, report)
-						case "transient":
-							consumed[c] = true
-							pi.parseTransient(pkg, field, c, args, report)
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// Value attachment: //foam:units on var/const declarations. A
-	// directive on a multi-spec block's doc comment resolves its names
-	// across every spec in the block (how constant tables are annotated).
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || (gd.Tok != token.VAR && gd.Tok != token.CONST) {
-			continue
-		}
-		if gd.Doc != nil && len(gd.Specs) > 1 {
-			for _, c := range gd.Doc.List {
-				verb, args, ok := splitDirective(c.Text)
-				if !ok || verb != "units" {
-					continue
-				}
-				consumed[c] = true
-				pi.parseDeclUnits(pkg, gd, c, args, report)
-			}
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			docs := []*ast.CommentGroup{vs.Doc, vs.Comment}
-			if len(gd.Specs) == 1 {
-				docs = append(docs, gd.Doc)
-			}
-			for _, cg := range docs {
-				if cg == nil {
-					continue
-				}
-				for _, c := range cg.List {
-					verb, args, ok := splitDirective(c.Text)
-					if !ok || verb != "units" {
-						continue
-					}
-					consumed[c] = true
-					pi.parseValueUnits(pkg, vs, c, args, report)
+				case *ast.ValueSpec:
+					attach(siteValue, func(c *ast.Comment, _, args string) {
+						pi.parseValueUnits(pkg, s, c, args, report)
+					}, s.Doc, s.Comment, single)
 				}
 			}
 		}
@@ -345,53 +295,55 @@ func (pi *pragmaInfo) collectFile(prog *Program, pkg *Package, file *ast.File) {
 			if consumed[c] {
 				continue
 			}
-			if spaced, ok := strings.CutPrefix(c.Text, "// "); ok {
-				if strings.HasPrefix(spaced, "foam:") {
-					// Normalizing the spacing is mechanical: drop the
-					// space so the directive parses on the next run.
-					start := prog.position(c.Pos())
-					d := Diagnostic{
-						Pos:      start,
-						Analyzer: pragmaAnalyzer,
-						Message:  fmt.Sprintf("malformed foam directive: no space allowed between // and foam: (write //%s)", strings.TrimSpace(spaced)),
-						Fix: &Fix{
-							Start:   start.Offset,
-							End:     start.Offset + len(c.Text),
-							NewText: "//" + spaced,
-						},
-					}
-					pi.diags = append(pi.diags, d)
-					continue
-				}
+			if spaced, ok := strings.CutPrefix(c.Text, "// "); ok && strings.HasPrefix(spaced, "foam:") {
+				// Normalizing the spacing is mechanical: drop the space so
+				// the directive parses on the next run.
+				start := prog.position(c.Pos())
+				pi.diags = append(pi.diags, Diagnostic{
+					Pos:      start,
+					Analyzer: pragmaAnalyzer,
+					Message:  fmt.Sprintf("malformed foam directive: no space allowed between // and foam: (write //%s)", strings.TrimSpace(spaced)),
+					Fix: &Fix{
+						Start:   start.Offset,
+						End:     start.Offset + len(c.Text),
+						NewText: "//" + spaced,
+					},
+				})
+				continue
 			}
 			verb, _, ok := splitDirective(c.Text)
 			if !ok {
 				continue
 			}
-			switch verb {
-			case "allow":
+			switch v, known := pragmaVerbs[verb]; {
+			case verb == "allow":
 				pi.parseAllow(prog, c, report)
-			case "hotpath", "hotphases", "coldpath":
-				report(c.Pos(), "misplaced //foam:%s: it must be the doc comment of a function declaration", verb)
-			case "deterministic":
-				report(c.Pos(), "misplaced //foam:deterministic: it must be in the package doc comment")
-			case "sharedro":
-				report(c.Pos(), "misplaced //foam:sharedro: it must be the doc comment of a struct type declaration")
-			case "guards":
-				report(c.Pos(), "misplaced //foam:guards: it must be attached to a sync.Mutex struct field")
-			case "units":
-				report(c.Pos(), "misplaced //foam:units: it must be attached to a struct field, var/const spec, or func declaration")
-			case "transient":
-				report(c.Pos(), "misplaced //foam:transient: it must be attached to a struct field")
-			default:
+			case !known:
 				report(c.Pos(), "unknown foam directive //foam:%s", verb)
+			default:
+				report(c.Pos(), "misplaced //foam:%s: it must %s", verb, v.free)
 			}
 		}
 	}
 }
 
+// parseSharedRO binds //foam:sharedro to the struct type it marks.
+func (pi *pragmaInfo) parseSharedRO(pkg *Package, ts *ast.TypeSpec, c *ast.Comment, report func(token.Pos, string, ...any)) {
+	tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
+	if tn == nil {
+		report(c.Pos(), "//foam:sharedro on an undeclared type")
+		return
+	}
+	if _, isStruct := tn.Type().Underlying().(*types.Struct); !isStruct {
+		report(c.Pos(), "//foam:sharedro must mark a struct type (%s is not a struct)", ts.Name.Name)
+		return
+	}
+	pi.sharedro[tn] = true
+}
+
 // parseAllow parses "//foam:allow <analyzer> <reason...>" and records the
-// suppression. The analyzer must be one of the suite's names and the
+// suppression. The analyzer must be one of Analyzers() — the pragma
+// pseudo-analyzer is not: directive errors cannot be suppressed — and the
 // reason is mandatory: an unexplained suppression is indistinguishable
 // from a silenced bug.
 func (pi *pragmaInfo) parseAllow(prog *Program, c *ast.Comment, report func(token.Pos, string, ...any)) {
@@ -401,7 +353,11 @@ func (pi *pragmaInfo) parseAllow(prog *Program, c *ast.Comment, report func(toke
 		report(c.Pos(), "//foam:allow needs an analyzer name and a reason: //foam:allow <analyzer> <reason>")
 		return
 	}
-	if !analyzerNames[name] {
+	known := false
+	for _, a := range Analyzers() {
+		known = known || a.Name == name
+	}
+	if !known {
 		report(c.Pos(), "//foam:allow names unknown analyzer %q", name)
 		return
 	}
@@ -496,7 +452,7 @@ func parseUnitPairs(c *ast.Comment, args string, report func(token.Pos, string, 
 // an object of type t: a numeric value, or slices/arrays/pointers
 // unwrapping to one (the annotation then declares the element unit).
 func unitTargetOK(t types.Type) bool {
-	for i := 0; i < dimDepth && t != nil; i++ {
+	for i := 0; i < maxDepth && t != nil; i++ {
 		switch ut := t.Underlying().(type) {
 		case *types.Basic:
 			return ut.Info()&(types.IsNumeric) != 0

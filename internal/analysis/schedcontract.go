@@ -72,10 +72,7 @@ func runSchedContract(prog *Program, report func(Diagnostic)) {
 func collectComponents(prog *Program) []*schedComponent {
 	byRecv := make(map[*types.TypeName]*schedComponent)
 	var order []*types.TypeName
-	for _, node := range prog.funcs {
-		if node.decl == nil || node.decl.Body == nil {
-			continue
-		}
+	for _, node := range prog.funcList {
 		name := node.fn.Name()
 		if name != "Imports" && name != "Exports" {
 			continue
@@ -146,7 +143,7 @@ func resolveFieldList(pkg *Package, body *ast.BlockStmt) ([]fieldRef, bool) {
 // compositeListOf resolves expr to a composite literal, following
 // package-level vars to their initializer.
 func compositeListOf(pkg *Package, expr ast.Expr, depth int) *ast.CompositeLit {
-	if depth > dimDepth {
+	if depth > maxDepth {
 		return nil
 	}
 	switch e := ast.Unparen(expr).(type) {
@@ -274,10 +271,7 @@ func checkDispatchSwitches(prog *Program, comps []*schedComponent, report func(D
 			byRecv[c.recv] = c
 		}
 	}
-	for _, node := range prog.funcs {
-		if node.decl == nil || node.decl.Body == nil {
-			continue
-		}
+	for _, node := range prog.funcList {
 		name := node.fn.Name()
 		if name != "Import" && name != "ExportInto" {
 			continue
@@ -402,21 +396,12 @@ func (o opLit) render() string {
 // a producing OpStep/OpCouple, and if/else schedule branches must
 // append equal op multisets.
 func checkOpStreams(prog *Program, report func(Diagnostic)) {
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				checkOpFunc(prog, pkg, fd, report)
-			}
-		}
+	for _, n := range prog.funcList {
+		checkOpFunc(prog, n.pkg, n.scope, n.decl, report)
 	}
 }
 
-func checkOpFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, report func(Diagnostic)) {
-	sc := newFnScope(pkg, fd.Body)
+func checkOpFunc(prog *Program, pkg *Package, sc *fnScope, fd *ast.FuncDecl, report func(Diagnostic)) {
 	var ops []opLit
 	analyzable := true
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

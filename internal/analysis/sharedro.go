@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/types"
 )
 
@@ -15,17 +14,18 @@ import (
 // two members happen to collide on the same cache line during a test
 // run; this analyzer makes it a lint error instead.
 //
-// The rule is syntactic but interprocedural: any assignment, IncDec,
-// copy, or clear whose destination chain passes through a selector on a
-// *T (T marked) is a write to shared storage — including element writes
-// like tb.KMT[i] = v and deep chains like tb.Spectral reached through
-// other structs, following single-assignment locals. Writes through a
-// VALUE of type T are exempt (they mutate a copy — that is how
-// Transform.Share works) unless the chain keeps indexing into the
-// copied slice headers, which still aliases the shared backing arrays.
-// Exempted entirely is each type's construction cone: the module
-// functions whose results include T or *T (the builders) plus
-// everything they statically call, where mutation is the point.
+// The rule is a query over the core's resolved writes: any assignment,
+// IncDec, copy, or clear whose destination chain passes through a
+// selector on a *T (T marked) is a write to shared storage — including
+// element writes like tb.KMT[i] = v, writes through a slice of it, and
+// deep chains like tb.Spectral reached through other structs, following
+// single-assignment locals. Writes through a VALUE of type T are exempt
+// (they mutate a copy — that is how Transform.Share works) unless the
+// chain keeps indexing into the copied slice headers, which still
+// aliases the shared backing arrays. Exempted entirely is each type's
+// construction cone: the module functions whose results include T or *T
+// (the builders) plus everything they statically call, where mutation
+// is the point.
 var AnalyzerSharedRO = &Analyzer{
 	Name: "sharedro",
 	Doc:  "reports writes to storage reachable from //foam:sharedro table types outside their construction cone",
@@ -37,163 +37,43 @@ func runSharedRO(prog *Program, report func(Diagnostic)) {
 	if len(marked) == 0 {
 		return
 	}
-	cones := buildConstructionCones(prog, marked)
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				node := prog.funcs[fn]
-				sc := newFnScope(pkg, fd.Body)
-				checkSharedWrites(prog, pkg, sc, fd.Body, func(tn *types.TypeName) bool {
-					return node != nil && cones[tn][node]
-				}, report)
-			}
-		}
-	}
-}
-
-// buildConstructionCones returns, per marked type, the set of module
-// functions allowed to mutate it: every function whose result types
-// include T or *T, plus the closure of their module-local callees.
-func buildConstructionCones(prog *Program, marked map[*types.TypeName]bool) map[*types.TypeName]map[*funcNode]bool {
-	cones := make(map[*types.TypeName]map[*funcNode]bool)
-	for tn := range marked {
-		cone := make(map[*funcNode]bool)
-		var queue []*funcNode
-		for _, node := range prog.funcs {
-			if node.decl == nil || node.decl.Body == nil {
+	cones := constructionCones(prog, marked)
+	for _, n := range prog.funcList {
+		for _, w := range n.writes {
+			if w.param != nil {
 				continue
 			}
-			sig, ok := node.fn.Type().(*types.Signature)
-			if !ok {
+			tn := sharedRoot(marked, w.links)
+			if tn == nil {
 				continue
 			}
-			results := sig.Results()
-			for i := 0; i < results.Len(); i++ {
-				if namedOf(results.At(i).Type()) == tn {
-					queue = append(queue, node)
-					break
-				}
-			}
-		}
-		for len(queue) > 0 {
-			node := queue[0]
-			queue = queue[1:]
-			if cone[node] {
+			if _, inCone := cones[tn][n]; inCone {
 				continue
 			}
-			cone[node] = true
-			for _, callee := range calleesOf(prog, node.pkg, node.decl.Body) {
-				if !cone[callee] && callee.decl != nil && callee.decl.Body != nil {
-					queue = append(queue, callee)
-				}
+			what := "write to " + types.ExprString(w.dst)
+			if w.builtin != "" {
+				what = w.builtin + " into " + types.ExprString(w.dst)
 			}
+			report(Diagnostic{
+				Pos: prog.position(w.pos),
+				Message: what + " mutates storage reachable from //foam:sharedro type " +
+					tn.Pkg().Name() + "." + tn.Name() + " outside its construction cone; shared tables are read-only after adoption",
+			})
 		}
-		cones[tn] = cone
 	}
-	return cones
 }
 
-// namedOf unwraps pointers and returns the TypeName of a named type.
-func namedOf(t types.Type) *types.TypeName {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj()
-	}
-	return nil
-}
-
-// checkSharedWrites walks one body and reports every write whose
-// destination is rooted in a marked shared type, unless inCone accepts
-// the type.
-func checkSharedWrites(prog *Program, pkg *Package, sc *fnScope, body ast.Node, inCone func(*types.TypeName) bool, report func(Diagnostic)) {
-	emit := func(pos ast.Node, tn *types.TypeName, what string) {
-		if inCone(tn) {
-			return
+// sharedRoot returns the outermost marked type a chain writes through:
+// a field selected through a pointer to it, or through a value of it
+// when the store reaches elements behind the copied slice headers.
+func sharedRoot(marked map[*types.TypeName]bool, links []link) *types.TypeName {
+	for _, l := range links {
+		if l.base == nil {
+			continue
 		}
-		report(Diagnostic{
-			Pos: prog.position(pos.Pos()),
-			Message: what + " mutates storage reachable from //foam:sharedro type " +
-				tn.Pkg().Name() + "." + tn.Name() + " outside its construction cone; shared tables are read-only after adoption",
-		})
-	}
-	marked := prog.pragmas.sharedro
-	checkDst := func(node ast.Node, dst ast.Expr) {
-		if _, isIdent := ast.Unparen(dst).(*ast.Ident); isIdent {
-			return // rebinding a variable never mutates shared storage
-		}
-		if tn := sharedRootOf(pkg, sc, marked, dst, false, 0); tn != nil {
-			emit(node, tn, "write to "+types.ExprString(dst))
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range st.Lhs {
-				checkDst(st, lhs)
-			}
-		case *ast.IncDecStmt:
-			checkDst(st, st.X)
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(st.Fun).(*ast.Ident); ok {
-				if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok && (b.Name() == "copy" || b.Name() == "clear") && len(st.Args) >= 1 {
-					// copy/clear write elements: treat the destination as
-					// already dereferenced past the slice header.
-					if tn := sharedRootOf(pkg, sc, marked, st.Args[0], true, 0); tn != nil {
-						emit(st, tn, b.Name()+" into "+types.ExprString(st.Args[0]))
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// sharedRootOf walks a destination chain — selectors, indexes, derefs,
-// single-assignment locals — and returns the marked type it is rooted
-// in, or nil. indexed records whether the walk has already passed an
-// element access: a plain field write through a VALUE of the marked
-// type mutates a copy (safe), but an element write through a copied
-// slice header still reaches the shared backing array.
-func sharedRootOf(pkg *Package, sc *fnScope, marked map[*types.TypeName]bool, expr ast.Expr, indexed bool, depth int) *types.TypeName {
-	if depth > dimDepth {
-		return nil
-	}
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.IndexExpr:
-		return sharedRootOf(pkg, sc, marked, e.X, true, depth+1)
-	case *ast.StarExpr:
-		return sharedRootOf(pkg, sc, marked, e.X, true, depth+1)
-	case *ast.SelectorExpr:
-		baseT := pkg.Info.TypeOf(e.X)
-		if baseT != nil {
-			_, isPtr := baseT.Underlying().(*types.Pointer)
-			if tn := namedOf(baseT); tn != nil && marked[tn] && (isPtr || indexed) {
-				return tn
-			}
-		}
-		// Not itself marked: the selector may still be reached through a
-		// marked struct further down the chain (m.tables.KMT).
-		return sharedRootOf(pkg, sc, marked, e.X, indexed, depth+1)
-	case *ast.Ident:
-		obj := sc.obj(e)
-		v, ok := obj.(*types.Var)
-		if !ok {
-			return nil
-		}
-		// Follow single-assignment locals, but only reference types: a
-		// struct-valued local is a copy and writes to it stay local.
-		if !referenceLike(v.Type()) {
-			return nil
-		}
-		if rhs, rec := sc.single[v]; rec && rhs != nil && ast.Unparen(rhs) != ast.Unparen(expr) {
-			return sharedRootOf(pkg, sc, marked, rhs, indexed, depth+1)
+		_, isPtr := l.base.Underlying().(*types.Pointer)
+		if tn := namedOf(l.base); tn != nil && marked[tn] && (isPtr || l.elem) {
+			return tn
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -54,16 +53,11 @@ type fieldWrite struct {
 	root *types.TypeName
 }
 
-// callEdge is one argument binding at a static call site, kept for the
-// written-parameter fixpoint: fields is the selector chain of the
-// argument (outermost first, empty for a bare variable), fromRoot the
-// variable the chain bottoms out in.
-type callEdge struct {
-	node     *funcNode
-	fields   []types.Object
-	fromRoot types.Object
-	rootTN   *types.TypeName
-	toParam  *types.Var
+// argWrite is an argument bound to a parameter, kept for the
+// written-parameter fixpoint.
+type argWrite struct {
+	node *funcNode
+	w    *write
 }
 
 type snapAnalysis struct {
@@ -77,8 +71,8 @@ type snapAnalysis struct {
 	chainWriters map[types.Object]map[*funcNode]bool
 	mentions     map[types.Object]map[*funcNode]bool
 	paramWritten map[*types.Var]bool
-	edges        []callEdge
-	cones        map[*types.TypeName]map[*funcNode]bool
+	args         []argWrite
+	cones        map[*types.TypeName]map[*funcNode]int
 }
 
 func runSnapshotComplete(prog *Program, report func(Diagnostic)) {
@@ -97,7 +91,12 @@ func runSnapshotComplete(prog *Program, report func(Diagnostic)) {
 	sa.indexFieldOwners()
 	sa.scanBodies()
 	sa.fixpointParamWrites()
-	sa.resolveCallWrites()
+	for _, a := range sa.args {
+		if len(a.w.links) > 0 && sa.paramWritten[a.w.param] {
+			// Passing m.exch to a helper that fills it mutates exch.
+			sa.recordFieldWrite(a.node, a.w)
+		}
+	}
 	sa.buildCones(snaps)
 
 	for _, s := range snaps {
@@ -111,12 +110,9 @@ func runSnapshotComplete(prog *Program, report func(Diagnostic)) {
 // outside internal/sched are covered identically.
 func findSnapshotters(prog *Program) []*snapshotter {
 	byType := make(map[*types.TypeName]*snapshotter)
-	for _, node := range prog.funcs {
-		if node.decl == nil || node.decl.Body == nil {
-			continue
-		}
-		sig, ok := node.fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
+	for _, node := range prog.funcList {
+		sig := node.fn.Type().(*types.Signature)
+		if sig.Recv() == nil {
 			continue
 		}
 		tn := namedOf(sig.Recv().Type())
@@ -188,101 +184,45 @@ func (sa *snapAnalysis) indexFieldOwners() {
 	}
 }
 
-// scanBodies walks every function body once, recording direct writes,
-// field mentions, directly written parameters, and call edges for the
-// fixpoint.
+// scanBodies sorts every function's resolved writes into field writes,
+// directly written parameters and argument bindings, and records the
+// fields each body mentions.
 func (sa *snapAnalysis) scanBodies() {
-	for _, node := range sa.prog.funcs {
-		if node.decl == nil || node.decl.Body == nil {
-			continue
-		}
-		node := node
-		pkg := node.pkg
-		sc := newFnScope(pkg, node.decl.Body)
+	for _, node := range sa.prog.funcList {
 		params := paramSetOf(node)
-
-		recordWrite := func(e ast.Expr, forceStepped bool) {
-			fields, rootTN, rootObj, stepped := destChain(pkg, sc, e, 0)
-			if forceStepped {
-				stepped = true
-			}
-			if len(fields) > 0 {
-				sa.writes[fields[0]] = append(sa.writes[fields[0]], fieldWrite{node: node, root: rootTN})
-				for _, f := range fields {
-					markSet(sa.chainWriters, f, node)
+		for i := range node.writes {
+			w := &node.writes[i]
+			switch {
+			case w.param != nil:
+				if len(w.links) > 0 || w.root != nil {
+					sa.args = append(sa.args, argWrite{node, w})
 				}
-				return
-			}
-			if v, ok := rootObj.(*types.Var); ok && params[v] && stepped {
-				sa.paramWritten[v] = true
+			case len(w.links) > 0:
+				sa.recordFieldWrite(node, w)
+			default:
+				if v, ok := w.root.(*types.Var); ok && params[v] && w.stepped {
+					sa.paramWritten[v] = true
+				}
 			}
 		}
-
 		ast.Inspect(node.decl.Body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.Ident:
-				if v, ok := pkg.Info.Uses[x].(*types.Var); ok && v.IsField() {
+			if id, ok := n.(*ast.Ident); ok {
+				if v, ok := node.pkg.Info.Uses[id].(*types.Var); ok && v.IsField() {
 					markSet(sa.mentions, types.Object(v), node)
 				}
-			case *ast.AssignStmt:
-				for _, lhs := range x.Lhs {
-					if _, isIdent := ast.Unparen(lhs).(*ast.Ident); isIdent {
-						continue // rebinding, not a write through storage
-					}
-					recordWrite(lhs, false)
-				}
-			case *ast.IncDecStmt:
-				if _, isIdent := ast.Unparen(x.X).(*ast.Ident); !isIdent {
-					recordWrite(x.X, false)
-				}
-			case *ast.CallExpr:
-				if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-					if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
-						if (b.Name() == "copy" || b.Name() == "clear") && len(x.Args) >= 1 {
-							recordWrite(x.Args[0], true)
-						}
-						return true
-					}
-				}
-				sa.recordCallEdges(node, pkg, sc, x)
 			}
 			return true
 		})
 	}
 }
 
-// recordCallEdges captures the argument->parameter bindings of one
-// static call for the written-parameter fixpoint.
-func (sa *snapAnalysis) recordCallEdges(node *funcNode, pkg *Package, sc *fnScope, call *ast.CallExpr) {
-	fn := staticCallee(pkg.Info, call)
-	if fn == nil {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	addEdge := func(arg ast.Expr, p *types.Var) {
-		if p == nil || !referenceLike(p.Type()) {
-			return
-		}
-		fields, rootTN, rootObj, _ := destChain(pkg, sc, arg, 0)
-		if len(fields) == 0 && rootObj == nil {
-			return
-		}
-		sa.edges = append(sa.edges, callEdge{
-			node: node, fields: fields, fromRoot: rootObj, rootTN: rootTN, toParam: p,
-		})
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sig.Recv() != nil {
-		addEdge(sel.X, sig.Recv())
-	}
-	n := sig.Params().Len()
-	if sig.Variadic() {
-		n--
-	}
-	for i := 0; i < n && i < len(call.Args); i++ {
-		addEdge(call.Args[i], sig.Params().At(i))
+// recordFieldWrite files a write under the chain's outermost field and
+// every field along it.
+func (sa *snapAnalysis) recordFieldWrite(node *funcNode, w *write) {
+	f0 := w.links[0].field
+	sa.writes[f0] = append(sa.writes[f0], fieldWrite{node: node, root: w.rootTN})
+	for _, l := range w.links {
+		markSet(sa.chainWriters, l.field, node)
 	}
 }
 
@@ -293,18 +233,18 @@ func (sa *snapAnalysis) fixpointParamWrites() {
 	paramSets := make(map[*funcNode]map[*types.Var]bool)
 	for changed := true; changed; {
 		changed = false
-		for _, e := range sa.edges {
-			if len(e.fields) != 0 || !sa.paramWritten[e.toParam] {
+		for _, a := range sa.args {
+			if len(a.w.links) != 0 || !sa.paramWritten[a.w.param] {
 				continue
 			}
-			v, ok := e.fromRoot.(*types.Var)
+			v, ok := a.w.root.(*types.Var)
 			if !ok || sa.paramWritten[v] {
 				continue
 			}
-			ps := paramSets[e.node]
+			ps := paramSets[a.node]
 			if ps == nil {
-				ps = paramSetOf(e.node)
-				paramSets[e.node] = ps
+				ps = paramSetOf(a.node)
+				paramSets[a.node] = ps
 			}
 			if ps[v] {
 				sa.paramWritten[v] = true
@@ -314,33 +254,16 @@ func (sa *snapAnalysis) fixpointParamWrites() {
 	}
 }
 
-// resolveCallWrites converts field-chain arguments bound to written
-// parameters into writes of the chain's outermost field: passing
-// m.exch to a helper that fills it mutates exch.
-func (sa *snapAnalysis) resolveCallWrites() {
-	for _, e := range sa.edges {
-		if len(e.fields) == 0 || !sa.paramWritten[e.toParam] {
-			continue
-		}
-		sa.writes[e.fields[0]] = append(sa.writes[e.fields[0]], fieldWrite{node: e.node, root: e.rootTN})
-		for _, f := range e.fields {
-			markSet(sa.chainWriters, f, e.node)
-		}
-	}
-}
-
 // buildCones builds the construction cones for every named type that
 // roots or owns a recorded write, plus the snapshotter types.
 func (sa *snapAnalysis) buildCones(snaps []*snapshotter) {
 	need := make(map[*types.TypeName]bool)
-	for _, sites := range sa.writes {
+	for f, sites := range sa.writes {
 		for _, w := range sites {
 			if w.root != nil {
 				need[w.root] = true
 			}
 		}
-	}
-	for f := range sa.writes {
 		if tn := sa.fieldOwner[f]; tn != nil {
 			need[tn] = true
 		}
@@ -348,7 +271,7 @@ func (sa *snapAnalysis) buildCones(snaps []*snapshotter) {
 	for _, s := range snaps {
 		need[s.tn] = true
 	}
-	sa.cones = buildConstructionCones(sa.prog, need)
+	sa.cones = constructionCones(sa.prog, need)
 }
 
 // mutatedOutsideCones reports whether field f has a write that is
@@ -357,10 +280,10 @@ func (sa *snapAnalysis) buildCones(snaps []*snapshotter) {
 func (sa *snapAnalysis) mutatedOutsideCones(f types.Object) bool {
 	owner := sa.fieldOwner[f]
 	for _, w := range sa.writes[f] {
-		if w.root != nil && sa.cones[w.root][w.node] {
+		if _, ok := sa.cones[w.root][w.node]; ok && w.root != nil {
 			continue
 		}
-		if owner != nil && sa.cones[owner][w.node] {
+		if _, ok := sa.cones[owner][w.node]; ok && owner != nil {
 			continue
 		}
 		return true
@@ -368,32 +291,11 @@ func (sa *snapAnalysis) mutatedOutsideCones(f types.Object) bool {
 	return false
 }
 
-// funcCone is the closure of a method and its module-local callees —
-// the code allowed to satisfy a snapshot or restore obligation.
-func funcCone(prog *Program, root *funcNode) map[*funcNode]bool {
-	cone := make(map[*funcNode]bool)
-	queue := []*funcNode{root}
-	for len(queue) > 0 {
-		node := queue[0]
-		queue = queue[1:]
-		if cone[node] || node.decl == nil || node.decl.Body == nil {
-			continue
-		}
-		cone[node] = true
-		for _, callee := range calleesOf(prog, node.pkg, node.decl.Body) {
-			if !cone[callee] {
-				queue = append(queue, callee)
-			}
-		}
-	}
-	return cone
-}
-
 // checkSnapshotter proves (or refutes) the coverage obligation for one
 // Snapshotter type.
 func (sa *snapAnalysis) checkSnapshotter(s *snapshotter, report func(Diagnostic)) {
-	snapCone := funcCone(sa.prog, s.snap)
-	restCone := funcCone(sa.prog, s.rest)
+	snapCone := cone([]*funcNode{s.snap}, nil)
+	restCone := cone([]*funcNode{s.rest}, nil)
 	recvName := "(*" + s.tn.Pkg().Name() + "." + s.tn.Name() + ")"
 
 	seen := make(map[string]bool)
@@ -427,7 +329,7 @@ func (sa *snapAnalysis) checkSnapshotter(s *snapshotter, report func(Diagnostic)
 		for _, f := range append(append([]types.Object{}, path...), leaf) {
 			if !snapCovered {
 				for n := range sa.mentions[f] {
-					if snapCone[n] {
+					if _, ok := snapCone[n]; ok {
 						snapCovered = true
 						break
 					}
@@ -435,7 +337,7 @@ func (sa *snapAnalysis) checkSnapshotter(s *snapshotter, report func(Diagnostic)
 			}
 			if !restCovered {
 				for n := range sa.chainWriters[f] {
-					if restCone[n] {
+					if _, ok := restCone[n]; ok {
 						restCovered = true
 						break
 					}
@@ -466,7 +368,7 @@ func (sa *snapAnalysis) checkSnapshotter(s *snapshotter, report func(Diagnostic)
 // guards type cycles.
 func (sa *snapAnalysis) walkLeaves(tn *types.TypeName, path []types.Object, visited map[*types.TypeName]bool, visit func(path []types.Object, leaf types.Object)) {
 	st, ok := tn.Type().Underlying().(*types.Struct)
-	if !ok || len(path) > dimDepth {
+	if !ok || len(path) > maxDepth {
 		return
 	}
 	for i := 0; i < st.NumFields(); i++ {
@@ -476,7 +378,7 @@ func (sa *snapAnalysis) walkLeaves(tn *types.TypeName, path []types.Object, visi
 		}
 		t := f.Type()
 		// Unwrap pointers and element layers to the carried value type.
-		for depth := 0; depth < dimDepth; depth++ {
+		for depth := 0; depth < maxDepth; depth++ {
 			switch u := t.Underlying().(type) {
 			case *types.Pointer:
 				t = u.Elem()
@@ -552,62 +454,4 @@ func markSet(m map[types.Object]map[*funcNode]bool, f types.Object, node *funcNo
 		m[f] = s
 	}
 	s[node] = true
-}
-
-// destChain unwraps a write destination or argument expression into its
-// selector chain: the ordered field objects (outermost first), the
-// named type of the root, the root object when the chain bottoms out in
-// a variable, and whether the walk passed through storage (deref,
-// index, or selector) rather than naming a binding.
-func destChain(pkg *Package, sc *fnScope, e ast.Expr, depth int) (fields []types.Object, rootTN *types.TypeName, rootObj types.Object, stepped bool) {
-	if depth > 2*dimDepth {
-		return nil, nil, nil, false
-	}
-	switch x := ast.Unparen(e).(type) {
-	case *ast.IndexExpr:
-		fields, rootTN, rootObj, _ = destChain(pkg, sc, x.X, depth+1)
-		return fields, rootTN, rootObj, true
-	case *ast.StarExpr:
-		fields, rootTN, rootObj, _ = destChain(pkg, sc, x.X, depth+1)
-		return fields, rootTN, rootObj, true
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return destChain(pkg, sc, x.X, depth+1)
-		}
-	case *ast.SelectorExpr:
-		if fo := fieldObjOf(pkg, x); fo != nil {
-			sub, tn, ro, _ := destChain(pkg, sc, x.X, depth+1)
-			return append([]types.Object{fo}, sub...), tn, ro, true
-		}
-		// Package-qualified var or method value: resolve the object.
-		if obj := pkg.Info.Uses[x.Sel]; obj != nil {
-			return nil, namedOf(obj.Type()), obj, false
-		}
-	case *ast.CallExpr:
-		if t := pkg.Info.TypeOf(x); t != nil {
-			return nil, namedOf(t), nil, true
-		}
-	case *ast.CompositeLit:
-		// Reached by following a single-assignment local back to
-		// `&T{...}`: the root type must survive, or every constructor
-		// that fills fields after the literal looks like a dirty write.
-		if t := pkg.Info.TypeOf(x); t != nil {
-			return nil, namedOf(t), nil, true
-		}
-	case *ast.Ident:
-		obj := sc.obj(x)
-		v, ok := obj.(*types.Var)
-		if !ok {
-			return nil, nil, obj, false
-		}
-		// Follow reference-typed single-assignment locals: an alias does
-		// not launder the write. Value copies rebind (struct copy).
-		if referenceLike(v.Type()) {
-			if rhs, rec := sc.single[v]; rec && rhs != nil && ast.Unparen(rhs) != ast.Unparen(e) {
-				return destChain(pkg, sc, rhs, depth+1)
-			}
-		}
-		return nil, namedOf(v.Type()), v, false
-	}
-	return nil, nil, nil, false
 }

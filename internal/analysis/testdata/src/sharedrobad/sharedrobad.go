@@ -59,3 +59,10 @@ func (m *model) step(v float64) {
 	cp := *m.tb.Sub
 	cp.W[0] = v // want `write to cp\.W\[0\] mutates storage reachable from //foam:sharedro type sharedrobad\.Sub outside its construction cone`
 }
+
+// A slice expression is element access: it shares the backing array.
+func (m *model) sliced() {
+	copy(m.tb.Sub.W[1:], m.buf) // want `copy into m\.tb\.Sub\.W\[1:\] mutates storage reachable from //foam:sharedro type sharedrobad\.Sub outside its construction cone`
+	clear(m.tb.KMT[:2])         // want `clear into m\.tb\.KMT\[:2\] mutates storage reachable from //foam:sharedro type sharedrobad\.Tables outside its construction cone`
+	m.tb.KMT[:2][0] = 5         // want `write to m\.tb\.KMT\[:2\]\[0\] mutates storage reachable from //foam:sharedro type sharedrobad\.Tables outside its construction cone`
+}

@@ -55,3 +55,28 @@ type snapError string
 func (e snapError) Error() string { return string(e) }
 
 const errBadSnapshot = snapError("snapbad: wrong snapshot type")
+
+// hcomp writes hist only through a slice of itself: still a mutable
+// field that the checkpoint must carry.
+type hcomp struct {
+	state, hist []float64
+}
+
+func newHComp(n int) *hcomp {
+	return &hcomp{state: make([]float64, n), hist: make([]float64, n+1)}
+}
+
+func (c *hcomp) Step() { copy(c.hist[1:], c.state) }
+
+func (c *hcomp) Snapshot() any { // want `\(\*snapbad\.hcomp\)\.Snapshot does not capture mutable field hist`
+	return append([]float64(nil), c.state...)
+}
+
+func (c *hcomp) RestoreSnapshot(s any) error { // want `\(\*snapbad\.hcomp\)\.RestoreSnapshot does not restore mutable field hist`
+	v, ok := s.([]float64)
+	if !ok {
+		return errBadSnapshot
+	}
+	copy(c.state, v)
+	return nil
+}

@@ -60,11 +60,9 @@ func unitVal(u Unit) uval { return uval{kind: uHasUnit, unit: u} }
 // unitCallDepth bounds interprocedural return-unit inference.
 const unitCallDepth = 3
 
-// unitChecker carries the per-run caches: pragma tables, lazily built
-// per-function scopes, and the program under analysis.
+// unitChecker evaluates units against the program's pragma tables.
 type unitChecker struct {
-	prog   *Program
-	scopes map[*funcNode]*fnScope
+	prog *Program
 }
 
 // uctx is one evaluation context: a package, a local single-assignment
@@ -80,35 +78,18 @@ func runUnitCheck(prog *Program, report func(Diagnostic)) {
 	if len(prog.pragmas.units) == 0 && len(prog.pragmas.returnUnit) == 0 {
 		return
 	}
-	uc := &unitChecker{prog: prog, scopes: make(map[*funcNode]*fnScope)}
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				uc.checkFunc(pkg, fd, report)
-			}
-		}
+	uc := &unitChecker{prog: prog}
+	for _, n := range prog.funcList {
+		uc.checkFunc(n, report)
 	}
-}
-
-func (uc *unitChecker) scopeFor(node *funcNode) *fnScope {
-	if sc, ok := uc.scopes[node]; ok {
-		return sc
-	}
-	sc := newFnScope(node.pkg, node.decl.Body)
-	uc.scopes[node] = sc
-	return sc
 }
 
 // checkFunc reports every dimensional inconsistency inside one function
 // body. Evaluation (eval) is pure; all reporting happens here so return
 // inference re-evaluating a callee body never mis-attributes findings.
-func (uc *unitChecker) checkFunc(pkg *Package, fd *ast.FuncDecl, report func(Diagnostic)) {
-	ctx := &uctx{pkg: pkg, sc: newFnScope(pkg, fd.Body)}
-	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+func (uc *unitChecker) checkFunc(n *funcNode, report func(Diagnostic)) {
+	ctx := &uctx{pkg: n.pkg, sc: n.scope}
+	fn := n.fn
 
 	emit := func(pos token.Pos, format string, args ...any) {
 		report(Diagnostic{
@@ -117,8 +98,8 @@ func (uc *unitChecker) checkFunc(pkg *Package, fd *ast.FuncDecl, report func(Dia
 		})
 	}
 
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch e := n.(type) {
+	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
+		switch e := node.(type) {
 		case *ast.BinaryExpr:
 			uc.checkBinary(ctx, e, emit)
 		case *ast.AssignStmt:
@@ -217,7 +198,7 @@ func (uc *unitChecker) checkSink(ctx *uctx, rhs ast.Expr, declared Unit, dst str
 // numeric conversions — but not arithmetic — and returns the root field
 // selection when it resolves to a struct field with no declared unit.
 func (uc *unitChecker) unannotatedFieldRoot(ctx *uctx, e ast.Expr, depth int) (*ast.SelectorExpr, types.Object) {
-	if depth > dimDepth {
+	if depth > maxDepth {
 		return nil, nil
 	}
 	switch e := ast.Unparen(e).(type) {
@@ -372,7 +353,7 @@ func (uc *unitChecker) checkReturn(ctx *uctx, fn *types.Func, st *ast.ReturnStmt
 // indexes and derefs reach the annotated element, selectors the
 // annotated field, identifiers the annotated var or parameter.
 func (uc *unitChecker) declaredUnitOf(ctx *uctx, e ast.Expr) (Unit, bool) {
-	for depth := 0; depth <= dimDepth; depth++ {
+	for depth := 0; depth <= maxDepth; depth++ {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.IndexExpr:
 			e = x.X
@@ -402,24 +383,11 @@ func (uc *unitChecker) declaredUnitOf(ctx *uctx, e ast.Expr) (Unit, bool) {
 	return nil, false
 }
 
-// fieldObjOf resolves a selector expression to the struct field it
-// selects, or nil for method selections and package qualifiers.
-func fieldObjOf(pkg *Package, sel *ast.SelectorExpr) types.Object {
-	if s, ok := pkg.Info.Selections[sel]; ok {
-		if s.Kind() == types.FieldVal {
-			return s.Obj()
-		}
-		return nil
-	}
-	// Package-qualified identifier: not a field.
-	return nil
-}
-
 // eval resolves an expression to its dimensional value. It is pure —
 // no reporting — so it can re-evaluate callee bodies during return
 // inference without mis-attributing findings.
 func (uc *unitChecker) eval(ctx *uctx, e ast.Expr, depth int) uval {
-	if depth > 4*dimDepth {
+	if depth > 4*maxDepth {
 		return unknownVal()
 	}
 	e = ast.Unparen(e)
@@ -572,11 +540,11 @@ func (uc *unitChecker) evalCall(ctx *uctx, call *ast.CallExpr, depth int) uval {
 	// Depth-limited return inference over module-local bodies: bind the
 	// caller's argument units to the callee's parameters, evaluate every
 	// return expression, and keep the unit only when they agree.
-	if depth >= unitCallDepth*dimDepth {
+	if depth >= unitCallDepth*maxDepth {
 		return unknownVal()
 	}
 	node := uc.prog.funcs[fn]
-	if node == nil || node.decl == nil || node.decl.Body == nil || sig.Results().Len() != 1 {
+	if node == nil || sig.Results().Len() != 1 {
 		return unknownVal()
 	}
 	env := make(map[types.Object]uval)
@@ -591,7 +559,7 @@ func (uc *unitChecker) evalCall(ctx *uctx, call *ast.CallExpr, depth int) uval {
 	for i := 0; i < n && i < len(call.Args); i++ {
 		env[params.At(i)] = uc.eval(ctx, call.Args[i], depth+1)
 	}
-	callee := &uctx{pkg: node.pkg, sc: uc.scopeFor(node), env: env}
+	callee := &uctx{pkg: node.pkg, sc: node.scope, env: env}
 
 	result := polyVal()
 	seen := false
@@ -608,7 +576,7 @@ func (uc *unitChecker) evalCall(ctx *uctx, call *ast.CallExpr, depth int) uval {
 				bad = true
 				return false
 			}
-			v := uc.eval(callee, x.Results[0], depth+dimDepth)
+			v := uc.eval(callee, x.Results[0], depth+maxDepth)
 			switch v.kind {
 			case uUnknown:
 				bad = true

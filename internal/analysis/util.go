@@ -62,6 +62,26 @@ func referenceLike(t types.Type) bool {
 	return false
 }
 
+// namedOf unwraps pointers and returns the TypeName of a named type.
+func namedOf(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj()
+	}
+	return nil
+}
+
+// fieldObjOf resolves a selector expression to the struct field it
+// selects, or nil for method selections and package qualifiers.
+func fieldObjOf(pkg *Package, sel *ast.SelectorExpr) types.Object {
+	if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		return s.Obj()
+	}
+	return nil
+}
+
 // calleeName returns the bare name of the called function or method, or
 // "" when the callee is not a simple identifier or selector.
 func calleeName(call *ast.CallExpr) string {
