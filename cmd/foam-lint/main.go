@@ -1,10 +1,11 @@
 // Command foam-lint runs FOAM-Go's project-specific static-analysis
 // suite (internal/analysis): the compile-time enforcement of the
-// determinism, zero-allocation, phase-safety, and grid-shape invariants.
+// determinism, zero-allocation, shared-table, locking, schedule,
+// dimensional and checkpoint invariants.
 //
 // Usage:
 //
-//	foam-lint [-json|-sarif] [-fix] [-baseline file] [pattern ...]
+//	foam-lint [-sarif] [-fix] [pattern ...]
 //
 // The module containing the current directory is loaded in full (every
 // non-test package); optional trailing patterns restrict which packages
@@ -17,17 +18,13 @@
 // -fix applies the suggested fixes (floatcmp ordered-form rewrites,
 // //foam: directive normalization) to the files in place; fixed
 // findings are not reported, so a run that fixes everything exits 0.
+// A finding that must stay is suppressed at its line with
+// //foam:allow <analyzer> <reason>.
 //
-// -baseline reads a committed findings file with ratchet semantics:
-// listed findings are suppressed, new findings fail, and stale entries
-// (fixed findings still listed) fail until removed from the file.
-//
-// Exit status: 0 clean, 1 findings or stale baseline entries, 2 usage
-// or load failure. Text output is one "path:line:col: message
-// [analyzer]" line per finding, sorted by (path, line, column) so CI
-// logs diff cleanly; -json emits the same findings as a versioned JSON
-// report (see analysis.JSONSchemaVersion — a stable schema for tooling)
-// and -sarif as a SARIF 2.1.0 log for CI inline annotations.
+// Exit status: 0 clean, 1 findings, 2 usage or load failure. Text output
+// is one "path:line:col: message [analyzer]" line per finding, sorted by
+// (path, line, column) so CI logs diff cleanly; -sarif emits the same
+// findings as a SARIF 2.1.0 log for CI inline annotations.
 package main
 
 import (
@@ -48,19 +45,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("foam-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit a versioned JSON findings report (stable schema)")
 	sarifOut := fs.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log")
 	fix := fs.Bool("fix", false, "apply suggested fixes in place and report only what remains")
-	baselinePath := fs.String("baseline", "", "baseline findings file with ratchet semantics")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: foam-lint [-json|-sarif] [-fix] [-baseline file] [pattern ...]\n\npatterns: ./... (default), or subtrees like ./internal/...\n")
+		fmt.Fprintf(stderr, "usage: foam-lint [-sarif] [-fix] [pattern ...]\n\npatterns: ./... (default), or subtrees like ./internal/...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "foam-lint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -149,41 +140,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var stale []string
-	if *baselinePath != "" {
-		data, rerr := os.ReadFile(*baselinePath)
-		if rerr != nil {
-			fmt.Fprintln(stderr, "foam-lint:", rerr)
-			return 2
-		}
-		base := analysis.ParseBaseline(data)
-		diags, stale = base.Apply(diags, func(d analysis.Diagnostic) string {
-			d.Pos.Filename = filepath.ToSlash(d.Pos.Filename)
-			return d.String()
-		})
-	}
-
-	switch {
-	case *sarifOut:
+	if *sarifOut {
 		if err := analysis.WriteSARIF(stdout, diags, analysis.Analyzers()); err != nil {
 			fmt.Fprintln(stderr, "foam-lint:", err)
 			return 2
 		}
-	case *jsonOut:
-		if err := analysis.WriteJSON(stdout, diags); err != nil {
-			fmt.Fprintln(stderr, "foam-lint:", err)
-			return 2
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}
 	}
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "foam-lint: stale baseline entry (fixed finding, remove it): %s\n", e)
-	}
-	if len(diags) > 0 || len(stale) > 0 {
-		if len(diags) > 0 && !*jsonOut && !*sarifOut {
+	if len(diags) > 0 {
+		if !*sarifOut {
 			fmt.Fprintf(stderr, "foam-lint: %d finding(s)\n", len(diags))
 		}
 		return 1

@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"foam/internal/analysis"
 )
 
 // writeModule lays out a throwaway Go module and returns its root.
@@ -68,52 +65,6 @@ func Same(a, b float64) bool { return a == b }
 	}
 }
 
-// TestBaselineRatchet: baselined findings are suppressed, and entries
-// matching no finding are stale and fail the run.
-func TestBaselineRatchet(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"sub/thing.go": `// Package sub compares floats exactly.
-package sub
-
-// Same compares computed values exactly.
-func Same(a, b float64) bool { return a == b }
-`,
-	})
-	inDir(t, dir)
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"./..."}, &out, &errb); code != 1 {
-		t.Fatalf("plain run exit %d, want 1; stderr: %s", code, errb.String())
-	}
-	entry := strings.TrimSpace(out.String())
-
-	base := filepath.Join(dir, "lint.baseline")
-	if err := os.WriteFile(base, []byte("# accepted\n"+entry+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", "lint.baseline", "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("baselined run exit %d, want 0; stdout: %s stderr: %s", code, out.String(), errb.String())
-	}
-	if strings.TrimSpace(out.String()) != "" {
-		t.Fatalf("baselined run reported findings:\n%s", out.String())
-	}
-
-	if err := os.WriteFile(base, []byte(entry+"\nsub/gone.go:1:1: long fixed [floatcmp]\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-baseline", "lint.baseline", "./..."}, &out, &errb); code != 1 {
-		t.Fatalf("stale-entry run exit %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "stale baseline entry") {
-		t.Fatalf("missing stale-entry report, stderr: %s", errb.String())
-	}
-}
-
 // TestFixRoundTrip: -fix rewrites float comparisons to their exact
 // ordered form and normalizes spaced //foam: directives, after which a
 // plain run is clean.
@@ -154,70 +105,5 @@ func Wet(w []float64, c int) bool {
 	errb.Reset()
 	if code := run([]string{"./..."}, &out, &errb); code != 0 {
 		t.Fatalf("post-fix run exit %d, want 0; stdout: %s stderr: %s", code, out.String(), errb.String())
-	}
-}
-
-// TestJSONReport: -json emits the versioned envelope — schemaVersion,
-// tool name, and a findings array that is present (not null) even when
-// empty — so tooling can consume findings without parsing text.
-func TestJSONReport(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"sub/thing.go": `// Package sub compares floats exactly.
-package sub
-
-// Same compares computed values exactly.
-func Same(a, b float64) bool { return a == b }
-`,
-	})
-	inDir(t, dir)
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-json", "./..."}, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
-	}
-	var rep analysis.JSONReport
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("output is not a JSONReport: %v\n%s", err, out.String())
-	}
-	if rep.SchemaVersion != analysis.JSONSchemaVersion {
-		t.Fatalf("schemaVersion = %d, want %d", rep.SchemaVersion, analysis.JSONSchemaVersion)
-	}
-	if rep.Tool != "foam-lint" {
-		t.Fatalf("tool = %q, want foam-lint", rep.Tool)
-	}
-	if len(rep.Findings) != 1 {
-		t.Fatalf("got %d findings, want 1:\n%s", len(rep.Findings), out.String())
-	}
-	f := rep.Findings[0]
-	if f.Analyzer != "floatcmp" || f.File != "sub/thing.go" || f.Line == 0 || f.Column == 0 || f.Message == "" {
-		t.Fatalf("unexpected finding: %+v", f)
-	}
-
-	// Clean module: still a full envelope with an empty findings array.
-	clean := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"sub/ok.go": `// Package sub is clean.
-package sub
-
-// Two doubles its argument.
-func Two(x float64) float64 { return 2 * x }
-`,
-	})
-	inDir(t, clean)
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-json", "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("clean run exit %d, want 0; stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), `"findings": []`) {
-		t.Fatalf("clean report must carry an empty findings array, got:\n%s", out.String())
-	}
-	var cleanRep analysis.JSONReport
-	if err := json.Unmarshal(out.Bytes(), &cleanRep); err != nil {
-		t.Fatalf("clean output is not a JSONReport: %v", err)
-	}
-	if cleanRep.Findings == nil || len(cleanRep.Findings) != 0 {
-		t.Fatalf("clean findings = %#v, want empty non-nil array", cleanRep.Findings)
 	}
 }

@@ -34,7 +34,8 @@
 //	//foam:allow <name> <reason>
 //	                      suppress one analyzer on this line and the next
 //
-// and thirteen analyzers enforce them:
+// and ten analyzers enforce them, each a query over the analysis core
+// LoadModule computes once (core.go):
 //
 //	hotpathalloc    allocating constructs reachable from a hotpath root
 //	poolclosure     function literals or method values at pool.Run sites
@@ -42,10 +43,6 @@
 //	                packages
 //	intoalias       *Into calls whose dst syntactically aliases a source
 //	floatcmp        == / != on floating-point operands
-//	phasesafety     pool phases whose symbolic write sets can overlap
-//	                across workers under the block decomposition
-//	fieldshape      flat grid buffers indexed or copied with another
-//	                grid's dimensions
 //	sharedro        writes to storage reachable from //foam:sharedro
 //	                table types outside their construction cone
 //	lockdiscipline  undeclared mutex guard sets, guarded-field access
@@ -55,8 +52,6 @@
 //	schedcontract   sched.Program construction vs the Component
 //	                import/export declarations: producers for every
 //	                import, switch coverage, lag-branch op parity
-//	batchalias      fused *ManyInto batch headers: aliasing slots and
-//	                refills that do not cover the full batch
 //	unitcheck       dimensional analysis over //foam:units annotations:
 //	                arithmetic, stores, calls, and returns combining
 //	                incompatible physical units
@@ -153,12 +148,9 @@ func Analyzers() []*Analyzer {
 		AnalyzerNondeterminism,
 		AnalyzerIntoAlias,
 		AnalyzerFloatCmp,
-		AnalyzerPhaseSafety,
-		AnalyzerFieldShape,
 		AnalyzerSharedRO,
 		AnalyzerLockDiscipline,
 		AnalyzerSchedContract,
-		AnalyzerBatchAlias,
 		AnalyzerUnitCheck,
 		AnalyzerSnapshotComplete,
 	}

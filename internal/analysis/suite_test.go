@@ -72,26 +72,6 @@ func TestFloatCmpFixRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBaselineApply(t *testing.T) {
-	base := ParseBaseline([]byte("# comment\n\na.go:1:2: msg one [floatcmp]\nb.go:9:9: never happens [fieldshape]\n"))
-	if base.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", base.Len())
-	}
-	diags := []Diagnostic{
-		{Analyzer: "floatcmp", Message: "msg one"},
-		{Analyzer: "floatcmp", Message: "msg two"},
-	}
-	canons := []string{"a.go:1:2: msg one [floatcmp]", "a.go:3:4: msg two [floatcmp]"}
-	i := 0
-	fresh, stale := base.Apply(diags, func(Diagnostic) string { c := canons[i]; i++; return c })
-	if len(fresh) != 1 || fresh[0].Message != "msg two" {
-		t.Fatalf("fresh = %v, want only msg two", fresh)
-	}
-	if len(stale) != 1 || stale[0] != "b.go:9:9: never happens [fieldshape]" {
-		t.Fatalf("stale = %v, want the unmatched entry", stale)
-	}
-}
-
 func TestApplyFixesRejectsOverlap(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "x.txt")
@@ -117,47 +97,5 @@ func TestApplyFixesRejectsOverlap(t *testing.T) {
 	}
 	if string(got) != "01A45B89" {
 		t.Fatalf("spliced file = %q, want %q", got, "01A45B89")
-	}
-}
-
-// TestPairDisjoint exercises the affine-cone disjointness test on the
-// interval shapes phasesafety actually derives. Coordinates are
-// (lo-coefficient, hi-coefficient, constant); every worker holds
-// 0 ≤ lo ≤ hi and adjacent blocks share hi(k) = lo(k+1).
-func TestPairDisjoint(t *testing.T) {
-	iv := func(sl, sh, sc, el, eh, ec int) rowIv {
-		return rowIv{
-			start: affine{lo: sl, hi: sh, c: sc, ok: true},
-			end:   affine{lo: el, hi: eh, c: ec, ok: true},
-		}
-	}
-	block := iv(1, 0, 0, 0, 1, 0)     // [lo, hi): the canonical block
-	blockWide := iv(1, 0, 0, 0, 1, 1) // [lo, hi+1): spills into the next block
-	haloLeft := iv(1, 0, -1, 1, 0, 0) // [lo-1, lo): previous worker's last row
-	interior := iv(1, 0, 1, 0, 1, 0)  // [lo+1, hi): interior rows only
-	empty := iv(0, 1, 0, 1, 0, 0)     // [hi, lo): always empty
-	cases := []struct {
-		name   string
-		a, b   rowIv
-		wantOK bool
-	}{
-		{"block vs itself", block, block, true},
-		{"block vs interior", block, interior, true},
-		{"seam spill vs block", blockWide, block, false},
-		{"seam spill vs itself", blockWide, blockWide, false},
-		{"halo write vs block", haloLeft, block, false},
-		// lo-1 at a higher worker is hi-1 of an adjacent lower worker,
-		// which its interior loop also reaches once blocks have ≥ 2 rows.
-		{"halo write vs interior", haloLeft, interior, false},
-		{"halo write vs itself", haloLeft, haloLeft, true},
-		{"empty vs anything", empty, blockWide, true},
-	}
-	for _, c := range cases {
-		if got := pairDisjoint(c.a, c.b); got != c.wantOK {
-			t.Errorf("%s: pairDisjoint(%s, %s) = %v, want %v", c.name, c.a, c.b, got, c.wantOK)
-		}
-		if got := pairDisjoint(c.b, c.a); got != c.wantOK {
-			t.Errorf("%s (swapped): pairDisjoint(%s, %s) = %v, want %v", c.name, c.b, c.a, got, c.wantOK)
-		}
 	}
 }
