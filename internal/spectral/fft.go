@@ -36,10 +36,11 @@ type FFT struct {
 // DFT. The tables hold one record per k, tw[2(p-1)*k:] = (re, im) of
 // r = 1..p-1, read as one sequential stream with no modulo (cw holds exactly
 // cmplx.Conj of each twiddle, for the inverse). The k = 0 record is
-// twiddle[0] = (1, -0); the leaf stage (m = 1) never reads its table.
+// twiddle[0] = (1, -0). The leaf stage (m = 1) has no twiddle, so its
+// tables are nil.
 type fftStage struct {
 	p, m   int
-	tw, cw []float64 // length 2(p-1)*m each
+	tw, cw []float64 // length 2(p-1)*m each; nil at the leaf
 }
 
 // NewFFT creates a transform of length n.
@@ -64,17 +65,18 @@ func NewFFT(n int) *FFT {
 	}
 	size := n
 	for _, p := range f.factors {
-		st := fftStage{p: p, m: size / p,
-			tw: make([]float64, 2*(p-1)*(size/p)),
-			cw: make([]float64, 2*(p-1)*(size/p)),
-		}
-		twStep := n / size
-		for k := 0; k < st.m; k++ {
-			for r := 1; r < p; r++ {
-				w := f.twiddle[(r*k*twStep)%n]
-				o := 2 * (k*(p-1) + r - 1)
-				st.tw[o], st.tw[o+1] = real(w), imag(w)
-				st.cw[o], st.cw[o+1] = real(w), imag(cmplx.Conj(w))
+		st := fftStage{p: p, m: size / p}
+		if st.m > 1 { // the leaf takes no twiddle
+			st.tw = make([]float64, 2*(p-1)*st.m)
+			st.cw = make([]float64, 2*(p-1)*st.m)
+			twStep := n / size
+			for k := 0; k < st.m; k++ {
+				for r := 1; r < p; r++ {
+					w := f.twiddle[(r*k*twStep)%n]
+					o := 2 * (k*(p-1) + r - 1)
+					st.tw[o], st.tw[o+1] = real(w), imag(w)
+					st.cw[o], st.cw[o+1] = real(w), imag(cmplx.Conj(w))
+				}
 			}
 		}
 		f.stages = append(f.stages, st)

@@ -599,7 +599,7 @@ func TestFFTPairRowsMatchReference(t *testing.T) {
 // TestFFTTwiddleTables pins the factored stage layout: stage d of radix p
 // over blocks of p*m holds (p-1)*m twiddle records, record k of r is
 // twiddle[(r*k*n/size) % n] — so k = 0 is exactly (1, -0) — and cw is
-// exactly the conjugate of tw. The leaf stage has m = 1.
+// exactly the conjugate of tw. The leaf stage has m = 1 and no tables.
 func TestFFTTwiddleTables(t *testing.T) {
 	for n := 2; n <= 128; n++ {
 		f := NewFFT(n)
@@ -608,8 +608,18 @@ func TestFFTTwiddleTables(t *testing.T) {
 		}
 		size := n
 		for d, st := range f.stages {
-			if st.p != f.factors[d] || st.p*st.m != size || len(st.tw) != 2*(st.p-1)*st.m || len(st.cw) != len(st.tw) {
-				t.Fatalf("n=%d stage %d: p=%d m=%d over size %d, %d/%d table entries", n, d, st.p, st.m, size, len(st.tw), len(st.cw))
+			if st.p != f.factors[d] || st.p*st.m != size {
+				t.Fatalf("n=%d stage %d: p=%d m=%d over size %d", n, d, st.p, st.m, size)
+			}
+			if st.m == 1 {
+				if st.tw != nil || st.cw != nil {
+					t.Fatalf("n=%d: the leaf stage has %d/%d table entries, want none", n, len(st.tw), len(st.cw))
+				}
+				size = st.m
+				continue
+			}
+			if len(st.tw) != 2*(st.p-1)*st.m || len(st.cw) != len(st.tw) {
+				t.Fatalf("n=%d stage %d: %d/%d table entries, want %d", n, d, len(st.tw), len(st.cw), 2*(st.p-1)*st.m)
 			}
 			for k := 0; k < st.m; k++ {
 				for r := 1; r < st.p; r++ {
@@ -659,27 +669,17 @@ func TestFFTSplitPlanesMatchReference(t *testing.T) {
 		gotRe, gotIm := make([]float64, n), make([]float64, n)
 		f.Forward(want, src)
 		f.ForwardSplitInto(gotRe, gotIm, srcRe, srcIm, s)
-		worst.check(t, fmt.Sprintf("n=%d forward", n), append(gotRe, gotIm...), append(realParts(want), imagParts(want)...))
+		got := func() []complex128 {
+			c := make([]complex128, n)
+			for i := range c {
+				c[i] = complex(gotRe[i], gotIm[i])
+			}
+			return c
+		}
+		worst.check(t, fmt.Sprintf("n=%d forward", n), flatC(got()), flatC(want))
 		f.Inverse(want, src)
 		f.InverseSplitInto(gotRe, gotIm, srcRe, srcIm, s)
-		worst.check(t, fmt.Sprintf("n=%d inverse", n), append(gotRe, gotIm...), append(realParts(want), imagParts(want)...))
+		worst.check(t, fmt.Sprintf("n=%d inverse", n), flatC(got()), flatC(want))
 	}
 	t.Logf("worst: %.2f ε·max|ref| (%s)", worst.v, worst.what)
-}
-
-// realParts and imagParts split complex values into two planes.
-func realParts(c []complex128) []float64 {
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = real(v)
-	}
-	return out
-}
-
-func imagParts(c []complex128) []float64 {
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = imag(v)
-	}
-	return out
 }
