@@ -27,12 +27,18 @@ type funcNode struct {
 	cold   bool
 
 	// callees are the module functions the body references, by call or
-	// by value, in source order, each once.
+	// by value, in source order, each once. A hotphases binder's phase
+	// closures run at step time, as hot roots of their own, so what they
+	// reference is not the binder's.
 	callees []*funcNode
 	// scope resolves the body's identifiers and single-assignment locals.
 	scope *fnScope
 	// writes are the body's store destinations in source order.
 	writes []write
+	// sliceParam is the index of the parameter every return statement
+	// reslices (rowOf(f, j) returns f[a:b]), or -1: a store through the
+	// result is a store to that argument.
+	sliceParam int
 }
 
 // write is one store destination of a function body: an assignment or
@@ -76,11 +82,12 @@ type link struct {
 // locals that are assigned exactly once.
 type fnScope struct {
 	pkg    *Package
+	funcs  map[*types.Func]*funcNode
 	single map[types.Object]ast.Expr // single-assignment RHS; nil = reassigned
 }
 
-func newFnScope(pkg *Package, body ast.Node) *fnScope {
-	s := &fnScope{pkg: pkg, single: make(map[types.Object]ast.Expr)}
+func newFnScope(pkg *Package, funcs map[*types.Func]*funcNode, body ast.Node) *fnScope {
+	s := &fnScope{pkg: pkg, funcs: funcs, single: make(map[types.Object]ast.Expr)}
 	record := func(id *ast.Ident, rhs ast.Expr) {
 		obj := pkg.Info.Defs[id]
 		if obj == nil {
@@ -181,6 +188,15 @@ func (s *fnScope) resolve(e ast.Expr, elem bool, depth int) dest {
 			return dest{rootTN: namedOf(obj.Type()), root: obj}
 		}
 	case *ast.CallExpr, *ast.CompositeLit:
+		if call, ok := x.(*ast.CallExpr); ok {
+			if fn := staticCallee(info, call); fn != nil {
+				if n := s.funcs[fn]; n != nil && n.sliceParam >= 0 && n.sliceParam < len(call.Args) {
+					d := s.resolve(call.Args[n.sliceParam], true, depth+1)
+					d.stepped = true
+					return d
+				}
+			}
+		}
 		// A composite literal is reached by following a local back to
 		// &T{...}: the root type must survive, or every constructor that
 		// fills fields after the literal looks like a dirty write.
@@ -225,8 +241,9 @@ func (prog *Program) buildFuncIndex() {
 					hot:    prog.pragmas.hot[obj],
 					phases: prog.pragmas.phases[obj],
 					cold:   prog.pragmas.cold[obj],
-					scope:  newFnScope(pkg, fd.Body),
+					scope:  newFnScope(pkg, prog.funcs, fd.Body),
 				}
+				n.sliceParam = slicedParam(pkg.Info, obj, fd.Body)
 				prog.funcs[obj] = n
 				prog.funcList = append(prog.funcList, n)
 			}
@@ -240,17 +257,59 @@ func (prog *Program) buildFuncIndex() {
 		return a.Offset < b.Offset
 	})
 	for _, n := range prog.funcList {
-		n.callees = prog.calleesIn(n.pkg, n.decl.Body)
+		n.callees = prog.calleesIn(n.pkg, n.decl.Body, n.phases)
 		n.writes = prog.writesIn(n)
 	}
 }
 
+// slicedParam returns the index of the parameter that every return
+// statement of fn's body reslices, or -1.
+func slicedParam(info *types.Info, fn *types.Func, body *ast.BlockStmt) int {
+	sig := fn.Type().(*types.Signature)
+	if sig.Results().Len() != 1 {
+		return -1
+	}
+	idx := -1
+	ast.Inspect(body, func(node ast.Node) bool {
+		switch st := node.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			i := -2
+			if len(st.Results) == 1 {
+				if se, ok := ast.Unparen(st.Results[0]).(*ast.SliceExpr); ok {
+					if id, ok := ast.Unparen(se.X).(*ast.Ident); ok {
+						for p := 0; p < sig.Params().Len(); p++ {
+							if info.Uses[id] == sig.Params().At(p) {
+								i = p
+							}
+						}
+					}
+				}
+			}
+			if idx == -1 || idx == i {
+				idx = i
+			} else {
+				idx = -2
+			}
+		}
+		return true
+	})
+	if idx < 0 {
+		return -1
+	}
+	return idx
+}
+
 // calleesIn returns the module functions body references — by call or by
-// value — in source order.
-func (prog *Program) calleesIn(pkg *Package, body ast.Node) []*funcNode {
+// value — in source order, leaving out function literals if skipLits.
+func (prog *Program) calleesIn(pkg *Package, body ast.Node, skipLits bool) []*funcNode {
 	var out []*funcNode
 	seen := make(map[*funcNode]bool)
 	ast.Inspect(body, func(node ast.Node) bool {
+		if _, lit := node.(*ast.FuncLit); lit && skipLits {
+			return false
+		}
 		id, ok := node.(*ast.Ident)
 		if !ok {
 			return true

@@ -70,7 +70,7 @@ func runHotPathAlloc(prog *Program, report func(Diagnostic)) {
 			if _, ok := n.pkg.Info.TypeOf(lit).(*types.Signature); !ok {
 				continue
 			}
-			phase := &funcNode{pkg: n.pkg, callees: prog.calleesIn(n.pkg, lit.Body)}
+			phase := &funcNode{pkg: n.pkg, callees: prog.calleesIn(n.pkg, lit.Body, false)}
 			lits[phase] = lit
 			roots = append(roots, phase)
 			names = append(names, fmt.Sprintf("%s$%d", funcDisplayName(n.fn), i+1))

@@ -80,3 +80,44 @@ func (c *hcomp) RestoreSnapshot(s any) error { // want `\(\*snapbad\.hcomp\)\.Re
 	copy(c.state, v)
 	return nil
 }
+
+// rcomp writes vel only through the rows rowOf returns, from the phase its
+// constructor binds (the ocean's barotropic velocities): a phase runs at
+// step time, not construction, and a store through a row stores to vel,
+// so dropping vel from RestoreSnapshot is a finding.
+type rcomp struct {
+	nlon  int
+	vel   []float64
+	phase func(j int)
+}
+
+func newRComp(nlat, nlon int) *rcomp {
+	c := &rcomp{nlon: nlon, vel: make([]float64, nlat*nlon)}
+	c.bindPhases()
+	return c
+}
+
+//foam:hotphases
+func (c *rcomp) bindPhases() {
+	c.phase = func(j int) { c.damp(j) }
+}
+
+func (c *rcomp) rowOf(f []float64, j int) []float64 {
+	return f[j*c.nlon : (j+1)*c.nlon]
+}
+
+func (c *rcomp) damp(j int) {
+	row := c.rowOf(c.vel, j)
+	for i := range row {
+		row[i] *= 0.5
+	}
+}
+
+func (c *rcomp) Snapshot() any { return append([]float64(nil), c.vel...) }
+
+func (c *rcomp) RestoreSnapshot(s any) error { // want `\(\*snapbad\.rcomp\)\.RestoreSnapshot does not restore mutable field vel`
+	if _, ok := s.([]float64); !ok {
+		return errBadSnapshot
+	}
+	return nil
+}
