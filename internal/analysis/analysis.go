@@ -34,14 +34,12 @@
 //	//foam:allow <name> <reason>
 //	                      suppress one analyzer on this line and the next
 //
-// and ten analyzers enforce them, each a query over the analysis core
+// and eight analyzers enforce them, each a query over the analysis core
 // LoadModule computes once (core.go):
 //
 //	hotpathalloc    allocating constructs reachable from a hotpath root
-//	poolclosure     function literals or method values at pool.Run sites
 //	nondeterminism  order- or clock-dependent constructs in deterministic
 //	                packages
-//	intoalias       *Into calls whose dst syntactically aliases a source
 //	floatcmp        == / != on floating-point operands
 //	sharedro        writes to storage reachable from //foam:sharedro
 //	                table types outside their construction cone
@@ -144,9 +142,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerHotPathAlloc,
-		AnalyzerPoolClosure,
 		AnalyzerNondeterminism,
-		AnalyzerIntoAlias,
 		AnalyzerFloatCmp,
 		AnalyzerSharedRO,
 		AnalyzerLockDiscipline,

@@ -1,7 +1,7 @@
 // Package pool is a minimal stand-in for foam/internal/pool so fixtures
-// can exercise the poolclosure analyzer: the analyzer matches the Run
-// method by package-path suffix, so this stub resolves identically to
-// the real pool.
+// can exercise lockdiscipline's pool-handoff rule: the analyzer matches
+// the Run method by package-path suffix, so this stub resolves
+// identically to the real pool.
 package pool
 
 // Pool mimics the deterministic worker pool's API surface.

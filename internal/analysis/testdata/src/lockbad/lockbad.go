@@ -83,7 +83,7 @@ func (s *Sched) drain(wg *sync.WaitGroup) {
 	s.mu.Unlock()
 }
 
-// phaseFn is bound once at construction, as poolclosure demands.
+// phaseFn is bound once at construction, as a pool phase must be.
 var phaseFn = func(worker, lo, hi int) {}
 
 // phases hands a phase to the worker pool with the lock held; the Run

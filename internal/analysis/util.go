@@ -49,8 +49,9 @@ func isString(t types.Type) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
-// referenceLike reports whether two arguments of type t can alias the
-// same storage: slices, pointers, and maps.
+// referenceLike reports whether a value of type t refers to storage it
+// does not hold, so a store through it reaches the referent: slices,
+// pointers, and maps.
 func referenceLike(t types.Type) bool {
 	if t == nil {
 		return false
@@ -80,16 +81,4 @@ func fieldObjOf(pkg *Package, sel *ast.SelectorExpr) types.Object {
 		return s.Obj()
 	}
 	return nil
-}
-
-// calleeName returns the bare name of the called function or method, or
-// "" when the callee is not a simple identifier or selector.
-func calleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
 }
