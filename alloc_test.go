@@ -10,7 +10,7 @@ import (
 // allocScenarios is the registry the coupled allocation gate runs over:
 // every r5 scenario (slab, aquaplanet, adiabatic core, the other worlds),
 // plus the paper's lagged R15 configuration outside -short.
-func allocScenarios(t *testing.T) []string {
+func allocScenarios() []string {
 	var names []string
 	for _, name := range scenario.Names() {
 		sp, _ := scenario.Lookup(name)
@@ -46,7 +46,7 @@ func allocWindow(cfg Config) int {
 // allocation on the ocean call or the radiation step, which fire on one
 // step in OceanEvery and RadiationEvery.
 func TestCoupledStepAllocs(t *testing.T) {
-	names := allocScenarios(t)
+	names := allocScenarios()
 	for _, tc := range []struct {
 		name    string
 		workers int

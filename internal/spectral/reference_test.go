@@ -648,8 +648,9 @@ func TestFFTTwiddleTables(t *testing.T) {
 // against the complex reference (fft_ref_test.go): ForwardSplitInto and
 // InverseSplitInto must be within refEps·ε·max|ref| of Forward/Inverse.
 // The lengths put every radix in a stage: 16 (4 over 4), 25 (5 over 5), 30
-// (5, 3 over a radix-2 leaf), 48 (4, 4 over 3), 64 and 128 (the model's
-// rows, 128 over a radix-2 leaf) and the non-smooth 22 (direct fallback).
+// (5, 3 over a radix-2 leaf: the r9 rung's row), 48 (4, 4 over 3), 64 and
+// 128 (the model's rows, 128 over a radix-2 leaf) and the non-smooth 22
+// (direct fallback).
 func TestFFTSplitPlanesMatchReference(t *testing.T) {
 	var worst worstEps
 	for _, n := range []int{16, 25, 30, 48, 64, 128, 22} {
