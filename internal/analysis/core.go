@@ -269,16 +269,16 @@ func slicedParam(info *types.Info, fn *types.Func, body *ast.BlockStmt) int {
 	if sig.Results().Len() != 1 {
 		return -1
 	}
-	idx := -1
+	idx, ok := -1, true
 	ast.Inspect(body, func(node ast.Node) bool {
 		switch st := node.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.ReturnStmt:
-			i := -2
+			i := -1
 			if len(st.Results) == 1 {
-				if se, ok := ast.Unparen(st.Results[0]).(*ast.SliceExpr); ok {
-					if id, ok := ast.Unparen(se.X).(*ast.Ident); ok {
+				if se, isSlice := ast.Unparen(st.Results[0]).(*ast.SliceExpr); isSlice {
+					if id, isIdent := ast.Unparen(se.X).(*ast.Ident); isIdent {
 						for p := 0; p < sig.Params().Len(); p++ {
 							if info.Uses[id] == sig.Params().At(p) {
 								i = p
@@ -287,15 +287,12 @@ func slicedParam(info *types.Info, fn *types.Func, body *ast.BlockStmt) int {
 					}
 				}
 			}
-			if idx == -1 || idx == i {
-				idx = i
-			} else {
-				idx = -2
-			}
+			ok = ok && i >= 0 && (idx < 0 || idx == i)
+			idx = i
 		}
 		return true
 	})
-	if idx < 0 {
+	if !ok {
 		return -1
 	}
 	return idx
