@@ -11,13 +11,13 @@ import (
 	"foam/internal/scenario"
 )
 
-// The HTTP/JSON API of foam-serve. All bodies are JSON; checkpoints travel
-// as version-1 checkpoint containers (core.Checkpoint.Save: versioned,
-// checksummed) base64-encoded by encoding/json's []byte handling, so a
-// SnapshotResponse can be POSTed back verbatim as a CreateRequest to
-// resume a member — on the same server or another one. A checkpoint that
-// is malformed, corrupt or from another resolution is a 400, never a
-// panic and never a partly restored member.
+// The HTTP/JSON API of foam-serve. A request body is exactly one JSON value
+// (body.go reads and parses it). Checkpoints travel as version-1 checkpoint
+// containers (core.Checkpoint.Save: versioned, checksummed) in base64, as
+// encoding/json writes a []byte, so a SnapshotResponse can be POSTed back
+// verbatim as a CreateRequest to resume a member — on the same server or
+// another one. A checkpoint that is malformed, corrupt or from another
+// resolution is a 400, never a panic and never a partly restored member.
 //
 //	POST   /v1/members              create from a config (or resume, with a checkpoint)
 //	GET    /v1/members              list
@@ -115,16 +115,6 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// decodeBody parses a JSON request body. Unknown fields are tolerated so a
-// SnapshotResponse can be POSTed back verbatim as a CreateRequest (its
-// extra "info" field is ignored).
-func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	return nil
-}
-
 // requestCheckpoint decodes a request's checkpoint bytes; none is no
 // checkpoint. Every decoding failure (core.ErrCheckpointFormat,
 // core.ErrCheckpointCorrupt) is the client's: ErrInvalid, a 400.
@@ -148,12 +138,17 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) create(w http.ResponseWriter, r *http.Request) {
-	var req CreateRequest
-	if err := decodeBody(r, &req); err != nil {
+	body, err := readBody(r)
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	// decodeBody tolerates unknown fields: no config is a 400, not a default.
+	var req CreateRequest
+	if err := decodeCreate(body, &req); err != nil {
+		writeErr(w, err)
+		return
+	}
+	// Unknown fields are tolerated: no config is a 400, not a default.
 	if req.Config == nil {
 		writeErr(w, fmt.Errorf("%w: create wants a config (or POST /v1/scenarios/{name}/members)", ErrInvalid))
 		return
@@ -286,17 +281,22 @@ func (h *handler) scenarios(w http.ResponseWriter, r *http.Request) {
 }
 
 // createScenario creates a member from a named registry scenario. The body
-// is optional; when present, only its checkpoint is used (a resume), so a
-// SnapshotResponse of a scenario member POSTs back verbatim.
+// is optional — no bytes, whatever the request's framing, is no body; when
+// present, only its checkpoint is used (a resume), so a SnapshotResponse of
+// a scenario member POSTs back verbatim.
 func (h *handler) createScenario(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(r)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 	var chk *core.Checkpoint
-	if r.ContentLength != 0 {
+	if len(body) > 0 {
 		var req CreateRequest
-		if err := decodeBody(r, &req); err != nil {
+		if err := decodeCreate(body, &req); err != nil {
 			writeErr(w, err)
 			return
 		}
-		var err error
 		if chk, err = requestCheckpoint(req.Checkpoint); err != nil {
 			writeErr(w, err)
 			return

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -148,6 +149,10 @@ func TestHandlerTable(t *testing.T) {
 		{"advance no count", "POST", "/v1/members/" + live.ID + "/advance", `{}`, http.StatusBadRequest},
 		{"advance both counts", "POST", "/v1/members/" + live.ID + "/advance", `{"steps":1,"intervals":1}`, http.StatusBadRequest},
 		{"advance negative", "POST", "/v1/members/" + live.ID + "/advance", `{"steps":-4}`, http.StatusBadRequest},
+		{"advance trailing garbage", "POST", "/v1/members/" + live.ID + "/advance", `{"intervals":1}garbage`, http.StatusBadRequest},
+		{"advance second value", "POST", "/v1/members/" + live.ID + "/advance", `{"intervals":1}{"steps":5}`, http.StatusBadRequest},
+		{"advance trailing bracket", "POST", "/v1/members/" + live.ID + "/advance", `{"intervals":1}]`, http.StatusBadRequest},
+		{"create trailing value", "POST", "/v1/members", reducedBody(t, r5Checkpoint) + `{}`, http.StatusBadRequest},
 		{"diag unknown", "GET", "/v1/members/m9999/diag", "", http.StatusNotFound},
 		{"sst unknown", "GET", "/v1/members/m9999/sst", "", http.StatusNotFound},
 		{"snapshot unknown", "POST", "/v1/members/m9999/snapshot", "", http.StatusNotFound},
@@ -452,5 +457,54 @@ func TestHandlerLifecycle(t *testing.T) {
 	var st ensemble.Stats
 	if code := doJSON(t, srv, "GET", "/v1/stats", "", &st); code != http.StatusOK || st.Members != 3 || st.TableSets != 1 {
 		t.Fatalf("stats: status %d %+v", code, st)
+	}
+}
+
+// TestHandlerChunkedEmptyBody: a body-less scenario create sent with
+// chunked framing (no Content-Length reaches the server) is no body, as it
+// is with Content-Length: 0.
+func TestHandlerChunkedEmptyBody(t *testing.T) {
+	srv, _ := newTestServer(t, 1)
+	req, err := http.NewRequest("POST", srv.URL+"/v1/scenarios/r5-quick/members", io.MultiReader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.TransferEncoding = []string{"chunked"}
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("chunked empty body: status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+	}
+}
+
+// TestHandlerFalseContentLength: a request that claims 2^40 bytes and
+// carries 100 is a 400 and costs a few MB at most. Memory goes only to
+// bytes that have arrived (DESIGN.md sections 13 and 20).
+func TestHandlerFalseContentLength(t *testing.T) {
+	s := ensemble.New(ensemble.Config{Workers: 1})
+	defer s.Close()
+	h := ensemble.NewHandler(s)
+	body := `{"checkpoint":"` + strings.Repeat("A", 85)
+	if len(body) != 100 {
+		t.Fatalf("body is %d bytes, want 100", len(body))
+	}
+	for _, path := range []string{"/v1/members", "/v1/scenarios/r5-quick/members", "/v1/members/m1/advance"} {
+		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+		req.ContentLength = 1 << 40
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400", path, rec.Code)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("POST %s: allocated %d bytes for a 100-byte body", path, grew)
+		}
 	}
 }
