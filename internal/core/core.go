@@ -221,10 +221,9 @@ func NewWithTables(cfg Config, tb *Tables) (*Model, error) {
 	m.ocnC = newOcnComponent(oc)
 	m.comps = []sched.Component{m.atmC, m.ocnC}
 	prog, err := sched.Schedule{
-		BaseDt:         cfg.Atm.Dt,
-		CoupleEvery:    cfg.OceanEvery,
-		RadiationEvery: cfg.Atm.RadiationEvery,
-		Lag:            cfg.OceanLag,
+		BaseDt:      cfg.Atm.Dt,
+		CoupleEvery: cfg.OceanEvery,
+		Lag:         cfg.OceanLag,
 	}.Compile(m.comps)
 	if err != nil {
 		return nil, err

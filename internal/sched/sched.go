@@ -55,7 +55,8 @@ type Component interface {
 	// Imports lists the fields the component consumes, in the exact order
 	// they must be imported.
 	Imports() []Field
-	// Exports lists the fields the component can produce.
+	// Exports lists the fields the component produces: exactly the other
+	// component's imports, in any order (Compile rejects any mismatch).
 	Exports() []Field
 	// FieldLen returns the length of the named field's flat array.
 	FieldLen(f Field) int
@@ -92,11 +93,6 @@ type Schedule struct {
 	// slow (ocean) component steps once per interval (12 at the paper's
 	// 30-minute step and 6-hour ocean call).
 	CoupleEvery int
-	// RadiationEvery records the radiation cadence in base steps (24 =
-	// twice daily). Radiation is sub-stepped inside the atmosphere model
-	// itself; the value is carried here so the whole cadence is visible in
-	// one place.
-	RadiationEvery int
 	// Lag selects the coupling style. 0 exchanges synchronously at the
 	// coupling tick (fast component waits for the slow step — the original
 	// serial semantics). 1 is the paper's lagged coupling: the fast
@@ -141,25 +137,40 @@ type Program struct {
 // TickOps returns the ops of global tick t (the program is periodic).
 func (p *Program) TickOps(t int) []Op { return p.Ticks[t%p.Period] }
 
-// xferFields returns the fields to move src -> dst: dst's imports, in
-// dst's declared order, restricted to what src exports.
-func xferFields(src, dst Component) []Field {
-	exp := map[Field]bool{}
+// transfer returns the fields to move src -> dst: dst's imports, in dst's
+// declared order. The pair must be wired exactly — dst imports every field
+// src exports, each listed once on either side — so that no field is
+// silently dropped or served twice.
+func transfer(src, dst Component) ([]Field, error) {
+	const exported, imported = 1, 2
+	state := map[Field]int{}
 	for _, f := range src.Exports() {
-		exp[f] = true
+		if state[f] != 0 {
+			return nil, fmt.Errorf("sched: %s exports %q twice", src.Name(), f)
+		}
+		state[f] = exported
 	}
-	var out []Field
 	for _, f := range dst.Imports() {
-		if exp[f] {
-			out = append(out, f)
+		switch state[f] {
+		case 0:
+			return nil, fmt.Errorf("sched: %s imports %q, which %s does not export", dst.Name(), f, src.Name())
+		case imported:
+			return nil, fmt.Errorf("sched: %s imports %q twice", dst.Name(), f)
+		}
+		state[f] = imported
+	}
+	for _, f := range src.Exports() {
+		if state[f] == exported {
+			return nil, fmt.Errorf("sched: %s exports %q, which %s does not import", src.Name(), f, dst.Name())
 		}
 	}
-	return out
+	return dst.Imports(), nil
 }
 
 // Compile lowers the schedule for a fast/slow component pair — comps[0]
 // steps every tick, comps[1] once per coupling interval — into a periodic
-// Program.
+// Program. A pair whose imports and exports do not match exactly is an
+// error naming the component and the field.
 //
 // The op order at the coupling tick (the last tick of each cycle) encodes
 // the coupling style. Lag 0 reproduces the original serial sequence
@@ -185,8 +196,14 @@ func (s Schedule) Compile(comps []Component) (*Program, error) {
 		return nil, fmt.Errorf("sched: Lag must be 0 or 1, got %d", s.Lag)
 	}
 	fast, slow := comps[0], comps[1]
-	forcing := xferFields(fast, slow)
-	surface := xferFields(slow, fast)
+	forcing, err := transfer(fast, slow)
+	if err != nil {
+		return nil, err
+	}
+	surface, err := transfer(slow, fast)
+	if err != nil {
+		return nil, err
+	}
 
 	p := &Program{
 		BaseDt:   s.BaseDt,

@@ -22,19 +22,34 @@ func (c *fakeComp) ExportInto([]float64, Field) {}
 func (c *fakeComp) Import(Field, []float64)     {}
 
 // pair is a fast/slow pair whose export lists are deliberately in a
-// different order from (and wider than) the other side's imports.
+// different order from the other side's imports.
 func pair() []Component {
 	fast := &fakeComp{name: "fast",
 		imports: []Field{FieldSST, FieldIceForm, FieldCurrentU},
-		exports: []Field{FieldFreshWater, FieldHeat, FieldTauY, FieldTauX}}
+		exports: []Field{FieldHeat, FieldTauY, FieldTauX}}
 	slow := &fakeComp{name: "slow",
 		imports: []Field{FieldTauX, FieldTauY, FieldHeat},
-		exports: []Field{FieldCurrentV, FieldCurrentU, FieldIceForm, FieldSST}}
+		exports: []Field{FieldCurrentU, FieldIceForm, FieldSST}}
 	return []Component{fast, slow}
 }
 
-// Transfers move the importer's fields, in the importer's declared order,
-// restricted to what the exporter offers.
+// rewired returns pair() with one side's field lists replaced.
+func rewired(slow bool, imports, exports []Field) []Component {
+	comps := pair()
+	c := comps[0].(*fakeComp)
+	if slow {
+		c = comps[1].(*fakeComp)
+	}
+	if imports != nil {
+		c.imports = imports
+	}
+	if exports != nil {
+		c.exports = exports
+	}
+	return comps
+}
+
+// Transfers move the importer's fields, in the importer's declared order.
 var (
 	forcing = []Field{FieldTauX, FieldTauY, FieldHeat}
 	surface = []Field{FieldSST, FieldIceForm, FieldCurrentU}
@@ -57,7 +72,7 @@ func TestCompileGoldenOpTables(t *testing.T) {
 	}
 	for _, every := range []int{1, 12} {
 		for _, lag := range []int{0, 1} {
-			p, err := Schedule{BaseDt: 1800, CoupleEvery: every, RadiationEvery: 24, Lag: lag}.Compile(pair())
+			p, err := Schedule{BaseDt: 1800, CoupleEvery: every, Lag: lag}.Compile(pair())
 			if err != nil {
 				t.Fatalf("every %d lag %d: %v", every, lag, err)
 			}
@@ -95,6 +110,15 @@ func TestCompileRejections(t *testing.T) {
 		{"zero cadence", Schedule{BaseDt: 1800, CoupleEvery: 0}, pair(), "CoupleEvery"},
 		{"negative lag", Schedule{BaseDt: 1800, CoupleEvery: 12, Lag: -1}, pair(), "Lag"},
 		{"lag two", Schedule{BaseDt: 1800, CoupleEvery: 12, Lag: 2}, pair(), "Lag"},
+		// The wiring: every error names the component and the field.
+		{"import with no exporter", ok, rewired(true, []Field{FieldTauX, FieldTauY, FieldHeat, FieldFreshWater}, nil),
+			`slow imports "freshWater", which fast does not export`},
+		{"export with no importer", ok, rewired(true, nil, []Field{FieldCurrentU, FieldIceForm, FieldSST, FieldCurrentV}),
+			`slow exports "currentV", which fast does not import`},
+		{"import listed twice", ok, rewired(false, []Field{FieldSST, FieldIceForm, FieldCurrentU, FieldSST}, nil),
+			`fast imports "sst" twice`},
+		{"export listed twice", ok, rewired(false, nil, []Field{FieldHeat, FieldTauY, FieldHeat, FieldTauX}),
+			`fast exports "heat" twice`},
 	}
 	for _, tc := range cases {
 		p, err := tc.s.Compile(tc.comps)
