@@ -88,14 +88,11 @@ func BulkCoefficients(z, z0, ri float64) (cd, ce float64) {
 	return cd, ce
 }
 
-// OceanRoughness returns the ocean aerodynamic roughness length. The CCM2
-// formulation is a constant; the CCM3 formulation (the paper: "a diagnosed
-// surface roughness which is a function of wind speed and stability") uses
-// a Charnock relation on the neutral friction velocity.
-func OceanRoughness(wind float64, ccm3 bool) float64 {
-	if !ccm3 {
-		return 1e-4
-	}
+// OceanRoughness returns the ocean aerodynamic roughness length in the
+// CCM3 formulation (the paper: "a diagnosed surface roughness which is a
+// function of wind speed and stability"): a Charnock relation on the
+// neutral friction velocity. Both physics versions use it.
+func OceanRoughness(wind float64) float64 {
 	// One-pass Charnock: u* from the neutral drag at 10 m, z0 = a u*^2/g.
 	cn := VonKarman / math.Log(10/1e-4)
 	ustar := math.Sqrt(cn*cn) * math.Max(wind, 1)
@@ -117,14 +114,13 @@ func BulkRichardson(z, tsurf, tair, q, wind float64) float64 {
 // be benchmarked, per experiment E6/E8) without the coupler.
 type UniformOcean struct {
 	SST    float64
-	CCM3   bool
 	albedo float64
 	out    *SurfaceExchange // the reply, reused every step (one boundary serves one model)
 }
 
 // NewUniformOcean creates a data ocean at the given SST in kelvin.
 func NewUniformOcean(sst float64) *UniformOcean {
-	return &UniformOcean{SST: sst, CCM3: true, albedo: 0.07}
+	return &UniformOcean{SST: sst, albedo: 0.07}
 }
 
 // Exchange implements Boundary. Like the coupler's, the returned exchange
@@ -137,7 +133,7 @@ func (o *UniformOcean) Exchange(in *LowestLevel, dt float64) *SurfaceExchange {
 	for c := 0; c < in.NCell; c++ {
 		wind := math.Hypot(in.U[c], in.V[c])
 		z := in.Z[c]
-		z0 := OceanRoughness(wind, o.CCM3)
+		z0 := OceanRoughness(wind)
 		ri := BulkRichardson(z, o.SST, in.T[c], in.Q[c], wind)
 		cd, ce := BulkCoefficients(z, z0, ri)
 		rho := in.Ps[c] / (RDry * in.T[c])

@@ -248,10 +248,7 @@ func TestBulkCoefficientsStability(t *testing.T) {
 }
 
 func TestOceanRoughnessWindDependence(t *testing.T) {
-	if OceanRoughness(5, false) != OceanRoughness(25, false) {
-		t.Fatal("CCM2 roughness should be constant")
-	}
-	if OceanRoughness(25, true) <= OceanRoughness(5, true) {
+	if OceanRoughness(25) <= OceanRoughness(5) {
 		t.Fatal("CCM3 roughness should grow with wind")
 	}
 }

@@ -441,7 +441,7 @@ func (cp *Coupler) computePieceFlux(piece *OverlapCell, in *atmos.LowestLevel, i
 	// over the ocean.
 	sstK := cp.sstC[oc] + 273.15
 	wind := math.Hypot(in.U[a], in.V[a])
-	z0 := atmos.OceanRoughness(wind, true)
+	z0 := atmos.OceanRoughness(wind)
 	ri := atmos.BulkRichardson(in.Z[a], sstK, in.T[a], in.Q[a], wind)
 	cd, ce := atmos.BulkCoefficients(in.Z[a], z0, ri)
 	rho := in.Ps[a] / (atmos.RDry * in.T[a])
