@@ -2,6 +2,7 @@ package ensemble_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -251,4 +252,128 @@ func TestSchedulerLifecycle(t *testing.T) {
 		t.Fatalf("create after close: got %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
+}
+
+// TestSchedulerRace is the net for the scheduler lock: it calls every
+// exported Scheduler method while another goroutine creates, advances and
+// deletes members, so under -race a read or write of member bookkeeping
+// outside Scheduler.mu races with the churn. Each reader loops one method
+// on its own goroutine, most of them on an id that never exists: a lookup
+// done without the lock then returns without touching the mutex, so the
+// reader never synchronises with the churn through it.
+func TestSchedulerRace(t *testing.T) {
+	rounds := 6
+	if testing.Short() {
+		rounds = 3
+	}
+	s := ensemble.New(ensemble.Config{Workers: 2, MaxMembers: 8})
+	defer s.Close()
+	if s.Workers() != 2 {
+		t.Fatalf("Workers() = %d, want 2", s.Workers())
+	}
+	base, err := s.CreateScenario("r5-quick", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A member the churn has deleted, or one busy stepping, is an expected
+	// answer on a live id; an unknown id must be ErrNotFound.
+	check := func(op string, err error) {
+		if err != nil && !errors.Is(err, ensemble.ErrNotFound) && !errors.Is(err, ensemble.ErrBusy) {
+			t.Errorf("%s: %v", op, err)
+		}
+	}
+	const unknown = "no-such-member"
+	notFound := func(op string, err error) {
+		if !errors.Is(err, ensemble.ErrNotFound) {
+			t.Errorf("%s(unknown): got %v, want ErrNotFound", op, err)
+		}
+	}
+	readers := []func(){
+		func() { s.Stats() },
+		func() { s.List() },
+		func() { _, err := s.Info(unknown); notFound("Info", err) },
+		func() { _, err := s.Diagnostics(unknown); notFound("Diagnostics", err) },
+		func() { _, err := s.SST(unknown); notFound("SST", err) },
+		func() { _, _, err := s.Snapshot(unknown); notFound("Snapshot", err) },
+		func() { _, err := s.Fork(unknown); notFound("Fork", err) },
+		func() { _, err := s.AdvanceSteps(unknown, 1); notFound("AdvanceSteps", err) },
+		func() { _, err := s.AdvanceIntervals(unknown, 1); notFound("AdvanceIntervals", err) },
+		func() { notFound("Delete", s.Delete(unknown)) },
+		func() { _, err := s.Info(base.ID); check("Info", err) },
+		func() { _, err := s.Diagnostics(base.ID); check("Diagnostics", err) },
+		func() { _, err := s.SST(base.ID); check("SST", err) },
+		func() { _, _, err := s.Snapshot(base.ID); check("Snapshot", err) },
+		func() {
+			for _, in := range s.List() {
+				_, err := s.Info(in.ID)
+				check("Info", err)
+				_, err = s.Diagnostics(in.ID)
+				check("Diagnostics", err)
+				_, err = s.SST(in.ID)
+				check("SST", err)
+				_, _, err = s.Snapshot(in.ID)
+				check("Snapshot", err)
+			}
+		},
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, read := range readers {
+		wg.Add(1)
+		go func(read func()) {
+			defer wg.Done()
+			for {
+				read()
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(read)
+	}
+
+	// The churn: create, advance and delete one member per round, then
+	// advance and fork the long-lived member. The readers hold members
+	// busy now and then, so the churn retries on ErrBusy.
+	retry := func(op func() error) error {
+		for {
+			if err := op(); !errors.Is(err, ensemble.ErrBusy) {
+				return err
+			}
+		}
+	}
+	for i := 0; i < rounds; i++ {
+		info, err := s.Create(reducedCfg(i%2), nil)
+		if err == nil {
+			err = retry(func() error { _, err := s.AdvanceSteps(info.ID, 1+i%3); return err })
+		}
+		if err == nil {
+			err = retry(func() error { return s.Delete(info.ID) })
+		}
+		if err != nil {
+			t.Errorf("churn round %d: %v", i, err)
+			break
+		}
+	}
+	if err := retry(func() error { _, err := s.AdvanceIntervals(base.ID, 1); return err }); err != nil {
+		t.Errorf("AdvanceIntervals: %v", err)
+	}
+	if err := retry(func() error {
+		child, err := s.Fork(base.ID)
+		if err == nil {
+			err = retry(func() error { return s.Delete(child.ID) })
+		}
+		return err
+	}); err != nil {
+		t.Errorf("Fork: %v", err)
+	}
+	close(done)
+	wg.Wait()
+	s.Close()
+	if st := s.Stats(); st.Members != 0 {
+		t.Errorf("after Close: %d members left", st.Members)
+	}
 }
