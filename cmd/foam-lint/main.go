@@ -1,7 +1,7 @@
 // Command foam-lint runs FOAM-Go's project-specific static-analysis
 // suite (internal/analysis): the compile-time enforcement of the
-// determinism, zero-allocation, shared-table, locking, schedule,
-// dimensional and checkpoint invariants.
+// determinism, zero-allocation, shared-table, dimensional and checkpoint
+// invariants.
 //
 // Usage:
 //

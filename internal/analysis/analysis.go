@@ -21,8 +21,6 @@
 //	//foam:sharedro       struct type: instances are adopted as shared
 //	                      read-only tables; no reachable storage may be
 //	                      written outside the construction cone
-//	//foam:guards <f...>  sync.Mutex/RWMutex struct field: declares the
-//	                      fields the mutex protects
 //	//foam:units <name>=<unit-expr> ...
 //	                      struct field, var/const spec, or function:
 //	                      declares the physical dimension (kg, m, s, K,
@@ -34,7 +32,7 @@
 //	//foam:allow <name> <reason>
 //	                      suppress one analyzer on this line and the next
 //
-// and eight analyzers enforce them, each a query over the analysis core
+// and six analyzers enforce them, each a query over the analysis core
 // LoadModule computes once (core.go):
 //
 //	hotpathalloc    allocating constructs reachable from a hotpath root
@@ -43,13 +41,6 @@
 //	floatcmp        == / != on floating-point operands
 //	sharedro        writes to storage reachable from //foam:sharedro
 //	                table types outside their construction cone
-//	lockdiscipline  undeclared mutex guard sets, guarded-field access
-//	                without the lock, and blocking operations (channel
-//	                send/receive, WaitGroup.Wait, pool handoff) while a
-//	                mutex is held
-//	schedcontract   sched.Program construction vs the Component
-//	                import/export declarations: producers for every
-//	                import, switch coverage, lag-branch op parity
 //	unitcheck       dimensional analysis over //foam:units annotations:
 //	                arithmetic, stores, calls, and returns combining
 //	                incompatible physical units
@@ -59,6 +50,10 @@
 //
 // Malformed //foam: directives are diagnostics too (analyzer "pragma"),
 // never silently ignored.
+//
+// Two contracts are checked outside the suite: sched.Compile rejects a
+// component pair whose imports and exports differ, and the ensemble
+// scheduler's lock is exercised by a race test (DESIGN.md §10.6).
 package analysis
 
 import (
@@ -145,8 +140,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerNondeterminism,
 		AnalyzerFloatCmp,
 		AnalyzerSharedRO,
-		AnalyzerLockDiscipline,
-		AnalyzerSchedContract,
 		AnalyzerUnitCheck,
 		AnalyzerSnapshotComplete,
 	}

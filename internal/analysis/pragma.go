@@ -18,9 +18,6 @@ import (
 //	//foam:sharedro               — on a struct type declaration: instances
 //	      adopted as shared tables; no field reachable through a pointer
 //	      may be written outside the type's construction cone
-//	//foam:guards <field...>      — on a sync.Mutex/RWMutex struct field:
-//	      declares the fields it protects (sibling names, or Type.field
-//	      for same-package cross-struct guarding)
 //	//foam:units <name>=<unit-expr> [<name>=<unit-expr>...] — on a struct
 //	      field, a var/const spec, or a func declaration: declares the
 //	      physical dimension of the named field(s), value(s), parameter(s)
@@ -58,10 +55,6 @@ type pragmaInfo struct {
 	cold   map[*types.Func]bool
 	// sharedro holds the struct types marked //foam:sharedro.
 	sharedro map[*types.TypeName]bool
-	// guards records which mutex fields carry a //foam:guards declaration;
-	// guarded maps each protected field to the mutexes that guard it.
-	guards  map[types.Object]bool
-	guarded map[types.Object][]guardEntry
 	// units maps //foam:units-annotated objects (struct fields, vars,
 	// consts, params, named results) to their declared dimension;
 	// returnUnit covers "return=" declarations on functions with one
@@ -73,15 +66,6 @@ type pragmaInfo struct {
 	transient map[types.Object]string
 	allow     []allowRange
 	diags     []Diagnostic
-}
-
-// guardEntry is one declared protection relation: accessing the guarded
-// field requires holding mutex. sameStruct is true for sibling-field
-// declarations, where the lock and the field must be reached through the
-// same instance; Type.field declarations accept any held instance.
-type guardEntry struct {
-	mutex      types.Object
-	sameStruct bool
 }
 
 func (pi *pragmaInfo) suppressed(d Diagnostic) bool {
@@ -103,8 +87,6 @@ func collectPragmas(prog *Program) *pragmaInfo {
 		phases:     make(map[*types.Func]bool),
 		cold:       make(map[*types.Func]bool),
 		sharedro:   make(map[*types.TypeName]bool),
-		guards:     make(map[types.Object]bool),
-		guarded:    make(map[types.Object][]guardEntry),
 		units:      make(map[types.Object]Unit),
 		returnUnit: make(map[*types.Func]Unit),
 		transient:  make(map[types.Object]string),
@@ -156,8 +138,6 @@ var pragmaVerbs = map[string]pragmaVerb{
 		"be attached to a function declaration, not %s", "be the doc comment of a function declaration"},
 	"sharedro": {siteType, true,
 		"be attached to a struct type declaration, not %s", "be the doc comment of a struct type declaration"},
-	"guards": {siteField, false,
-		"be attached to a sync.Mutex struct field, not %s", "be attached to a sync.Mutex struct field"},
 	"units": {siteField | siteValue | siteFunc, false,
 		"be attached to a struct field, var/const spec, or func declaration, not %s",
 		"be attached to a struct field, var/const spec, or func declaration"},
@@ -270,8 +250,6 @@ func (pi *pragmaInfo) collectFile(prog *Program, pkg *Package, file *ast.File) {
 					for _, field := range st.Fields.List {
 						attach(siteField, func(c *ast.Comment, verb, args string) {
 							switch verb {
-							case "guards":
-								pi.parseGuards(pkg, s, field, c, args, report)
 							case "units":
 								pi.parseFieldUnits(pkg, field, c, args, report)
 							case "transient":
@@ -367,61 +345,6 @@ func (pi *pragmaInfo) parseAllow(prog *Program, c *ast.Comment, report func(toke
 	}
 	pos := prog.position(c.Pos())
 	pi.allow = append(pi.allow, allowRange{file: pos.Filename, line: pos.Line, analyzer: name})
-}
-
-// parseGuards parses "//foam:guards <field...>" attached to a struct
-// field. The carrying field must be a named sync.Mutex or sync.RWMutex;
-// each argument is either a sibling field name (instance-level guarding)
-// or Type.field naming a field of another same-package struct
-// (type-level guarding, for lock-owner/record splits like
-// Scheduler.mu protecting member bookkeeping).
-func (pi *pragmaInfo) parseGuards(pkg *Package, ts *ast.TypeSpec, field *ast.Field, c *ast.Comment, args string, report func(token.Pos, string, ...any)) {
-	if len(field.Names) != 1 {
-		report(c.Pos(), "//foam:guards must be attached to a single named field")
-		return
-	}
-	mutexObj := pkg.Info.Defs[field.Names[0]]
-	if mutexObj == nil || !isMutexType(mutexObj.Type()) {
-		report(c.Pos(), "//foam:guards must be attached to a sync.Mutex or sync.RWMutex field (got %s)", field.Names[0].Name)
-		return
-	}
-	names := strings.Fields(args)
-	if len(names) == 0 {
-		report(c.Pos(), "//foam:guards needs at least one protected field name")
-		return
-	}
-	owner, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-	pi.guards[mutexObj] = true
-	for _, name := range names {
-		typeName, fieldName, qualified := strings.Cut(name, ".")
-		var target types.Object
-		sameStruct := !qualified
-		if qualified {
-			tn, _ := pkg.Types.Scope().Lookup(typeName).(*types.TypeName)
-			if tn == nil {
-				report(c.Pos(), "//foam:guards names unknown type %q", typeName)
-				continue
-			}
-			target = structFieldByName(tn.Type(), fieldName)
-			if target == nil {
-				report(c.Pos(), "//foam:guards names unknown field %q of %s", fieldName, typeName)
-				continue
-			}
-		} else {
-			if owner != nil {
-				target = structFieldByName(owner.Type(), name)
-			}
-			if target == nil {
-				report(c.Pos(), "//foam:guards names unknown sibling field %q", name)
-				continue
-			}
-			if target == mutexObj {
-				report(c.Pos(), "//foam:guards cannot name the mutex itself (%s)", name)
-				continue
-			}
-		}
-		pi.guarded[target] = append(pi.guarded[target], guardEntry{mutex: mutexObj, sameStruct: sameStruct})
-	}
 }
 
 // parseUnitPairs parses the "<name>=<unit-expr> [<name>=<unit-expr>...]"
@@ -604,31 +527,6 @@ func (pi *pragmaInfo) parseTransient(pkg *Package, field *ast.Field, c *ast.Comm
 		}
 	}
 	report(c.Pos(), "//foam:transient names %q, which this field declaration does not declare", name)
-}
-
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-// structFieldByName resolves a field of t's underlying struct.
-func structFieldByName(t types.Type, name string) types.Object {
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if f := st.Field(i); f.Name() == name {
-			return f
-		}
-	}
-	return nil
 }
 
 // splitDirective returns (verb, args, true) for a comment of the form

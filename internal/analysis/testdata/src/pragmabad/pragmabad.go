@@ -3,8 +3,6 @@
 // silently ignored.
 package pragmabad
 
-import "sync"
-
 //foam:frobnicate
 // want(-1) `unknown foam directive //foam:frobnicate`
 
@@ -61,32 +59,6 @@ type argTables struct{ n int }
 //
 //foam:sharedro
 type notStruct int
-
-// want(+2) `misplaced //foam:guards: it must be attached to a sync\.Mutex struct field`
-//
-//foam:guards x
-var looseGuard int
-
-// guardBox holds every way to write //foam:guards wrong.
-type guardBox struct {
-	//foam:guards
-	// want(-1) `//foam:guards needs at least one protected field name`
-	mu sync.Mutex // want `mutex field guardBox\.mu declares no guard set; add //foam:guards naming the fields it protects`
-
-	//foam:guards nope
-	// want(-1) `//foam:guards names unknown sibling field "nope"`
-	//foam:guards mu2
-	// want(-1) `//foam:guards cannot name the mutex itself \(mu2\)`
-	//foam:guards Missing.x
-	// want(-1) `//foam:guards names unknown type "Missing"`
-	//foam:guards guardBox.nope
-	// want(-1) `//foam:guards names unknown field "nope" of guardBox`
-	mu2 sync.Mutex
-
-	//foam:guards v
-	// want(-1) `//foam:guards must be attached to a sync\.Mutex or sync\.RWMutex field \(got v\)`
-	v int
-}
 
 // want(+2) `//foam:units needs at least one <name>=<unit-expr> pair`
 //

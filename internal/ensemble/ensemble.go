@@ -68,15 +68,14 @@ type Config struct {
 // Scheduler owns the members, the shared table cache, and the stepping
 // worker pool. All exported methods are safe for concurrent use.
 type Scheduler struct {
-	// mu guards all member bookkeeping. The member.model pointer and the
-	// buffered done channel are deliberately outside the guard set: the
-	// model is owned by whichever goroutine holds busy, and done is only
-	// ever sent to under mu (buffered, never blocking) and received on
-	// outside it.
-	//
-	//foam:guards closed members pending tables nextID totalSteps totalAdvance
-	//foam:guards member.busy member.queued member.want member.runErr
-	//foam:guards member.steps member.advances member.wallNs member.lastNs
+	// mu guards all member bookkeeping: closed, members, pending, tables,
+	// nextID, totalSteps and totalAdvance here, and busy, queued, want,
+	// runErr, steps, advances, wallNs and lastNs of every member. The
+	// member.model pointer and the buffered done channel are deliberately
+	// outside the guard set: the model is owned by whichever goroutine
+	// holds busy, and done is only ever sent to under mu (buffered, never
+	// blocking) and received on outside it. TestSchedulerRace runs every
+	// exported method against concurrent member churn under -race.
 	mu   sync.Mutex
 	cond *sync.Cond // signals queued work to the workers
 
@@ -369,7 +368,8 @@ func (s *Scheduler) worker() {
 		s.totalSteps += int64(want)
 		s.totalAdvance++
 		lastKey = m.key
-		//foam:allow lockdiscipline done is buffered(1) and drained before requeue, so this send never blocks
+		// done is buffered(1) and drained before requeue, so this send
+		// never blocks under mu.
 		m.done <- struct{}{}
 	}
 }
@@ -611,7 +611,8 @@ func (s *Scheduler) Close() {
 	for _, m := range s.pending {
 		m.queued = false
 		m.runErr = ErrClosed
-		//foam:allow lockdiscipline done is buffered(1) and drained before requeue, so this send never blocks
+		// done is buffered(1) and drained before requeue, so this send
+		// never blocks under mu.
 		m.done <- struct{}{}
 	}
 	s.pending = s.pending[:0]
