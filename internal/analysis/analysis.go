@@ -18,42 +18,33 @@
 //	                      math/rand, or multi-case selects
 //	//foam:coldpath       function: audited constructor / lazy-init /
 //	                      error path; hotpathalloc does not descend
-//	//foam:sharedro       struct type: instances are adopted as shared
-//	                      read-only tables; no reachable storage may be
-//	                      written outside the construction cone
 //	//foam:units <name>=<unit-expr> ...
 //	                      struct field, var/const spec, or function:
 //	                      declares the physical dimension (kg, m, s, K,
 //	                      psu, W, J, N, Pa, degC, rad, 1) of the named
 //	                      values; "return" names a single result
-//	//foam:transient <field> <reason>
-//	                      struct field: exempts per-step scratch from
-//	                      the snapshot-completeness proof
 //	//foam:allow <name> <reason>
 //	                      suppress one analyzer on this line and the next
 //
-// and six analyzers enforce them, each a query over the analysis core
+// and four analyzers enforce them, each a query over the analysis core
 // LoadModule computes once (core.go):
 //
 //	hotpathalloc    allocating constructs reachable from a hotpath root
 //	nondeterminism  order- or clock-dependent constructs in deterministic
 //	                packages
 //	floatcmp        == / != on floating-point operands
-//	sharedro        writes to storage reachable from //foam:sharedro
-//	                table types outside their construction cone
 //	unitcheck       dimensional analysis over //foam:units annotations:
 //	                arithmetic, stores, calls, and returns combining
 //	                incompatible physical units
-//	snapshotcomplete every mutable field reachable from a sched
-//	                Snapshotter is captured by Snapshot and restored by
-//	                RestoreSnapshot, //foam:transient excepted
 //
 // Malformed //foam: directives are diagnostics too (analyzer "pragma"),
 // never silently ignored.
 //
-// Two contracts are checked outside the suite: sched.Compile rejects a
-// component pair whose imports and exports differ, and the ensemble
-// scheduler's lock is exercised by a race test (DESIGN.md §10.6).
+// Four contracts are checked outside the suite: sched.Compile rejects a
+// component pair whose imports and exports differ, the ensemble
+// scheduler's lock is exercised by a race test (DESIGN.md §10.6), a
+// restart into a foreign state must reproduce the original run, and
+// shared tables must hash the same after their members step (§10.7).
 package analysis
 
 import (
@@ -139,9 +130,7 @@ func Analyzers() []*Analyzer {
 		AnalyzerHotPathAlloc,
 		AnalyzerNondeterminism,
 		AnalyzerFloatCmp,
-		AnalyzerSharedRO,
 		AnalyzerUnitCheck,
-		AnalyzerSnapshotComplete,
 	}
 }
 

@@ -24,7 +24,7 @@ func FuzzParsePragma(f *testing.F) {
 		"//foam:hotpath\textra",
 		"// ordinary comment",
 		"/* foam:hotpath */",
-		"//foam:allow sharedro nbsp reason",
+		"//foam:allow floatcmp nbsp reason",
 		"//foam:\x00null",
 	} {
 		f.Add(seed)

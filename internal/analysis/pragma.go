@@ -15,9 +15,6 @@ import (
 //	//foam:hotphases              — on a func declaration (phase binder)
 //	//foam:coldpath               — on a func declaration
 //	//foam:deterministic          — in a package doc comment
-//	//foam:sharedro               — on a struct type declaration: instances
-//	      adopted as shared tables; no field reachable through a pointer
-//	      may be written outside the type's construction cone
 //	//foam:units <name>=<unit-expr> [<name>=<unit-expr>...] — on a struct
 //	      field, a var/const spec, or a func declaration: declares the
 //	      physical dimension of the named field(s), value(s), parameter(s)
@@ -25,9 +22,6 @@ import (
 //	      expressions follow the grammar in unit.go (kg, m, s, K, psu,
 //	      W, J, N, Pa, degC, rad, 1; "*", "/", "^int"); slice/array/
 //	      pointer targets declare the unit of their numeric elements
-//	//foam:transient <field> <reason...> — on a struct field: exempts it
-//	      from the snapshotcomplete coverage proof (scratch rebuilt every
-//	      step, caches, diagnostics); the reason is mandatory
 //	//foam:allow <analyzer> <reason...> — anywhere; suppresses the named
 //	      analyzer on the comment's line and the line directly below it
 //
@@ -53,19 +47,14 @@ type pragmaInfo struct {
 	hot    map[*types.Func]bool
 	phases map[*types.Func]bool
 	cold   map[*types.Func]bool
-	// sharedro holds the struct types marked //foam:sharedro.
-	sharedro map[*types.TypeName]bool
 	// units maps //foam:units-annotated objects (struct fields, vars,
 	// consts, params, named results) to their declared dimension;
 	// returnUnit covers "return=" declarations on functions with one
 	// unnamed result.
 	units      map[types.Object]Unit
 	returnUnit map[*types.Func]Unit
-	// transient maps //foam:transient struct fields to their mandatory
-	// reason string.
-	transient map[types.Object]string
-	allow     []allowRange
-	diags     []Diagnostic
+	allow      []allowRange
+	diags      []Diagnostic
 }
 
 func (pi *pragmaInfo) suppressed(d Diagnostic) bool {
@@ -86,10 +75,8 @@ func collectPragmas(prog *Program) *pragmaInfo {
 		hot:        make(map[*types.Func]bool),
 		phases:     make(map[*types.Func]bool),
 		cold:       make(map[*types.Func]bool),
-		sharedro:   make(map[*types.TypeName]bool),
 		units:      make(map[types.Object]Unit),
 		returnUnit: make(map[*types.Func]Unit),
-		transient:  make(map[types.Object]string),
 	}
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
@@ -105,10 +92,9 @@ type pragmaSite uint8
 const (
 	sitePackage pragmaSite = 1 << iota // package doc comment
 	siteFunc                           // func declaration doc comment
-	siteType                           // struct type declaration doc or line comment
 	siteField                          // struct field doc or line comment
 	siteValue                          // var/const spec (or block) doc or line comment
-	siteAny     = sitePackage | siteFunc | siteType | siteField | siteValue
+	siteAny     = sitePackage | siteFunc | siteField | siteValue
 )
 
 // siteNoun names the strict sites — package and function docs, where
@@ -136,13 +122,9 @@ var pragmaVerbs = map[string]pragmaVerb{
 		"be attached to a function declaration, not %s", "be the doc comment of a function declaration"},
 	"coldpath": {siteFunc, true,
 		"be attached to a function declaration, not %s", "be the doc comment of a function declaration"},
-	"sharedro": {siteType, true,
-		"be attached to a struct type declaration, not %s", "be the doc comment of a struct type declaration"},
 	"units": {siteField | siteValue | siteFunc, false,
 		"be attached to a struct field, var/const spec, or func declaration, not %s",
 		"be attached to a struct field, var/const spec, or func declaration"},
-	"transient": {siteField, false,
-		"be attached to a struct field, not %s", "be attached to a struct field"},
 }
 
 func (pi *pragmaInfo) collectFile(prog *Program, pkg *Package, file *ast.File) {
@@ -242,19 +224,13 @@ func (pi *pragmaInfo) collectFile(prog *Program, pkg *Package, file *ast.File) {
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					attach(siteType, func(c *ast.Comment, _, _ string) { pi.parseSharedRO(pkg, s, c, report) }, s.Doc, s.Comment, single)
 					st, ok := s.Type.(*ast.StructType)
 					if !ok {
 						continue
 					}
 					for _, field := range st.Fields.List {
-						attach(siteField, func(c *ast.Comment, verb, args string) {
-							switch verb {
-							case "units":
-								pi.parseFieldUnits(pkg, field, c, args, report)
-							case "transient":
-								pi.parseTransient(pkg, field, c, args, report)
-							}
+						attach(siteField, func(c *ast.Comment, _, args string) {
+							pi.parseFieldUnits(pkg, field, c, args, report)
 						}, field.Doc, field.Comment)
 					}
 				case *ast.ValueSpec:
@@ -303,20 +279,6 @@ func (pi *pragmaInfo) collectFile(prog *Program, pkg *Package, file *ast.File) {
 			}
 		}
 	}
-}
-
-// parseSharedRO binds //foam:sharedro to the struct type it marks.
-func (pi *pragmaInfo) parseSharedRO(pkg *Package, ts *ast.TypeSpec, c *ast.Comment, report func(token.Pos, string, ...any)) {
-	tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-	if tn == nil {
-		report(c.Pos(), "//foam:sharedro on an undeclared type")
-		return
-	}
-	if _, isStruct := tn.Type().Underlying().(*types.Struct); !isStruct {
-		report(c.Pos(), "//foam:sharedro must mark a struct type (%s is not a struct)", ts.Name.Name)
-		return
-	}
-	pi.sharedro[tn] = true
 }
 
 // parseAllow parses "//foam:allow <analyzer> <reason...>" and records the
@@ -498,35 +460,6 @@ func (pi *pragmaInfo) parseFuncUnits(pkg *Package, fd *ast.FuncDecl, c *ast.Comm
 		}
 		report(c.Pos(), "//foam:units names %q, which is not a parameter or result of %s", name, fd.Name.Name)
 	})
-}
-
-// parseTransient parses "//foam:transient <field> <reason...>" attached
-// to a struct field: the named field must be (one of) the field(s) this
-// declaration declares, and the reason is mandatory — an unexplained
-// checkpoint exemption is indistinguishable from a forgotten one.
-func (pi *pragmaInfo) parseTransient(pkg *Package, field *ast.Field, c *ast.Comment, args string, report func(token.Pos, string, ...any)) {
-	name, reason, _ := strings.Cut(args, " ")
-	if name == "" {
-		report(c.Pos(), "//foam:transient needs a field name and a reason: //foam:transient <field> <reason>")
-		return
-	}
-	reason = strings.TrimSpace(reason)
-	if reason == "" {
-		report(c.Pos(), "//foam:transient %s is missing its reason", name)
-		return
-	}
-	for _, id := range field.Names {
-		if id.Name == name {
-			obj := pkg.Info.Defs[id]
-			if obj == nil {
-				report(c.Pos(), "//foam:transient on an undeclared field")
-				return
-			}
-			pi.transient[obj] = reason
-			return
-		}
-	}
-	report(c.Pos(), "//foam:transient names %q, which this field declaration does not declare", name)
 }
 
 // splitDirective returns (verb, args, true) for a comment of the form

@@ -45,21 +45,6 @@ func allowNoReason() {}
 //foam:coldpath
 func conflicted() {}
 
-// want(+2) `//foam:sharedro must be attached to a struct type declaration, not a function`
-//
-//foam:sharedro
-func sharedOnFunc() {}
-
-// want(+2) `//foam:sharedro takes no arguments \(got "extra"\)`
-//
-//foam:sharedro extra
-type argTables struct{ n int }
-
-// want(+2) `//foam:sharedro must mark a struct type \(notStruct is not a struct\)`
-//
-//foam:sharedro
-type notStruct int
-
 // want(+2) `//foam:units needs at least one <name>=<unit-expr> pair`
 //
 //foam:units
@@ -100,30 +85,19 @@ func fnUnits(a float64) float64 { return a }
 //foam:units return=m
 func fnTwo() (float64, float64) { return 0, 0 }
 
-// want(+2) `//foam:transient must be attached to a struct field, not a function`
+// The retired verbs are unknown directives: a leftover one is a finding.
 //
-//foam:transient buf scratch
-func fnTransient() {}
-
-// transientBox holds every way to write //foam:transient wrong.
-type transientBox struct {
-	//foam:transient
-	// want(-1) `//foam:transient needs a field name and a reason: //foam:transient <field> <reason>`
+// want(+2) `unknown foam directive //foam:sharedro`
+//
+//foam:sharedro
+type retired struct {
+	//foam:transient a per-step scratch
+	// want(-1) `unknown foam directive //foam:transient`
 	a int
-
-	//foam:transient b
-	// want(-1) `//foam:transient b is missing its reason`
-	b int
-
-	//foam:transient zz per-step scratch
-	// want(-1) `//foam:transient names "zz", which this field declaration does not declare`
-	c int
 }
 
 func body() {
 	//foam:hotpath
 	// want(-1) `misplaced //foam:hotpath`
-	//foam:sharedro
-	// want(-1) `misplaced //foam:sharedro: it must be the doc comment of a struct type declaration`
 	_ = notAFunction
 }

@@ -49,20 +49,6 @@ func isString(t types.Type) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
-// referenceLike reports whether a value of type t refers to storage it
-// does not hold, so a store through it reaches the referent: slices,
-// pointers, and maps.
-func referenceLike(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	switch t.Underlying().(type) {
-	case *types.Slice, *types.Pointer, *types.Map:
-		return true
-	}
-	return false
-}
-
 // namedOf unwraps pointers and returns the TypeName of a named type.
 func namedOf(t types.Type) *types.TypeName {
 	if p, ok := t.(*types.Pointer); ok {

@@ -185,7 +185,8 @@ func (s *specState) copyFrom(o *specState) {
 // dynamical core and column physics, and exchanges surface fluxes through a
 // Boundary (the coupler, in the coupled model).
 type Model struct {
-	//foam:transient cfg run configuration, fixed after construction; Restore requires a model of identical configuration
+	// cfg is fixed after construction; Restore requires a model of
+	// identical configuration.
 	cfg  Config
 	grid *sphere.Grid
 	tr   *spectral.Transform
@@ -196,12 +197,14 @@ type Model struct {
 	cur, old *specState // time levels t and t-1
 
 	q [][]float64 // grid specific humidity [lev][cell], kg/kg
-	//foam:transient phiS orography, installed once by SetOrography before the first step; forks share identical boundary geometry
+	// phiS is installed once by SetOrography before the first step; forks
+	// share identical boundary geometry.
 	phiS []float64 // surface geopotential on grid, m^2/s^2
 
 	boundary Boundary
 	phy      *physicsState
-	//foam:transient pool the executor's worker pool (nil = serial), attached by SetPool; how a step runs, never simulation state
+	// pool is the executor's worker pool (nil = serial), attached by
+	// SetPool: how a step runs, never simulation state.
 	pool *pool.Pool
 
 	step int
@@ -212,7 +215,6 @@ type Model struct {
 
 	// CostTrace, when enabled with EnableCostTrace, records wall-time
 	// breakdowns of the latest step for the parallel performance harness.
-	//foam:transient costEnabled cost-trace toggle for the performance harness, not simulation state
 	costEnabled bool
 	lastCost    StepCost
 }

@@ -15,50 +15,79 @@ import (
 )
 
 // hashState feeds a value to h in declaration order, independent of any
-// serialization: ints as 8 little-endian bytes, floats as their IEEE bits
-// (so -0 and NaN payloads count), slices as their length then elements,
-// pointers as a presence byte then the pointee.
-func hashState(h hash.Hash, v reflect.Value) {
+// serialization, unexported fields included: integers as 8 little-endian
+// bytes, floats as their IEEE bits (so -0 and NaN payloads count), bools
+// as one byte, strings and slices as their length then bytes or elements,
+// pointers as a presence byte then the pointee. A pointer back to a value
+// on the current path is a third presence byte, so cycles end; onPath
+// holds those pointers.
+func hashState(h hash.Hash, v reflect.Value, onPath map[pathKey]bool) {
 	var b [8]byte
 	put := func(u uint64) {
 		binary.LittleEndian.PutUint64(b[:], u)
 		h.Write(b[:])
 	}
 	switch v.Kind() {
-	case reflect.Int:
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		put(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		put(v.Uint())
 	case reflect.Float64:
 		put(math.Float64bits(v.Float()))
 	case reflect.Complex128:
 		c := v.Complex()
 		put(math.Float64bits(real(c)))
 		put(math.Float64bits(imag(c)))
+	case reflect.Bool:
+		if v.Bool() {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	case reflect.String:
+		put(uint64(v.Len()))
+		h.Write([]byte(v.String()))
 	case reflect.Slice:
 		put(uint64(v.Len()))
 		fallthrough
 	case reflect.Array:
 		for i := 0; i < v.Len(); i++ {
-			hashState(h, v.Index(i))
+			hashState(h, v.Index(i), onPath)
 		}
 	case reflect.Ptr:
 		if v.IsNil() {
 			h.Write([]byte{0})
 			return
 		}
+		k := pathKey{v.Type(), v.Pointer()}
+		if onPath[k] {
+			h.Write([]byte{2})
+			return
+		}
+		onPath[k] = true
 		h.Write([]byte{1})
-		hashState(h, v.Elem())
+		hashState(h, v.Elem(), onPath)
+		delete(onPath, k)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			hashState(h, v.Field(i))
+			hashState(h, v.Field(i), onPath)
 		}
 	default:
 		panic(fmt.Sprintf("hashState: unsupported kind %s", v.Kind()))
 	}
 }
 
-func stateHash(c *core.Checkpoint) string {
+// pathKey is a pointer on the current path of a hashState walk.
+type pathKey struct {
+	t reflect.Type
+	p uintptr
+}
+
+// stateHash hashes everything reachable from v: a checkpoint, or a
+// shared table set.
+func stateHash(v any) string {
 	h := sha256.New()
-	hashState(h, reflect.ValueOf(c))
+	hashState(h, reflect.ValueOf(v), make(map[pathKey]bool))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

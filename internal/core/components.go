@@ -21,10 +21,8 @@ type atmComponent struct {
 	cpl *coupler.Coupler
 
 	coupleDt float64
-	//foam:transient drained interval staging: Couple refills it from the accumulators before every ExportInto consumes it
-	drained *ocean.Forcing // set by Couple, consumed by ExportInto
-	//foam:transient uBuf current staging between the two imports of one couple interval; rewritten before each read
-	uBuf []float64 // zonal current staging between the two current imports
+	drained  *ocean.Forcing // set by Couple, consumed by ExportInto
+	uBuf     []float64      // zonal current staging between the two current imports
 }
 
 func newAtmComponent(at *atmos.Model, cpl *coupler.Coupler, coupleDt float64) *atmComponent {
@@ -205,7 +203,8 @@ func (c *atmComponent) RestoreSnapshot(v any) error {
 // steps one tracer interval under it, and exports the new surface state.
 type ocnComponent struct {
 	oc *ocean.Model
-	//foam:transient f forcing staging: ImportFrom overwrites every slot from the coupler before each couple interval's steps
+	// f is forcing staging: ImportFrom overwrites every slot from the
+	// coupler before each couple interval's steps.
 	f *ocean.Forcing
 }
 

@@ -25,7 +25,7 @@ func TestRestartReproducesRun(t *testing.T) {
 	b.StepDays(1)
 	chk := b.Checkpoint()
 
-	// Round-trip through the gob encoding too.
+	// Round-trip through the version-1 container too.
 	var buf bytes.Buffer
 	if err := chk.Save(&buf); err != nil {
 		t.Fatal(err)

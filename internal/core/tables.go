@@ -18,8 +18,6 @@ import (
 // stepping models may hold the same *Tables — per-model memory then
 // reduces to prognostic state, which is what lets an ensemble server pack
 // hundreds of members into one process (DESIGN.md section 13).
-//
-//foam:sharedro
 type Tables struct {
 	AtmGrid *sphere.Grid
 	OcnGrid *sphere.Grid

@@ -29,9 +29,8 @@ type OverlapCell struct {
 }
 
 // Overlap is the full overlap decomposition plus the per-cell area sums
-// needed for averaging.
-//
-//foam:sharedro
+// needed for averaging. It is read-only once built and shared by every
+// model on the grid pair.
 type Overlap struct {
 	Cells   []OverlapCell
 	AtmArea []float64 // total overlap area per atm cell (ocean-covered part)

@@ -20,8 +20,7 @@ const (
 )
 
 // RiverNetwork holds flow directions and downstream distances on a grid.
-//
-//foam:sharedro
+// It is read-only once built and shared by every model on the grid.
 type RiverNetwork struct {
 	Grid *sphere.Grid
 	// Dir[c] is a neighbour index 0-7, or DirMouth/DirOcean. For DirMouth

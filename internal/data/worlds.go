@@ -18,8 +18,6 @@ import (
 // hierarchy the scenario registry exposes.
 //
 // A World is immutable after construction and safe to share.
-//
-//foam:sharedro
 type World struct {
 	Name        string
 	Description string

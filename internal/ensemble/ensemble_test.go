@@ -19,8 +19,8 @@ func reducedCfg(lag int) core.Config {
 	return cfg
 }
 
-// checkpointBytes gob-encodes a member's checkpoint for bit-exact
-// comparison.
+// checkpointBytes writes a member's checkpoint as a version-1 container
+// for bit-exact comparison.
 func checkpointBytes(t *testing.T, s *ensemble.Scheduler, id string) []byte {
 	t.Helper()
 	chk, _, err := s.Snapshot(id)

@@ -50,7 +50,8 @@ type Diagnostics struct {
 // Model is the FOAM ocean. All fields are full-domain, row-major
 // [k*ncell + j*nlon + i] flattened per level as [][]float64 for clarity.
 type Model struct {
-	//foam:transient cfg run configuration, fixed after construction; Restore requires a model of identical configuration
+	// cfg is fixed after construction; Restore requires a model of
+	// identical configuration.
 	cfg  Config
 	grid *sphere.Grid
 
@@ -82,18 +83,21 @@ type Model struct {
 	// Work arrays.
 	rho [][]float64 // density anomaly
 	pbc [][]float64 // baroclinic pressure / rho0
-	//foam:transient slowU recomputed from the prognostic state at the top of every tracer step, before the subcycles read it
-	//foam:transient slowV recomputed from the prognostic state at the top of every tracer step, before the subcycles read it
+	// slowU and slowV are recomputed from the prognostic state at the top
+	// of every tracer step, before the subcycles read them.
 	//foam:units slowU=m/s^2 slowV=m/s^2
 	slowU, slowV [][]float64 // slow momentum tendencies carried through subcycles
-	//foam:transient wVel diagnosed from continuity each step before any read
+	// wVel is diagnosed from continuity each step before any read.
 	wVel [][]float64 // vertical velocity at half levels (nlev+1)
-	//foam:transient scr per-phase scratch, rows written by their owning worker before every read (tracer tendency, smoothing increment, unsplit divergence sum)
-	scr []float64
-	//foam:transient scr2 per-phase scratch, rows written by their owning worker before every read (salinity tendency, barotropic divergence, v smoothing increment)
+	// scr and scr2 are per-phase scratch, rows written by their owning
+	// worker before every read: scr the tracer tendency, smoothing
+	// increment and unsplit divergence sum, scr2 the salinity tendency,
+	// barotropic divergence and v smoothing increment.
+	scr  []float64
 	scr2 []float64
-	//foam:transient btFx depth-mean forcing of the barotropic system, rewritten by internalStep in every internal step before the barotropic substeps read it
-	//foam:transient btFy depth-mean forcing of the barotropic system, rewritten by internalStep in every internal step before the barotropic substeps read it
+	// btFx and btFy are the depth-mean forcing of the barotropic system,
+	// rewritten by internalStep in every internal step before the
+	// barotropic substeps read them.
 	//foam:units btFx=m/s^2 btFy=m/s^2
 	btFx, btFy []float64
 	// layerWgt[kb*NLev+k] = dz[k]/zh[kb]: layer k's share of a kb-level column.
@@ -104,16 +108,19 @@ type Model struct {
 
 	step int
 	diag Diagnostics
-	//foam:transient lastStepSeconds wall-clock diagnostic for the load-balance harness, never simulation state
+	// lastStepSeconds is a wall-clock diagnostic for the load-balance
+	// harness, never simulation state.
 	lastStepSeconds float64
 
 	// Execution: every Step runs the phase driver of shared.go on this
-	// pool (nil runs each phase inline).
-	//foam:transient pool the executor's worker pool, attached by SetPool; how a step runs, never simulation state
+	// pool (nil runs each phase inline), attached by SetPool: how a step
+	// runs, never simulation state.
 	pool *pool.Pool
-	//foam:transient ws per-worker row buffers, fully rewritten inside each kernel call
+	// ws holds per-worker row buffers, fully rewritten inside each kernel
+	// call.
 	ws []*workScratch
-	//foam:transient ph pre-bound phase closures and their per-step staging, bound once at construction
+	// ph holds the pre-bound phase closures and their per-step staging,
+	// bound once at construction.
 	ph *phases
 }
 

@@ -68,8 +68,7 @@ type Model struct {
 	Thick []float64 // ice thickness, m (water equivalent)
 	//foam:units TSurf=K
 	TSurf []float64 // ice surface temperature, K
-	//foam:transient tend advection tendency scratch, fully rewritten by each Advect call
-	tend []float64 // advection tendency scratch, reused every call
+	tend  []float64 // advection tendency scratch, reused every call
 }
 
 // New creates an ice-free model for n cells.

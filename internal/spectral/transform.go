@@ -91,7 +91,8 @@ func smoothAtLeast(n int) int {
 // Synthesize, ...) wrap them with a throwaway workspace and are meant for
 // construction-time and test code, not the per-step hot path.
 //
-//foam:sharedro
+// The tables are read-only once built; Share hands them to every model
+// of one resolution.
 type Transform struct {
 	Trunc      Truncation
 	NLat, NLon int
@@ -161,7 +162,7 @@ func (tr *Transform) Share() *Transform {
 // pool restores serial execution. Workspaces created before SetPool are
 // sized for the old worker count and must be rebuilt.
 func (tr *Transform) SetPool(p *pool.Pool) {
-	//foam:allow sharedro pool is the documented per-instance mutable binding; sharers each own their copy's pool
+	// The one per-instance field: sharers each own their copy's pool.
 	tr.pool = p
 }
 

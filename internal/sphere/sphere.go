@@ -120,9 +120,8 @@ func UniformLongitudes(nlon int) []float64 {
 // Grid is a latitude-longitude grid. Latitudes ascend south to north;
 // longitudes ascend eastward from 0. Cell (j,i) is centered at
 // (Lats[j], Lons[i]); LatEdges/LonEdges give the nlat+1 / nlon+1 box
-// boundaries used for areas and overlap construction.
-//
-//foam:sharedro
+// boundaries used for areas and overlap construction. A Grid is read-only
+// once built and shared by every model on it.
 type Grid struct {
 	Lats, Lons         []float64 // cell centers, radians
 	LatEdges, LonEdges []float64 // cell edges, radians
