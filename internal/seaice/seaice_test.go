@@ -64,6 +64,10 @@ func TestIceAlbedoAndTemperatureRange(t *testing.T) {
 	}
 }
 
+// TestSurfaceMeltReleasesWater melts ice under warm forcing and keeps a
+// mass ledger on every step while ice is present: the thickness lost, as
+// water, equals what the step reports leaving the ice, (MeltWater +
+// Evap)·dt, in kg/m^2.
 func TestSurfaceMeltReleasesWater(t *testing.T) {
 	m := New(1)
 	m.Thick[0] = 0.2
@@ -72,12 +76,16 @@ func TestSurfaceMeltReleasesWater(t *testing.T) {
 	in.TAir = 285
 	in.SWDown = 600
 	in.LWDown = 340
+	const dt = 1800.0
 	var melt float64
-	for s := 0; s < 100; s++ {
-		out := m.Step(0, in, 1800)
+	for s := 0; s < 100 && m.Present(0); s++ {
+		h := m.Thick[0]
+		out := m.Step(0, in, dt)
 		melt += out.MeltWater
-		if !m.Present(0) {
-			break
+		lost, released := (h-m.Thick[0])*RhoWater, (out.MeltWater+out.Evap)*dt
+		if math.Abs(lost-released) > 1e-12 {
+			t.Fatalf("step %d: ice lost %v kg/m^2 but released %v (melt %v, evap %v kg/m^2/s)",
+				s, lost, released, out.MeltWater, out.Evap)
 		}
 	}
 	if melt <= 0 {
@@ -100,6 +108,10 @@ func TestBasalMelt(t *testing.T) {
 	}
 	if m.Thick[0] >= 0.5 {
 		t.Fatal("basal melt should thin the ice")
+	}
+	// The returned flux over the step is the ice it removed, as water.
+	if lost, released := (0.5-m.Thick[0])*RhoWater, melt*21600; math.Abs(lost-released) > 1e-12 {
+		t.Fatalf("basal melt removed %v kg/m^2 of ice but returned %v", lost, released)
 	}
 	// Ice-free cells never melt.
 	if m.BasalMelt(0, 5, 1e9) < 0 {
