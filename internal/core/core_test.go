@@ -49,47 +49,6 @@ func TestCoupledOceanCalledOnSchedule(t *testing.T) {
 	}
 }
 
-func TestWaterBudgetClosure(t *testing.T) {
-	cfg := ReducedConfig()
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spin two days first so precipitation fields exist.
-	m.StepDays(2)
-	m.Cpl.ResetBudget()
-	riverBefore := m.Cpl.River.TotalStorage() * 1000 // m^3 -> kg
-	// Land stores: bucket + snow, in kg.
-	landStore := func() float64 {
-		g := m.Atm.Grid()
-		tot := 0.0
-		for j := 0; j < g.NLat(); j++ {
-			for i := 0; i < g.NLon(); i++ {
-				c := g.Index(j, i)
-				if m.Cpl.Land.IsLand(c) {
-					lf := m.Cpl.LandFraction()[c]
-					tot += (m.Cpl.Land.SoilWater(c) + m.Cpl.Land.SnowDepth(c)) * 1000 * g.Area(j, i) * lf
-				}
-			}
-		}
-		return tot
-	}
-	lBefore := landStore()
-	m.StepDays(3)
-	b := m.Cpl.Budget()
-	dStore := landStore() - lBefore + m.Cpl.River.TotalStorage()*1000 - riverBefore
-	// Closure: P - E - RiverToOcean = change in (land + river) storage.
-	lhs := b.Precip - b.Evap - b.RiverToOcean
-	scale := math.Max(b.Precip, 1)
-	if rel := math.Abs(lhs-dStore) / scale; rel > 0.05 {
-		t.Fatalf("water budget not closed: P-E-R=%v dStore=%v (rel %.3f, P=%v)",
-			lhs, dStore, rel, b.Precip)
-	}
-	if b.Precip <= 0 {
-		t.Fatal("no precipitation over land")
-	}
-}
-
 // TestConfigNormalizeRejections drives every invalid-spec class through
 // Normalize — the single validation gate — and requires each rejection to
 // wrap the matchable ErrConfig sentinel. This keeps the BuildTables-panic
