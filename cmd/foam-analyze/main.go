@@ -46,7 +46,7 @@ func main() {
 	for c := range mask {
 		// A cell that is exactly 0 across the whole series is land.
 		for t := range series {
-			//foam:allow floatcmp land cells are written as literal 0, so the sentinel test must be exact
+			// Land cells are written as literal 0, so an exact test finds them.
 			if series[t][c] != 0 {
 				mask[c] = 1
 				break

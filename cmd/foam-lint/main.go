@@ -1,11 +1,11 @@
 // Command foam-lint runs FOAM-Go's project-specific static-analysis
 // suite (internal/analysis): the compile-time enforcement of the
-// determinism, zero-allocation, shared-table, dimensional and checkpoint
-// invariants.
+// zero-allocation hot path and of determinism in the packages that
+// declare it, plus the //foam: directive parser.
 //
 // Usage:
 //
-//	foam-lint [-sarif] [-fix] [pattern ...]
+//	foam-lint [-sarif] [pattern ...]
 //
 // The module containing the current directory is loaded in full (every
 // non-test package); optional trailing patterns restrict which packages
@@ -15,9 +15,6 @@
 // Analysis always sees the whole module so cross-package hot-path
 // traversal is never truncated.
 //
-// -fix applies the suggested fixes (floatcmp ordered-form rewrites,
-// //foam: directive normalization) to the files in place; fixed
-// findings are not reported, so a run that fixes everything exits 0.
 // A finding that must stay is suppressed at its line with
 // //foam:allow <analyzer> <reason>.
 //
@@ -46,9 +43,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("foam-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sarifOut := fs.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place and report only what remains")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: foam-lint [-sarif] [-fix] [pattern ...]\n\npatterns: ./... (default), or subtrees like ./internal/...\n")
+		fmt.Fprintf(stderr, "usage: foam-lint [-sarif] [pattern ...]\n\npatterns: ./... (default), or subtrees like ./internal/...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -119,18 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		kept = append(kept, d)
 	}
 	diags = kept
-
-	if *fix {
-		remaining, applied, ferr := analysis.ApplyFixes(diags)
-		if ferr != nil {
-			fmt.Fprintln(stderr, "foam-lint:", ferr)
-			return 2
-		}
-		if applied > 0 {
-			fmt.Fprintf(stderr, "foam-lint: applied %d fix(es)\n", applied)
-		}
-		diags = remaining
-	}
 
 	// Report paths relative to the working directory: stable across
 	// checkouts, so CI logs from different machines diff cleanly.

@@ -44,11 +44,15 @@ const goMod = "module tmpmod\n\ngo 1.22\n"
 func TestOverlapPatternsDeduplicate(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": goMod,
-		"sub/thing.go": `// Package sub compares floats exactly.
+		"sub/thing.go": `// Package sub reads the wall clock.
+//
+//foam:deterministic
 package sub
 
-// Same compares computed values exactly.
-func Same(a, b float64) bool { return a == b }
+import "time"
+
+// Stamp reads the wall clock in a deterministic package.
+func Stamp() time.Time { return time.Now() }
 `,
 	})
 	inDir(t, dir)
@@ -60,50 +64,7 @@ func Same(a, b float64) bool { return a == b }
 	if len(lines) != 1 {
 		t.Fatalf("got %d finding lines with overlapping patterns, want 1:\n%s", len(lines), out.String())
 	}
-	if !strings.Contains(lines[0], "[floatcmp]") {
+	if !strings.Contains(lines[0], "[nondeterminism]") {
 		t.Fatalf("unexpected finding: %s", lines[0])
-	}
-}
-
-// TestFixRoundTrip: -fix rewrites float comparisons to their exact
-// ordered form and normalizes spaced //foam: directives, after which a
-// plain run is clean.
-func TestFixRoundTrip(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"sub/thing.go": `// Package sub tests mask cells the buggy way.
-package sub
-
-// Wet tests mask cells.
-func Wet(w []float64, c int) bool {
-	// foam:allow floatcmp mask cells hold exact 0/1 constants
-	return w[c] != 0
-}
-`,
-	})
-	inDir(t, dir)
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-fix", "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("-fix run exit %d, want 0; stdout: %s stderr: %s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(errb.String(), "applied 2 fix(es)") {
-		t.Fatalf("expected 2 applied fixes, stderr: %s", errb.String())
-	}
-	src, err := os.ReadFile(filepath.Join(dir, "sub", "thing.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), "//foam:allow floatcmp") {
-		t.Fatalf("directive not normalized:\n%s", src)
-	}
-	if !strings.Contains(string(src), "!(w[c] <= 0 && w[c] >= 0)") {
-		t.Fatalf("comparison not rewritten:\n%s", src)
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"./..."}, &out, &errb); code != 0 {
-		t.Fatalf("post-fix run exit %d, want 0; stdout: %s stderr: %s", code, out.String(), errb.String())
 	}
 }

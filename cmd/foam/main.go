@@ -165,8 +165,7 @@ func main() {
 		}
 		if !*quiet && daysDone%10 == 0 {
 			di := m.Diagnostics()
-			// Unit suffixes come from the diag.Units table (checked
-			// against the //foam:units annotations), not literals.
+			// Unit suffixes come from the diag.Units table, not literals.
 			fmt.Printf("day %4d: T=%.1f%s ps=%.0f%s wind=%.1f%s SST=%.2f%s ice=%.2e %s speedup so far %.0fx\n",
 				daysDone, di.Atm.MeanT, diag.Unit("MeanT"),
 				di.Atm.MeanPs, diag.Unit("MeanPs"),

@@ -18,33 +18,25 @@
 //	                      math/rand, or multi-case selects
 //	//foam:coldpath       function: audited constructor / lazy-init /
 //	                      error path; hotpathalloc does not descend
-//	//foam:units <name>=<unit-expr> ...
-//	                      struct field, var/const spec, or function:
-//	                      declares the physical dimension (kg, m, s, K,
-//	                      psu, W, J, N, Pa, degC, rad, 1) of the named
-//	                      values; "return" names a single result
 //	//foam:allow <name> <reason>
 //	                      suppress one analyzer on this line and the next
 //
-// and four analyzers enforce them, each a query over the analysis core
+// and two analyzers enforce them, each a query over the analysis core
 // LoadModule computes once (core.go):
 //
 //	hotpathalloc    allocating constructs reachable from a hotpath root
 //	nondeterminism  order- or clock-dependent constructs in deterministic
 //	                packages
-//	floatcmp        == / != on floating-point operands
-//	unitcheck       dimensional analysis over //foam:units annotations:
-//	                arithmetic, stores, calls, and returns combining
-//	                incompatible physical units
 //
 // Malformed //foam: directives are diagnostics too (analyzer "pragma"),
 // never silently ignored.
 //
-// Four contracts are checked outside the suite: sched.Compile rejects a
-// component pair whose imports and exports differ, the ensemble
-// scheduler's lock is exercised by a race test (DESIGN.md §10.6), a
-// restart into a foreign state must reproduce the original run, and
-// shared tables must hash the same after their members step (§10.7).
+// The contracts the retired analyzers checked are held by the program and
+// its tests (DESIGN.md §10.3): sched.Compile rejects a miswired component
+// pair, a race test exercises the ensemble scheduler's lock, a restart
+// into a foreign state must reproduce the original run, shared tables
+// must hash the same after their members step, and the land, river and
+// sea-ice water ledgers must close to round-off.
 package analysis
 
 import (
@@ -56,23 +48,10 @@ import (
 )
 
 // Diagnostic is one finding. Position is resolved (file, line, column).
-// Fix, when non-nil, is a mechanical rewrite that resolves the finding;
-// foam-lint -fix applies it.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fix      *Fix
-}
-
-// Fix is a single-range replacement in the diagnostic's file, expressed
-// as byte offsets so it can be applied without re-parsing. Only
-// rewrites that provably preserve behavior get a Fix: the floatcmp
-// ordered-form rewrites (exact under NaN, side-effect-free operands
-// only) and //foam: directive normalization.
-type Fix struct {
-	Start, End int // byte offsets into Pos.Filename, half-open
-	NewText    string
 }
 
 // String renders the diagnostic in the canonical path:line:col form used
@@ -129,8 +108,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerHotPathAlloc,
 		AnalyzerNondeterminism,
-		AnalyzerFloatCmp,
-		AnalyzerUnitCheck,
 	}
 }
 

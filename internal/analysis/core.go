@@ -9,10 +9,7 @@ import (
 // The analysis core: one index of the module's functions, built once by
 // LoadModule, that the analyzers query instead of re-walking bodies.
 // Each function carries the module functions it references (the call
-// graph) and the resolution scope of its body; cone walks the call graph.
-
-// maxDepth bounds every recursive expression walk.
-const maxDepth = 8
+// graph); cone walks it.
 
 // funcNode is one module function declaration with a body.
 type funcNode struct {
@@ -29,78 +26,6 @@ type funcNode struct {
 	// closures run at step time, as hot roots of their own, so what they
 	// reference is not the binder's.
 	callees []*funcNode
-	// scope resolves the body's identifiers and single-assignment locals.
-	scope *fnScope
-}
-
-// fnScope resolves identifiers inside one function body and follows
-// locals that are assigned exactly once.
-type fnScope struct {
-	pkg    *Package
-	single map[types.Object]ast.Expr // single-assignment RHS; nil = reassigned
-}
-
-func newFnScope(pkg *Package, body ast.Node) *fnScope {
-	s := &fnScope{pkg: pkg, single: make(map[types.Object]ast.Expr)}
-	record := func(id *ast.Ident, rhs ast.Expr) {
-		obj := pkg.Info.Defs[id]
-		if obj == nil {
-			obj = pkg.Info.Uses[id]
-		}
-		if obj == nil || id.Name == "_" {
-			return
-		}
-		if _, seen := s.single[obj]; seen {
-			s.single[obj] = nil
-			return
-		}
-		s.single[obj] = rhs
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			oneToOne := len(st.Lhs) == len(st.Rhs)
-			for i, lhs := range st.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if oneToOne {
-					record(id, st.Rhs[i])
-				} else {
-					record(id, nil)
-				}
-			}
-		case *ast.IncDecStmt:
-			if id, ok := ast.Unparen(st.X).(*ast.Ident); ok {
-				record(id, nil)
-				record(id, nil) // force reassigned
-			}
-		case *ast.RangeStmt:
-			for _, e := range []ast.Expr{st.Key, st.Value} {
-				if id, ok := e.(*ast.Ident); ok {
-					record(id, nil)
-				}
-			}
-		case *ast.ValueSpec:
-			for i, id := range st.Names {
-				if i < len(st.Values) {
-					record(id, st.Values[i])
-				} else {
-					record(id, nil)
-				}
-			}
-		}
-		return true
-	})
-	return s
-}
-
-func (s *fnScope) obj(id *ast.Ident) types.Object {
-	if o := s.pkg.Info.Uses[id]; o != nil {
-		return o
-	}
-	return s.pkg.Info.Defs[id]
 }
 
 // buildFuncIndex indexes every module function with a body, in source
@@ -125,7 +50,6 @@ func (prog *Program) buildFuncIndex() {
 					hot:    prog.pragmas.hot[obj],
 					phases: prog.pragmas.phases[obj],
 					cold:   prog.pragmas.cold[obj],
-					scope:  newFnScope(pkg, fd.Body),
 				}
 				prog.funcs[obj] = n
 				prog.funcList = append(prog.funcList, n)

@@ -13,8 +13,8 @@ func TestSplitDirective(t *testing.T) {
 	}{
 		{"//foam:hotpath", "hotpath", "", true},
 		{"//foam:hotphases", "hotphases", "", true},
-		{"//foam:allow floatcmp exact sentinel", "allow", "floatcmp exact sentinel", true},
-		{"//foam:allow floatcmp   padded  ", "allow", "floatcmp   padded", true},
+		{"//foam:allow nondeterminism exact sentinel", "allow", "nondeterminism exact sentinel", true},
+		{"//foam:allow nondeterminism   padded  ", "allow", "nondeterminism   padded", true},
 		{"//foam:", "", "", true},
 		{"// foam:hotpath", "", "", false}, // spaced form is not a directive
 		{"// ordinary comment", "", "", false},
@@ -32,27 +32,27 @@ func TestSplitDirective(t *testing.T) {
 
 func TestAllowSuppression(t *testing.T) {
 	pi := &pragmaInfo{
-		allow: []allowRange{{file: "a.go", line: 10, analyzer: "floatcmp"}},
+		allow: []allowRange{{file: "a.go", line: 10, analyzer: "nondeterminism"}},
 	}
 	diag := func(file string, line int, analyzer string) Diagnostic {
 		return Diagnostic{Pos: token.Position{Filename: file, Line: line}, Analyzer: analyzer}
 	}
-	if !pi.suppressed(diag("a.go", 10, "floatcmp")) {
+	if !pi.suppressed(diag("a.go", 10, "nondeterminism")) {
 		t.Error("same-line diagnostic not suppressed")
 	}
-	if !pi.suppressed(diag("a.go", 11, "floatcmp")) {
+	if !pi.suppressed(diag("a.go", 11, "nondeterminism")) {
 		t.Error("next-line diagnostic not suppressed")
 	}
-	if pi.suppressed(diag("a.go", 12, "floatcmp")) {
+	if pi.suppressed(diag("a.go", 12, "nondeterminism")) {
 		t.Error("line+2 diagnostic wrongly suppressed")
 	}
-	if pi.suppressed(diag("a.go", 9, "floatcmp")) {
+	if pi.suppressed(diag("a.go", 9, "nondeterminism")) {
 		t.Error("preceding-line diagnostic wrongly suppressed")
 	}
-	if pi.suppressed(diag("a.go", 10, "nondeterminism")) {
+	if pi.suppressed(diag("a.go", 10, "hotpathalloc")) {
 		t.Error("other analyzer wrongly suppressed")
 	}
-	if pi.suppressed(diag("b.go", 10, "floatcmp")) {
+	if pi.suppressed(diag("b.go", 10, "nondeterminism")) {
 		t.Error("other file wrongly suppressed")
 	}
 }

@@ -34,9 +34,9 @@ func allowBare() {}
 //foam:allow bogus because reasons
 func allowUnknown() {}
 
-// want(+2) `//foam:allow floatcmp is missing its reason`
+// want(+2) `//foam:allow nondeterminism is missing its reason`
 //
-//foam:allow floatcmp
+//foam:allow nondeterminism
 func allowNoReason() {}
 
 // want(+3) `conflicted carries conflicting foam annotations`
@@ -44,46 +44,6 @@ func allowNoReason() {}
 //foam:hotpath
 //foam:coldpath
 func conflicted() {}
-
-// want(+2) `//foam:units needs at least one <name>=<unit-expr> pair`
-//
-//foam:units
-var uBare float64
-
-// want(+2) `//foam:units argument "uPair" is not of the form <name>=<unit-expr>`
-//
-//foam:units uPair
-var uPair float64
-
-// want(+2) `//foam:units uExpr: bad unit expression`
-//
-//foam:units uExpr=furlong/s
-var uExpr float64
-
-// want(+2) `//foam:units names "other", which this declaration does not declare`
-//
-//foam:units other=m
-var uName float64
-
-// want(+2) `//foam:units on uString: type string has no numeric elements to carry a unit`
-//
-//foam:units uString=m
-var uString string
-
-// want(+2) `misplaced //foam:units: it must be attached to a struct field, var/const spec, or func declaration`
-//
-//foam:units T=K
-type uType struct{ T float64 }
-
-// want(+2) `//foam:units names "zz", which is not a parameter or result of fnUnits`
-//
-//foam:units zz=m
-func fnUnits(a float64) float64 { return a }
-
-// want(+2) `//foam:units return= needs exactly one result \(fnTwo has 2\)`
-//
-//foam:units return=m
-func fnTwo() (float64, float64) { return 0, 0 }
 
 // The retired verbs are unknown directives: a leftover one is a finding.
 //
@@ -94,6 +54,9 @@ type retired struct {
 	//foam:transient a per-step scratch
 	// want(-1) `unknown foam directive //foam:transient`
 	a int
+	//foam:units b=m
+	// want(-1) `unknown foam directive //foam:units`
+	b float64
 }
 
 func body() {

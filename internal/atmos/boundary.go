@@ -8,16 +8,11 @@ import "math"
 // paper's "new code responsible for transferring data to the coupler"); in
 // standalone runs a data boundary does.
 type LowestLevel struct {
-	NCell int
-	//foam:units T=K U=m/s V=m/s
-	T, Q, U, V []float64 // lowest full level temperature, humidity, winds
-	//foam:units Ps=Pa
-	Ps []float64 // surface pressure, Pa
-	//foam:units Z=m
-	Z []float64 // height of the lowest level above the surface, m
-	//foam:units SWDown=W/m^2 LWDown=W/m^2
-	SWDown, LWDown []float64 // downward radiative fluxes at the surface, W/m^2
-	//foam:units RainRate=kg/m^2/s SnowRate=kg/m^2/s
+	NCell              int
+	T, Q, U, V         []float64 // lowest full level temperature (K), humidity, winds (m/s)
+	Ps                 []float64 // surface pressure, Pa
+	Z                  []float64 // height of the lowest level above the surface, m
+	SWDown, LWDown     []float64 // downward radiative fluxes at the surface, W/m^2
 	RainRate, SnowRate []float64 // precipitation reaching the ground, kg/m^2/s
 	CosZ               []float64 // cosine of the solar zenith angle
 }
@@ -25,17 +20,12 @@ type LowestLevel struct {
 // SurfaceExchange is the surface's reply: the state the atmosphere's
 // radiation and boundary layer need, plus turbulent fluxes.
 type SurfaceExchange struct {
-	//foam:units TSurf=K
-	TSurf  []float64 // radiative surface temperature, K
-	Albedo []float64 // broadband shortwave albedo
-	//foam:units TauX=N/m^2
-	TauX []float64 // zonal surface stress opposing the wind, N/m^2
-	//foam:units TauY=N/m^2
-	TauY []float64 // meridional surface stress, N/m^2
-	//foam:units Sensible=W/m^2
+	TSurf    []float64 // radiative surface temperature, K
+	Albedo   []float64 // broadband shortwave albedo
+	TauX     []float64 // zonal surface stress opposing the wind, N/m^2
+	TauY     []float64 // meridional surface stress, N/m^2
 	Sensible []float64 // upward sensible heat flux, W/m^2
-	//foam:units Evap=kg/m^2/s
-	Evap []float64 // upward moisture flux, kg/m^2/s
+	Evap     []float64 // upward moisture flux, kg/m^2/s
 }
 
 // NewSurfaceExchange allocates an exchange for n cells.

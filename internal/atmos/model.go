@@ -71,7 +71,6 @@ type Config struct {
 // rotation returns the effective rotation multiplier (RotationScale with
 // the zero value meaning the physical rate).
 func (c Config) rotation() float64 {
-	//foam:allow floatcmp the unset zero value is an exact literal 0, not a computed quantity
 	if c.RotationScale == 0 {
 		return 1
 	}
@@ -80,7 +79,6 @@ func (c Config) rotation() float64 {
 
 // yearDays returns the effective orbital period in days.
 func (c Config) yearDays() float64 {
-	//foam:allow floatcmp the unset zero value is an exact literal 0, not a computed quantity
 	if c.YearDays == 0 {
 		return sphere.DaysPerYear
 	}
@@ -250,18 +248,12 @@ type geomTables struct {
 
 // StepDiagnostics carries per-step globals for monitoring and tests.
 type StepDiagnostics struct {
-	//foam:units MeanPs=Pa
-	MeanPs float64 // area-mean surface pressure, Pa
-	//foam:units MeanT=K
-	MeanT float64 // mass-weighted mean temperature, K
-	//foam:units MaxWind=m/s
-	MaxWind float64 // max |u| over grid, m/s
-	//foam:units PrecipMean=kg/m^2/s
-	PrecipMean float64 // area-mean precipitation rate, kg/m^2/s
-	//foam:units EvapMean=kg/m^2/s
-	EvapMean float64 // area-mean evaporation, kg/m^2/s
-	//foam:units KineticMean=m^2/s^2
-	KineticMean float64 // mean kinetic energy per unit mass
+	MeanPs      float64 // area-mean surface pressure, Pa
+	MeanT       float64 // mass-weighted mean temperature, K
+	MaxWind     float64 // max |u| over grid, m/s
+	PrecipMean  float64 // area-mean precipitation rate, kg/m^2/s
+	EvapMean    float64 // area-mean evaporation, kg/m^2/s
+	KineticMean float64 // mean kinetic energy per unit mass, m^2/s^2
 }
 
 // Shared carries prebuilt immutable inputs an atmosphere model may adopt

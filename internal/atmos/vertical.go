@@ -13,8 +13,6 @@ import (
 )
 
 // Thermodynamic constants (SI).
-//
-//foam:units RDry=J/kg/K Cp=J/kg/K LVap=J/kg LFus=J/kg RVap=J/kg/K P00=Pa TRef=K StefBo=W/m^2/K^4
 const (
 	RDry   = 287.04  // gas constant for dry air, J/(kg K)
 	Cp     = 1004.64 // specific heat at constant pressure, J/(kg K)
@@ -23,9 +21,9 @@ const (
 	LFus   = 3.336e5 // latent heat of fusion, J/kg
 	RVap   = 461.5   // gas constant for water vapor, J/(kg K)
 	EpsWV  = RDry / RVap
-	P00    = 1.0e5 // reference surface pressure, Pa
-	TRef   = 300.0 // semi-implicit reference temperature, K (isothermal)
-	StefBo = 5.670e-8
+	P00    = 1.0e5    // reference surface pressure, Pa
+	TRef   = 300.0    // semi-implicit reference temperature, K (isothermal)
+	StefBo = 5.670e-8 // Stefan-Boltzmann constant, W/(m^2 K^4)
 )
 
 // VGrid is the sigma-coordinate vertical grid: nl full levels between nl+1
@@ -229,7 +227,7 @@ func newLU(m [][]float64) *lu {
 				p = r
 			}
 		}
-		//foam:allow floatcmp only an exactly-zero pivot makes the elimination divide by zero
+		// Only an exactly-zero pivot makes the elimination divide by zero.
 		if a[p][col] == 0 {
 			panic("atmos: singular semi-implicit matrix")
 		}

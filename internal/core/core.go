@@ -200,7 +200,7 @@ func NewWithTables(cfg Config, tb *Tables) (*Model, error) {
 		return nil, err
 	}
 	if !cfg.Flat {
-		//foam:allow floatcmp 0 (unset) and 1 (neutral) are exact literal sentinels; any other value scales
+		// 0 (unset) and 1 (neutral) are exact literal sentinels; any other value scales.
 		if s := cfg.Atm.OrographyScale; s != 0 && s != 1 {
 			scaled := make([]float64, len(tb.Orography))
 			for i, v := range tb.Orography {

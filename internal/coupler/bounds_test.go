@@ -3,9 +3,9 @@ package coupler
 import "testing"
 
 // TestFluxBoundsPinned pins the clampStress/clampHeat flux bounds: the
-// value, the unit the //foam:units pragma declares, and the physical
-// argument for the magnitude. Changing a bound (or its declared unit)
-// must be a deliberate act that updates this table too.
+// value, its unit, and the physical argument for the magnitude. Changing
+// a bound (or its unit) must be a deliberate act that updates this table
+// too.
 func TestFluxBoundsPinned(t *testing.T) {
 	bounds := []struct {
 		name string

@@ -28,32 +28,25 @@ type Coupler struct {
 
 	// landFrac is the land fraction per atmosphere cell (1 = all land).
 	landFrac []float64
-	//foam:units wetAtmArea=m^2
 	// wetAtmArea is the wet-ocean overlap area per atmosphere cell, m^2.
 	wetAtmArea []float64
 
 	// Ocean-side state mirrored on the ocean grid (refreshed by AbsorbOcean
 	// or, in the message-passing configuration, by received messages).
-	//foam:units sstC=degC
 	sstC    []float64 // deg C
 	ocnMask []float64
-	//foam:units iceForm=kg/m^2/s
 	iceForm []float64 // kg/m^2/s freezing flux from the ocean clamp
 
 	// Forcing accumulators on the ocean grid (averaged over the atmosphere
 	// steps between ocean calls).
-	//foam:units accTauX=N/m^2 accTauY=N/m^2
-	accTauX, accTauY []float64
-	//foam:units accHeat=W/m^2 accFW=kg/m^2/s
-	accHeat, accFW []float64
-	accSteps       int
+	accTauX, accTauY []float64 // N/m^2
+	accHeat, accFW   []float64 // W/m^2, kg/m^2/s
+	accSteps         int
 
-	//foam:units accRunoff=kg/m^2/s
-	// Runoff accumulator on the atmosphere grid.
+	// Runoff accumulator on the atmosphere grid, kg/m^2/s.
 	accRunoff []float64
 
-	// Ocean-grid metrics for ice drift (lazy).
-	//foam:units ocnDx=m ocnDy=m
+	// Ocean-grid metrics for ice drift (lazy); ocnDx and ocnDy in m.
 	ocnDx, ocnDy, ocnCos []float64
 
 	// Scratch. The buffers below are reused every Exchange/DrainOceanForcing
@@ -84,27 +77,24 @@ type Coupler struct {
 // multiplied by its area weights.
 type pieceFlux struct {
 	ok bool // piece is wet and contributes
-	//foam:units tsurf=K taux=N/m^2 tauy=N/m^2 sens=W/m^2 evap=kg/m^2/s
+	// tsurf K, taux and tauy N/m^2, sens W/m^2, evap kg/m^2/s.
 	tsurf, albedo, taux, tauy, sens, evap float64
-	//foam:units otx=N/m^2 oty=N/m^2 oheat=W/m^2 ofw=kg/m^2/s
+	// otx and oty N/m^2, oheat W/m^2, ofw kg/m^2/s.
 	otx, oty, oheat, ofw float64
 }
 
 // lowestOnOcn holds atmosphere lowest-level state remapped to the ocean
 // grid, used to drive the per-ocean-cell sea ice model.
 type lowestOnOcn struct {
-	//foam:units T=K U=m/s V=m/s Ps=Pa Z=m SW=W/m^2 LW=W/m^2 Snow=kg/m^2/s
+	// T K, U and V m/s, Ps Pa, Z m, SW and LW W/m^2, Snow kg/m^2/s.
 	T, Q, U, V, Ps, Z, SW, LW, Snow []float64
 }
 
 // WaterBudget tracks the global hydrological cycle for closure tests
 // (experiment E9). All terms are kg accumulated since Reset.
 type WaterBudget struct {
-	//foam:units Precip=kg Evap=kg
 	Precip, Evap float64 // over land
-	//foam:units Runoff=kg
-	Runoff float64 // land -> rivers
-	//foam:units RiverToOcean=kg
+	Runoff       float64 // land -> rivers
 	RiverToOcean float64 // rivers -> ocean
 }
 
@@ -489,13 +479,10 @@ func (cp *Coupler) accumulatePiece(piece *OverlapCell, pf *pieceFlux, ex *atmos.
 }
 
 // Flux bounds applied by clampAbs before atmosphere-side fluxes reach the
-// ocean accumulators. Each bound carries its unit so unitcheck proves the
-// clamp compares like with like; the magnitudes are set just above the
+// ocean accumulators. The magnitudes are set just above the
 // strongest values real forcing reaches, so they only bite during the
 // atmosphere's first-day spin-up shock (see the coupler bounds table test
 // for the physical justification of each number).
-//
-//foam:units MaxStressIntoOcean=N/m^2 MaxHeatIntoOcean=W/m^2
 const (
 	// MaxStressIntoOcean caps the wind stress passed to the ocean. Observed
 	// storm-force stress peaks near 1.5 N/m^2 (hurricane drag saturation);
@@ -507,14 +494,10 @@ const (
 	MaxHeatIntoOcean = 1500.0
 )
 
-// clampStress and clampHeat are the dimension-checked faces of clampAbs:
-// their parameter annotations are what turns a drifted declared unit on
-// either bound constant into a unitcheck finding at the call site.
-//
-//foam:units x=N/m^2 lim=N/m^2 return=N/m^2
+// clampStress bounds a stress (N/m^2) and clampHeat a heat flux (W/m^2),
+// each with the bound of its own unit.
 func clampStress(x, lim float64) float64 { return clampAbs(x, lim) }
 
-//foam:units x=W/m^2 lim=W/m^2 return=W/m^2
 func clampHeat(x, lim float64) float64 { return clampAbs(x, lim) }
 
 // clampAbs bounds a flux to a physically plausible magnitude, protecting

@@ -25,8 +25,7 @@ type RiverNetwork struct {
 	Grid *sphere.Grid
 	// Dir[c] is a neighbour index 0-7, or DirMouth/DirOcean. For DirMouth
 	// cells, MouthOcean[c] is the ocean cell index receiving the outflow.
-	Dir []int
-	//foam:units Dist=m
+	Dir        []int
 	Dist       []float64 // downstream distance, m (0 for ocean cells)
 	MouthOcean []int     // receiving ocean cell for mouths, else -1
 }

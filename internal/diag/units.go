@@ -4,12 +4,9 @@ import "fmt"
 
 // Units maps diagnostic quantity names — the field names of
 // ocean.Diagnostics and atmos.StepDiagnostics — to the unit each quantity
-// is reported in. The strings are the same unit expressions declared by the
-// //foam:units annotations on those structs, so the printed headers and the
-// statically checked annotations cannot drift apart:
-// TestDiagUnitsMatchAnnotations in internal/analysis parses the source
-// pragmas and fails if any entry here disagrees (or is missing, or names a
-// field that no longer exists).
+// is reported in, the same unit the field's own comment states.
+// TestDiagUnitsMatchAnnotations fails if a field of either struct has no
+// entry here or an entry names no field.
 var Units = map[string]string{
 	// ocean.Diagnostics
 	"MeanSST":   "degC",

@@ -17,56 +17,37 @@ import (
 )
 
 // RhoWater converts between water mass per area (kg/m^2) and liquid water
-// depth (m): the density of fresh water.
-//
-//foam:units RhoWater=kg/m^3
+// depth (m): the density of fresh water, kg/m^3.
 const RhoWater = 1000.0
 
 // Field capacity of the soil moisture bucket, metres of water (the paper's
 // 15 cm box).
-//
-//foam:units BucketCapacity=m
 const BucketCapacity = 0.15
 
-// SnowShedDepth is the liquid-water-equivalent snow depth above which the
+// SnowShedDepth is the liquid-water-equivalent snow depth (m) above which the
 // excess is sent to the river model (ice-sheet mimic).
-//
-//foam:units SnowShedDepth=m
 const SnowShedDepth = 1.0
 
 // Input is the per-cell atmospheric state and radiation the land model
 // consumes each step.
 type Input struct {
-	//foam:units SWDown=W/m^2 LWDown=W/m^2
 	SWDown, LWDown float64 // W/m^2
-	//foam:units TAir=K
-	TAir, QAir float64 // lowest-level temperature (K) and humidity
-	//foam:units UAir=m/s VAir=m/s
-	UAir, VAir float64 // lowest-level winds, m/s
-	//foam:units Ps=Pa
-	Ps float64 // surface pressure, Pa
-	//foam:units ZRef=m
-	ZRef float64 // height of the lowest level, m
-	//foam:units Rain=kg/m^2/s Snowfall=kg/m^2/s
+	TAir, QAir     float64 // lowest-level temperature (K) and humidity
+	UAir, VAir     float64 // lowest-level winds, m/s
+	Ps             float64 // surface pressure, Pa
+	ZRef           float64 // height of the lowest level, m
 	Rain, Snowfall float64 // kg/m^2/s reaching the ground
 }
 
 // Output is the land model's reply.
 type Output struct {
-	//foam:units TSurf=K
-	TSurf  float64 // radiative surface temperature, K
-	Albedo float64
-	//foam:units Sensible=W/m^2
+	TSurf    float64 // radiative surface temperature, K
+	Albedo   float64
 	Sensible float64 // upward W/m^2
-	//foam:units Evap=kg/m^2/s
-	Evap float64 // upward kg/m^2/s
-	//foam:units TauX=N/m^2
-	TauX float64 // stress opposing the wind, N/m^2
-	//foam:units TauY=N/m^2
-	TauY float64
-	//foam:units Runoff=kg/m^2/s
-	Runoff float64 // kg/m^2/s to the river model
-	//foam:units SnowShed=kg/m^2/s
+	Evap     float64 // upward kg/m^2/s
+	TauX     float64 // stress opposing the wind, N/m^2
+	TauY     float64 // N/m^2
+	Runoff   float64 // kg/m^2/s to the river model
 	SnowShed float64 // kg/m^2/s to the river model from deep snow
 }
 
@@ -78,12 +59,9 @@ type Model struct {
 	mask  []bool
 
 	// Per-cell state.
-	//foam:units T=K
-	T [][4]float64 // soil layer temperatures, K
-	//foam:units Water=m
-	Water []float64 // bucket soil moisture, m
-	//foam:units Snow=m
-	Snow []float64 // snow depth, m liquid water equivalent
+	T     [][4]float64 // soil layer temperatures, K
+	Water []float64    // bucket soil moisture, m
+	Snow  []float64    // snow depth, m liquid water equivalent
 }
 
 // New builds a land model with soil types and land mask from the synthetic
@@ -146,8 +124,6 @@ func (m *Model) Albedo(c int) float64 {
 }
 
 // Step advances one land cell by dt seconds and returns the fluxes.
-//
-//foam:units dt=s
 func (m *Model) Step(c int, in Input, dt float64) Output {
 	props := data.Soils[m.types[c]]
 	T := &m.T[c]

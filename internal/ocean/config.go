@@ -25,8 +25,6 @@ import (
 )
 
 // Physical constants.
-//
-//foam:units Rho0=kg/m^3 CpOcean=J/kg/K TFreeze=degC GravOc=m/s^2
 const (
 	Rho0    = 1025.0  // Boussinesq reference density, kg/m^3
 	CpOcean = 3990.0  // seawater heat capacity, J/(kg K)
@@ -37,9 +35,8 @@ const (
 // Expansion coefficients of the simplified UNESCO-like equation of state
 // rho' = Rho0*(EosAlpha*(T-10) + EosAlpha2*(T-10)^2 + EosBeta*(S-35)):
 // each term is a dimensionless density fraction, so the coefficients carry
-// the inverse powers of the temperature and salinity anomalies.
-//
-//foam:units EosAlpha=1/K EosAlpha2=1/K^2 EosBeta=1/psu
+// the inverse powers of the temperature and salinity anomalies (1/K,
+// 1/K^2, 1/psu).
 const (
 	EosAlpha  = -1.67e-4 // linear thermal expansion about 10 degC
 	EosAlpha2 = -0.78e-5 // quadratic thermal expansion (cabbeling)
@@ -96,7 +93,6 @@ const (
 // rotation returns the effective rotation multiplier (RotationScale with
 // the zero value meaning the physical rate).
 func (c Config) rotation() float64 {
-	//foam:allow floatcmp the unset zero value is an exact literal 0, not a computed quantity
 	if c.RotationScale == 0 {
 		return 1
 	}
@@ -105,7 +101,6 @@ func (c Config) rotation() float64 {
 
 // slabDepth returns the effective slab mixed-layer depth, m.
 func (c Config) slabDepth() float64 {
-	//foam:allow floatcmp the unset zero value is an exact literal 0, not a computed quantity
 	if c.SlabDepth == 0 {
 		return 50
 	}

@@ -11,11 +11,8 @@ import (
 
 // Forcing is the surface forcing the coupler supplies each tracer step.
 type Forcing struct {
-	//foam:units TauX=N/m^2 TauY=N/m^2
 	TauX, TauY []float64 // surface wind stress on the ocean, N/m^2
-	//foam:units Heat=W/m^2
-	Heat []float64 // net heat flux into the ocean, W/m^2
-	//foam:units FreshWater=kg/m^2/s
+	Heat       []float64 // net heat flux into the ocean, W/m^2
 	FreshWater []float64 // net freshwater flux into the ocean, kg/m^2/s (P-E+runoff-ice)
 }
 
@@ -27,24 +24,18 @@ func NewForcing(n int) *Forcing {
 	}
 }
 
-// Diagnostics are per-step global numbers. The unit annotations double as
-// the source of the printed column headers: diag.Units must agree with them
-// (enforced by TestDiagUnitsMatchAnnotations in internal/analysis).
+// Diagnostics are per-step global numbers. diag.Units holds the unit of
+// every field for the printed column headers
+// (TestDiagUnitsMatchAnnotations in internal/diag checks that it covers
+// each field).
 type Diagnostics struct {
-	//foam:units MeanSST=degC
-	MeanSST float64 // deg C over ocean
-	//foam:units MeanEta=m
-	MeanEta float64 // m
-	//foam:units MaxSpeed=m/s
-	MaxSpeed float64 // m/s (surface)
-	//foam:units MeanKE=m^2/s^2
-	MeanKE float64 // surface kinetic energy per unit mass
-	//foam:units IceFlux=kg/m^2/s
-	IceFlux float64 // area-mean freezing water-equivalent flux, kg/m^2/s
-	//foam:units TotalHeat=degC*m^3
-	TotalHeat float64 // volume integral of temperature (conservation checks)
-	//foam:units TotalSalt=psu*m^3
-	TotalSalt float64
+	MeanSST   float64 // deg C over ocean
+	MeanEta   float64 // m
+	MaxSpeed  float64 // m/s (surface)
+	MeanKE    float64 // surface kinetic energy per unit mass, m^2/s^2
+	IceFlux   float64 // area-mean freezing water-equivalent flux, kg/m^2/s
+	TotalHeat float64 // volume integral of temperature (conservation checks), degC m^3
+	TotalSalt float64 // volume integral of salinity, psu m^3
 }
 
 // Model is the FOAM ocean. All fields are full-domain, row-major
@@ -56,37 +47,29 @@ type Model struct {
 	grid *sphere.Grid
 
 	// Metrics per row.
-	//foam:units dx=m dy=m
 	dx, dy []float64 // cell spacing, m
 	cosLat []float64
-	//foam:units fcor=1/s
-	fcor []float64 // Coriolis per row
+	fcor   []float64 // Coriolis per row, 1/s
 
 	// Vertical grid.
-	//foam:units zh=m zf=m dz=m
-	zh, zf, dz []float64 // half depths (nlev+1), full depths, thickness
+	zh, zf, dz []float64 // half depths (nlev+1), full depths, thickness, m
 
 	// Bathymetry: number of active levels per cell (0 = land).
 	kmt  []int
 	mask []float64 // 1 over ocean, 0 over land (surface)
 
 	// Prognostic state.
-	//foam:units u=m/s v=m/s
-	u, v [][]float64 // full 3-D velocity, m/s
-	//foam:units t=degC s=psu
-	t, s [][]float64 // potential temperature (deg C), salinity (psu)
-	//foam:units eta=m
-	eta []float64 // free surface, m
-	//foam:units ubt=m/s vbt=m/s
-	ubt, vbt []float64 // barotropic (depth-mean) velocity, m/s
+	u, v     [][]float64 // full 3-D velocity, m/s
+	t, s     [][]float64 // potential temperature (deg C), salinity (psu)
+	eta      []float64   // free surface, m
+	ubt, vbt []float64   // barotropic (depth-mean) velocity, m/s
 
 	// Work arrays.
 	rho [][]float64 // density anomaly
 	pbc [][]float64 // baroclinic pressure / rho0
 	// slowU and slowV are recomputed from the prognostic state at the top
 	// of every tracer step, before the subcycles read them.
-	//foam:units slowU=m/s^2 slowV=m/s^2
-	slowU, slowV [][]float64 // slow momentum tendencies carried through subcycles
+	slowU, slowV [][]float64 // slow momentum tendencies carried through subcycles, m/s^2
 	// wVel is diagnosed from continuity each step before any read.
 	wVel [][]float64 // vertical velocity at half levels (nlev+1)
 	// scr and scr2 are per-phase scratch, rows written by their owning
@@ -98,12 +81,10 @@ type Model struct {
 	// btFx and btFy are the depth-mean forcing of the barotropic system,
 	// rewritten by internalStep in every internal step before the
 	// barotropic substeps read them.
-	//foam:units btFx=m/s^2 btFy=m/s^2
-	btFx, btFy []float64
+	btFx, btFy []float64 // m/s^2
 	// layerWgt[kb*NLev+k] = dz[k]/zh[kb]: layer k's share of a kb-level column.
 	layerWgt []float64
 
-	//foam:units iceFlux=kg/m^2/s
 	iceFlux []float64 // freezing flux diagnosed this step, kg/m^2/s
 
 	step int

@@ -100,10 +100,13 @@ func (p *Pool) Workers() int {
 // workers. Run uses exactly this arithmetic, so the properties that make
 // the decomposition a partition — blocks are contiguous, ascending in w,
 // cover [0, n), and pairwise disjoint (Block(n, w, p) ends where
-// Block(n, w+1, p) begins) — are the invariant the phasesafety analyzer
-// assumes when it proves a phase's writes disjoint across workers: a
+// Block(n, w+1, p) begins) — are what keeps pooled phases disjoint: a
 // phase that writes only rows derived from its own [lo, hi) by the same
-// shift cannot collide with any other worker.
+// shift cannot collide with any other worker. TestBlockIsPartition and
+// TestPartitionCoversExactlyOnce check the partition; the pooled-versus-
+// serial tests, run under -race (TestPoolMatchesSerial in atmos,
+// TestSharedPoolMatchesSerial in ocean, TestWorkersMatchSerial in core),
+// check that the phases keep to it.
 func Block(n, w, p int) (lo, hi int) {
 	return n * w / p, n * (w + 1) / p
 }

@@ -17,14 +17,10 @@ import (
 )
 
 // FlowVelocity is the constant effective river flow velocity, m/s.
-//
-//foam:units FlowVelocity=m/s
 const FlowVelocity = 0.35
 
 // RhoWater converts runoff mass flux (kg/m^2/s) to the volume (m^3) the
 // routing stores.
-//
-//foam:units RhoWater=kg/m^3
 const RhoWater = 1000.0
 
 // Model routes runoff on the atmosphere grid.
@@ -32,16 +28,13 @@ type Model struct {
 	net  *data.RiverNetwork
 	grid *sphere.Grid
 
-	//foam:units Volume=m^3
 	// Volume is the stored river water per land cell, m^3.
 	Volume []float64
 
-	//foam:units outflux=kg/m^2/s
 	// outflux accumulates freshwater delivered to ocean cells (on the same
 	// grid) during the last step, kg/m^2/s.
 	outflux []float64
 
-	//foam:units out=m^3
 	// out is the per-step outflow scratch (m^3 shipped per cell).
 	out []float64
 }
@@ -66,7 +59,6 @@ func (m *Model) Network() *data.RiverNetwork { return m.net }
 // at ocean cells of the atmosphere grid.
 //
 //foam:hotpath
-//foam:units runoff=kg/m^2/s dt=s
 func (m *Model) Step(runoff []float64, dt float64) []float64 {
 	g := m.grid
 	n := g.Size()

@@ -220,7 +220,6 @@ func Build(sp Spec) (core.Config, error) {
 	if sp.Ocean.SteepMix != nil {
 		cfg.Ocn.SteepMix = *sp.Ocean.SteepMix
 	}
-	//foam:allow floatcmp the unset zero value is an exact literal 0, not a computed quantity
 	if sp.Ocean.Slowdown != 0 {
 		cfg.Ocn.Slowdown = sp.Ocean.Slowdown
 	}
@@ -228,11 +227,9 @@ func Build(sp Spec) (core.Config, error) {
 
 	cfg.World = sp.World
 	cfg.Flat = sp.Flat
-	//foam:allow floatcmp the unset zero value is an exact literal 0, not a computed quantity
 	if sp.OrographyScale != 0 {
 		cfg.Atm.OrographyScale = sp.OrographyScale
 	}
-	//foam:allow floatcmp the unset zero value is an exact literal 0, not a computed quantity
 	if sp.RotationScale != 0 {
 		cfg.Atm.RotationScale = sp.RotationScale
 		cfg.Ocn.RotationScale = sp.RotationScale

@@ -18,8 +18,6 @@ import (
 // not annotated: the growth law uses FormationDepth/2 as a dimensionless
 // acceleration factor (the paper's immediate 2 m formation recast as a
 // rate multiplier), not as a length.
-//
-//foam:units IceRoughness=m IceConductivity=W/m/K FreezePoint=K MinThickness=m LatentFusion=J/kg
 const (
 	// Albedo of bare sea ice.
 	IceAlbedo = 0.60
@@ -42,10 +40,9 @@ const (
 	LatentFusion = 3.34e5
 )
 
-// Conversion and bulk-exchange constants, named so the unit checker can
-// prove each flux conversion instead of trusting bare factors.
-//
-//foam:units RhoWater=kg/m^3 CpIce=J/kg/K RhoSeawater=kg/m^3 CpSeawater=J/kg/K BasalExchangeVelocity=m/s
+// Conversion and bulk-exchange constants, named instead of bare factors
+// in each flux conversion: densities in kg/m^3, specific heats in
+// J/(kg K), the exchange velocity in m/s.
 const (
 	// RhoWater converts water-equivalent ice thickness (m) to mass per
 	// area (kg/m^2).
@@ -63,10 +60,8 @@ const (
 
 // Model holds sea ice state on the ocean grid.
 type Model struct {
-	n int
-	//foam:units Thick=m
+	n     int
 	Thick []float64 // ice thickness, m (water equivalent)
-	//foam:units TSurf=K
 	TSurf []float64 // ice surface temperature, K
 	tend  []float64 // advection tendency scratch, reused every call
 }
@@ -97,16 +92,11 @@ func (m *Model) Coverage() float64 {
 
 // Input is the per-cell atmospheric state over ice.
 type Input struct {
-	//foam:units SWDown=W/m^2 LWDown=W/m^2
-	SWDown, LWDown float64
-	//foam:units TAir=K
-	TAir, QAir float64
-	//foam:units UAir=m/s VAir=m/s
-	UAir, VAir float64
-	//foam:units Ps=Pa ZRef=m
-	Ps, ZRef float64
-	//foam:units Snowfall=kg/m^2/s
-	Snowfall float64 // kg/m^2/s, accretes onto the ice
+	SWDown, LWDown float64 // W/m^2
+	TAir, QAir     float64 // TAir in K
+	UAir, VAir     float64 // m/s
+	Ps, ZRef       float64 // Pa, m
+	Snowfall       float64 // kg/m^2/s, accretes onto the ice
 
 	// OceanFreeze is the ocean's diagnosed freezing flux for this cell,
 	// kg/m^2/s of water equivalent (from the -1.92 C clamp).
@@ -115,23 +105,15 @@ type Input struct {
 
 // Output carries the fluxes back to the coupler.
 type Output struct {
-	//foam:units TSurf=K
-	TSurf, Albedo float64
-	//foam:units Sensible=W/m^2 Evap=kg/m^2/s
-	Sensible, Evap float64 // upward, over the ice surface
-	//foam:units TauXOcean=N/m^2 TauYOcean=N/m^2
-	TauXOcean, TauYOcean float64 // stress passed to the ocean (already divided)
-	//foam:units TauXAtm=N/m^2 TauYAtm=N/m^2
-	TauXAtm, TauYAtm float64 // stress opposing the atmosphere
-	//foam:units OceanHeat=W/m^2
-	OceanHeat float64 // conductive heat flux into the ocean, W/m^2
-	//foam:units MeltWater=kg/m^2/s
-	MeltWater float64 // kg/m^2/s of fresh water released to the ocean
+	TSurf, Albedo        float64 // TSurf in K
+	Sensible, Evap       float64 // upward, over the ice surface, W/m^2 and kg/m^2/s
+	TauXOcean, TauYOcean float64 // stress passed to the ocean (already divided), N/m^2
+	TauXAtm, TauYAtm     float64 // stress opposing the atmosphere, N/m^2
+	OceanHeat            float64 // conductive heat flux into the ocean, W/m^2
+	MeltWater            float64 // kg/m^2/s of fresh water released to the ocean
 }
 
 // Step advances one cell by dt seconds.
-//
-//foam:units dt=s
 func (m *Model) Step(c int, in Input, dt float64) Output {
 	var out Output
 	// Growth from the ocean clamp.
@@ -207,9 +189,7 @@ func (m *Model) Step(c int, in Input, dt float64) Output {
 
 // BasalMelt removes ice from below when the ocean is warmer than freezing,
 // returning the freshwater flux (kg/m^2/s). sstC is the ocean temperature
-// in Celsius.
-//
-//foam:units sstC=degC dt=s return=kg/m^2/s
+// in Celsius, dt in seconds.
 func (m *Model) BasalMelt(c int, sstC, dt float64) float64 {
 	if !m.Present(c) || sstC <= -1.92 {
 		return 0

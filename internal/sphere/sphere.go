@@ -10,8 +10,6 @@ import (
 )
 
 // Physical constants shared across the model (SI units).
-//
-//foam:units Radius=m Omega=rad/s Gravity=m/s^2 SecondsPerDay=s
 const (
 	// Radius is the Earth's radius in metres.
 	Radius = 6.371e6
@@ -183,14 +181,10 @@ func (g *Grid) Size() int { return len(g.Lats) * len(g.Lons) }
 func (g *Grid) Index(j, i int) int { return j*len(g.Lons) + i }
 
 // Area returns the area of cell (j,i) in m^2.
-//
-//foam:units return=m^2
 func (g *Grid) Area(j, i int) float64 { return g.area[g.Index(j, i)] }
 
-// TotalArea returns the summed cell area. For a grid whose latitude edges
+// TotalArea returns the summed cell area, m^2. For a grid whose latitude edges
 // span pole to pole this equals the area of the sphere.
-//
-//foam:units return=m^2
 func (g *Grid) TotalArea() float64 {
 	tot := 0.0
 	for _, a := range g.area {
