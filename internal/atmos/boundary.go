@@ -52,9 +52,20 @@ const VonKarman = 0.4
 // BulkCoefficients returns stability-dependent bulk transfer coefficients
 // (momentum cd, heat/moisture ce) for a measurement height z, roughness
 // length z0 and bulk Richardson number ri. This is the CCM2-style
-// formulation the paper cites; negative ri (unstable) enhances transfer and
-// positive ri (stable) suppresses it.
+// formulation the paper cites: the neutral coefficient times the stability
+// factor. Callers that hold z and z0 fixed across many ri (the coupler's
+// overlap pieces) multiply the two parts themselves.
 func BulkCoefficients(z, z0, ri float64) (cd, ce float64) {
+	cd = NeutralCoefficient(z, z0) * StabilityFactor(ri)
+	ce = cd // equal heat and momentum coefficients in the bulk scheme
+	return cd, ce
+}
+
+// NeutralCoefficient returns the neutral transfer coefficient
+// (k/ln(z/z0))^2 for a measurement height z and roughness length z0. A
+// nonpositive z0 falls back to 1e-4 m, and z is held at least 2*z0 above
+// the surface.
+func NeutralCoefficient(z, z0 float64) float64 {
 	if z0 <= 0 {
 		z0 = 1e-4
 	}
@@ -62,21 +73,34 @@ func BulkCoefficients(z, z0, ri float64) (cd, ce float64) {
 		z = 2 * z0
 	}
 	cn := VonKarman / math.Log(z/z0)
-	cn *= cn
-	var f float64
+	return cn * cn
+}
+
+// StabilityFactor scales the neutral coefficient by the bulk Richardson
+// number ri: negative ri (unstable) enhances transfer, positive ri
+// (stable) suppresses it.
+//
+// The surface-flux formulas use the max builtin, which the compiler
+// inlines; math.Max is an assembly call on amd64. Both follow the same
+// rules for infinities and signed zeros.
+func StabilityFactor(ri float64) float64 {
 	switch {
 	case ri < 0:
-		f = math.Sqrt(1 - 16*math.Max(ri, -10))
+		return math.Sqrt(1 - 16*max(ri, -10))
 	case ri < 0.2:
 		d := 1 - 5*ri
-		f = d * d
+		return d * d
 	default:
-		f = 1e-3
+		return 1e-3
 	}
-	cd = cn * f
-	ce = cd // equal heat and momentum coefficients in the bulk scheme
-	return cd, ce
 }
+
+// charnockDrag is the square root of the neutral drag coefficient at 10 m
+// over a 1e-4 m roughness, the constant OceanRoughness scales the wind by.
+var charnockDrag = func() float64 {
+	cn := VonKarman / math.Log(10/1e-4)
+	return math.Sqrt(cn * cn)
+}()
 
 // OceanRoughness returns the ocean aerodynamic roughness length in the
 // CCM3 formulation (the paper: "a diagnosed surface roughness which is a
@@ -84,8 +108,7 @@ func BulkCoefficients(z, z0, ri float64) (cd, ce float64) {
 // neutral friction velocity. Both physics versions use it.
 func OceanRoughness(wind float64) float64 {
 	// One-pass Charnock: u* from the neutral drag at 10 m, z0 = a u*^2/g.
-	cn := VonKarman / math.Log(10/1e-4)
-	ustar := math.Sqrt(cn*cn) * math.Max(wind, 1)
+	ustar := charnockDrag * max(wind, 1)
 	z0 := 0.011*ustar*ustar/9.80616 + 1.5e-5
 	return z0
 }
@@ -95,7 +118,7 @@ func OceanRoughness(wind float64) float64 {
 func BulkRichardson(z, tsurf, tair, q, wind float64) float64 {
 	thS := tsurf * (1 + 0.61*q)
 	thA := (tair + 0.0098*z) * (1 + 0.61*q) // dry-adiabatic reduction to surface
-	w2 := math.Max(wind*wind, 1)
+	w2 := max(wind*wind, 1)
 	return 9.80616 * z * (thA - thS) / (0.5 * (thA + thS) * w2)
 }
 

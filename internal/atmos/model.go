@@ -438,8 +438,19 @@ func tropProfile(ts, sig float64) float64 {
 
 // SatHum returns saturation specific humidity (kg/kg) at temperature T (K)
 // and pressure p (Pa) from the Tetens formula.
-func SatHum(T, p float64) float64 {
-	es := 610.78 * math.Exp(17.269*(T-273.16)/(T-35.86))
+func SatHum(T, p float64) float64 { return SatHumFromVap(SatVap(T), p) }
+
+// SatVap returns the saturation vapour pressure (Pa) at temperature T (K)
+// from the Tetens formula.
+func SatVap(T float64) float64 {
+	return 610.78 * math.Exp(17.269*(T-273.16)/(T-35.86))
+}
+
+// SatHumFromVap returns the saturation specific humidity (kg/kg) of a
+// saturation vapour pressure es at pressure p (both Pa), with es capped at
+// p/2. Callers that hold T fixed across many p (the coupler's SST under
+// each overlap piece) evaluate SatVap once and call this per p.
+func SatHumFromVap(es, p float64) float64 {
 	if es > 0.5*p {
 		es = 0.5 * p
 	}

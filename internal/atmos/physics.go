@@ -363,7 +363,6 @@ func (m *Model) radiationColumn(c int, cosz float64, rs *radScratch) {
 	nlev := m.cfg.NLev
 	ps := phy.ps[c]
 	ts := phy.lastEx.TSurf[c]
-	alb := phy.lastEx.Albedo[c]
 
 	// Layer optical depths (water vapor + well-mixed absorber + cloud).
 	dtau := rs.dtau
@@ -415,7 +414,6 @@ func (m *Model) radiationColumn(c int, cosz float64, rs *radScratch) {
 	absFrac := 0.12 + 0.08*(1-math.Exp(-colq/20))
 	swAbs := s * (1 - refl) * absFrac
 	phy.swdn[c] = s * (1 - refl) * (1 - absFrac)
-	_ = alb
 
 	// Heating rates: LW flux divergence plus distributed SW absorption.
 	wq := rs.wq
@@ -546,13 +544,11 @@ func (col *column) diffuseField(x []float64, isTheta bool, kTop, n int, kmix, dt
 func (col *column) surfaceAndDiffusion(m *Model, c int, ex *SurfaceExchange, dt float64) {
 	nl := col.nl
 	kb := nl - 1
-	rho := col.p[kb] / (RDry * col.T[kb])
 	mass := col.dp[kb] / sphere.Gravity // kg/m^2 of lowest layer
 	col.T[kb] += ex.Sensible[c] * dt / (Cp * mass)
 	col.Q[kb] += ex.Evap[c] * dt / mass
 	col.U[kb] -= ex.TauX[c] * dt / mass
 	col.V[kb] -= ex.TauY[c] * dt / mass
-	_ = rho
 
 	// K-profile: strong mixing where the column is statically unstable
 	// relative to the surface layer, weak elsewhere; active in the lowest

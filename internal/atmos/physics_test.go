@@ -349,3 +349,144 @@ func TestPow3ByMultiplication(t *testing.T) {
 		check(x)
 	}
 }
+
+// unsplitSatHum is SatHum as one expression, before the SatVap /
+// SatHumFromVap split the coupler evaluates on two grids.
+func unsplitSatHum(T, p float64) float64 {
+	es := 610.78 * math.Exp(17.269*(T-273.16)/(T-35.86))
+	if es > 0.5*p {
+		es = 0.5 * p
+	}
+	return EpsWV * es / (p - (1-EpsWV)*es)
+}
+
+// TestSatHumSplit proves the split the coupler makes, the SST's vapour
+// pressure once per ocean cell and the pressure cap per overlap piece:
+// SatHum and SatHumFromVap(SatVap(T), p) both equal the one-expression
+// formula bit for bit, on both sides of the es > p/2 cap.
+func TestSatHumSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var capped, free int
+	check := func(T, p float64) {
+		want := unsplitSatHum(T, p)
+		if got := SatHum(T, p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("SatHum(%v, %v) = %v, unsplit %v", T, p, got, want)
+		}
+		if got := SatHumFromVap(SatVap(T), p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("SatHumFromVap(SatVap(%v), %v) = %v, unsplit %v", T, p, got, want)
+		}
+		if SatVap(T) > 0.5*p {
+			capped++
+		} else {
+			free++
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		check(150+250*rng.Float64(), math.Exp(math.Log(100)+rng.Float64()*math.Log(1200))) // 100 Pa .. 1.2e5 Pa
+	}
+	check(373.15, 1e4) // boiling at 100 hPa: capped
+	check(273.15, 1e5)
+	if capped == 0 || free == 0 {
+		t.Fatalf("es > p/2 branch hit %d times, other branch %d: want both", capped, free)
+	}
+}
+
+// unsplitBulkCoefficients is BulkCoefficients as one expression, before
+// the NeutralCoefficient x StabilityFactor split.
+func unsplitBulkCoefficients(z, z0, ri float64) (cd, ce float64) {
+	if z0 <= 0 {
+		z0 = 1e-4
+	}
+	if z < 2*z0 {
+		z = 2 * z0
+	}
+	cn := VonKarman / math.Log(z/z0)
+	cn *= cn
+	var f float64
+	switch {
+	case ri < 0:
+		f = math.Sqrt(1 - 16*math.Max(ri, -10))
+	case ri < 0.2:
+		d := 1 - 5*ri
+		f = d * d
+	default:
+		f = 1e-3
+	}
+	cd = cn * f
+	ce = cd
+	return cd, ce
+}
+
+// TestBulkCoefficientsSplit proves the split the coupler makes, the
+// neutral coefficient once per atmosphere cell and the stability factor
+// per overlap piece: BulkCoefficients and NeutralCoefficient x
+// StabilityFactor both equal the one-expression formula bit for bit, over
+// every branch (z0 <= 0, z < 2 z0, and the four stability regimes, with
+// infinite ri), and OceanRoughness with its hoisted constant and the max
+// builtin equals the per-call form with math.Max.
+func TestBulkCoefficientsSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var hits [6]int // z0 <= 0, z < 2 z0, ri < -10, -10 <= ri < 0, 0 <= ri < 0.2, ri >= 0.2
+	check := func(z, z0, ri float64) {
+		wantCd, wantCe := unsplitBulkCoefficients(z, z0, ri)
+		cd, ce := BulkCoefficients(z, z0, ri)
+		if math.Float64bits(cd) != math.Float64bits(wantCd) || math.Float64bits(ce) != math.Float64bits(wantCe) {
+			t.Fatalf("BulkCoefficients(%v, %v, %v) = %v, %v, unsplit %v, %v", z, z0, ri, cd, ce, wantCd, wantCe)
+		}
+		if got := NeutralCoefficient(z, z0) * StabilityFactor(ri); math.Float64bits(got) != math.Float64bits(wantCd) {
+			t.Fatalf("NeutralCoefficient x StabilityFactor (%v, %v, %v) = %v, unsplit %v", z, z0, ri, got, wantCd)
+		}
+		switch {
+		case z0 <= 0:
+			hits[0]++
+		case z < 2*z0:
+			hits[1]++
+		}
+		switch {
+		case ri < -10:
+			hits[2]++
+		case ri < 0:
+			hits[3]++
+		case ri < 0.2:
+			hits[4]++
+		default:
+			hits[5]++
+		}
+	}
+	z0s := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return -rng.Float64() // nonpositive roughness
+		case 1:
+			return 10 + 100*rng.Float64() // rougher than half the height
+		default:
+			return math.Exp(-12 + 12*rng.Float64()) // 6e-6 .. 1 m
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		check(2+200*rng.Float64(), z0s(), -30+31*rng.Float64()) // ri in [-30, 1)
+	}
+	for _, ri := range []float64{-10, math.Nextafter(-10, 0), 0, math.Copysign(0, -1), 0.2, math.Nextafter(0.2, 0), math.Inf(-1), math.Inf(1)} {
+		check(50, 1e-4, ri)
+	}
+	check(60, 0, 0.1)
+	check(60, 30, -1) // z exactly 2 z0
+	for k, n := range hits {
+		if n == 0 {
+			t.Fatalf("branch %d never hit (%v)", k, hits)
+		}
+	}
+
+	for i := 0; i < 100000; i++ {
+		w := 40 * rng.Float64()
+		if i < 4 {
+			w = []float64{0, math.Copysign(0, -1), 1, math.Inf(1)}[i]
+		}
+		cn := VonKarman / math.Log(10/1e-4)
+		ustar := math.Sqrt(cn*cn) * math.Max(w, 1)
+		want := 0.011*ustar*ustar/9.80616 + 1.5e-5
+		if got := OceanRoughness(w); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("OceanRoughness(%v) = %v, per-call constant %v", w, got, want)
+		}
+	}
+}

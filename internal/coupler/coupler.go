@@ -37,6 +37,11 @@ type Coupler struct {
 	ocnMask []float64
 	iceForm []float64 // kg/m^2/s freezing flux from the ocean clamp
 
+	// sstTerm caches the SST-only flux terms of every wet ocean cell.
+	// SetSST marks it stale; the next Exchange refreshes it.
+	sstTerm  []sstTerms
+	sstStale bool
+
 	// Forcing accumulators on the ocean grid (averaged over the atmosphere
 	// steps between ocean calls).
 	accTauX, accTauY []float64 // N/m^2
@@ -52,7 +57,7 @@ type Coupler struct {
 	// Scratch. The buffers below are reused every Exchange/DrainOceanForcing
 	// call so the steady-state coupled step allocates nothing.
 	exch        *atmos.SurfaceExchange
-	atmOnOcn    lowestOnOcn
+	atmTerm     []atmTerms // per atmosphere cell, refreshed every Exchange
 	waterBudget WaterBudget
 	runoffNow   []float64
 	iceOut      []*seaice.Output // nil where no ice; points into iceOutBuf
@@ -83,11 +88,21 @@ type pieceFlux struct {
 	otx, oty, oheat, ofw float64
 }
 
-// lowestOnOcn holds atmosphere lowest-level state remapped to the ocean
-// grid, used to drive the per-ocean-cell sea ice model.
-type lowestOnOcn struct {
-	// T K, U and V m/s, Ps Pa, Z m, SW and LW W/m^2, Snow kg/m^2/s.
-	T, Q, U, V, Ps, Z, SW, LW, Snow []float64
+// atmTerms are the open-water flux terms that vary only with the
+// atmosphere cell: every wet piece under the cell shares them.
+type atmTerms struct {
+	wind float64 // lowest-level wind speed, m/s
+	cn   float64 // neutral transfer coefficient over the wind's roughness
+	rho  float64 // lowest-level air density, kg/m^3
+	wEff float64 // wind speed floored at 1 m/s
+}
+
+// sstTerms are the open-water flux terms that vary only with the ocean
+// cell's SST: every piece of the cell shares them until SetSST.
+type sstTerms struct {
+	sstK float64 // K
+	es   float64 // saturation vapour pressure of the SST, Pa
+	lwUp float64 // upward longwave 0.97·σ·T^4, W/m^2
 }
 
 // WaterBudget tracks the global hydrological cycle for closure tests
@@ -186,6 +201,8 @@ func NewShared(atmGrid, ocnGrid *sphere.Grid, ocnMask []float64, sh Shared) *Cou
 	for c := range cp.sstC {
 		cp.sstC[c] = 15
 	}
+	cp.sstTerm = make([]sstTerms, ocnGrid.Size())
+	cp.sstStale = true
 	cp.iceForm = make([]float64, ocnGrid.Size())
 	cp.accTauX = make([]float64, ocnGrid.Size())
 	cp.accTauY = make([]float64, ocnGrid.Size())
@@ -193,6 +210,7 @@ func NewShared(atmGrid, ocnGrid *sphere.Grid, ocnMask []float64, sh Shared) *Cou
 	cp.accFW = make([]float64, ocnGrid.Size())
 	cp.accRunoff = make([]float64, n)
 	cp.exch = atmos.NewSurfaceExchange(n)
+	cp.atmTerm = make([]atmTerms, n)
 	m := ocnGrid.Size()
 	cp.runoffNow = make([]float64, n)
 	cp.iceOut = make([]*seaice.Output, m)
@@ -200,11 +218,6 @@ func NewShared(atmGrid, ocnGrid *sphere.Grid, ocnMask []float64, sh Shared) *Cou
 	cp.drainF = ocean.NewForcing(m)
 	cp.meanRunoff = make([]float64, n)
 	cp.riverOnOcn = make([]float64, m)
-	cp.atmOnOcn = lowestOnOcn{
-		T: make([]float64, m), Q: make([]float64, m), U: make([]float64, m),
-		V: make([]float64, m), Ps: make([]float64, m), Z: make([]float64, m),
-		SW: make([]float64, m), LW: make([]float64, m), Snow: make([]float64, m),
-	}
 	return cp
 }
 
@@ -223,7 +236,7 @@ func (cp *Coupler) SetPool(p *pool.Pool) {
 		cells := cp.Overlap.Cells
 		cp.phFlux = func(_, p0, p1 int) {
 			for pi := p0; pi < p1; pi++ {
-				cp.pieces[pi] = cp.computePieceFlux(&cells[pi], cp.exIn, cp.iceOut)
+				cp.computePieceFlux(&cp.pieces[pi], &cells[pi], cp.exIn, cp.iceOut)
 			}
 		}
 	}
@@ -233,8 +246,12 @@ func (cp *Coupler) SetPool(p *pool.Pool) {
 func (cp *Coupler) LandFraction() []float64 { return cp.landFrac }
 
 // SetSST installs the ocean surface temperature (deg C, ocean grid) used
-// for flux computation until the next update.
-func (cp *Coupler) SetSST(sst []float64) { copy(cp.sstC, sst) }
+// for flux computation until the next update. It is the only writer of the
+// SST mirror, so it marks the SST terms stale for the next Exchange.
+func (cp *Coupler) SetSST(sst []float64) {
+	copy(cp.sstC, sst)
+	cp.sstStale = true
+}
 
 // SetIceFormation installs the ocean's freezing flux diagnostic.
 func (cp *Coupler) SetIceFormation(fl []float64) { copy(cp.iceForm, fl) }
@@ -341,8 +358,8 @@ func (cp *Coupler) Exchange(in *atmos.LowestLevel, dt float64) *atmos.SurfaceExc
 		cp.accRunoff[c] += runoffNow[c]
 	}
 
-	// --- Sea ice on the ocean grid: remap the atmospheric state once.
-	cp.remapLowest(in)
+	// --- Sea ice on the ocean grid, driven by the atmosphere averaged over
+	// each ice cell's own pieces.
 	iceOut := cp.iceOut
 	for oc := range iceOut {
 		iceOut[oc] = nil
@@ -352,15 +369,7 @@ func (cp *Coupler) Exchange(in *atmos.LowestLevel, dt float64) *atmos.SurfaceExc
 			continue
 		}
 		if cp.Ice.Present(oc) || cp.iceForm[oc] > 0 {
-			iin := seaice.Input{
-				SWDown: cp.atmOnOcn.SW[oc], LWDown: cp.atmOnOcn.LW[oc],
-				TAir: cp.atmOnOcn.T[oc], QAir: cp.atmOnOcn.Q[oc],
-				UAir: cp.atmOnOcn.U[oc], VAir: cp.atmOnOcn.V[oc],
-				Ps: cp.atmOnOcn.Ps[oc], ZRef: cp.atmOnOcn.Z[oc],
-				Snowfall:    cp.atmOnOcn.Snow[oc],
-				OceanFreeze: cp.iceForm[oc],
-			}
-			out := cp.Ice.Step(oc, iin, dt)
+			out := cp.Ice.Step(oc, cp.iceInput(oc, in), dt)
 			melt := cp.Ice.BasalMelt(oc, cp.sstC[oc], dt)
 			out.MeltWater += melt
 			cp.iceOutBuf[oc] = out
@@ -369,9 +378,15 @@ func (cp *Coupler) Exchange(in *atmos.LowestLevel, dt float64) *atmos.SurfaceExc
 	}
 
 	// --- Per-overlap-piece air-sea fluxes (the paper's Figure 1 scheme).
-	// Each piece's pre-weighted flux is independent of every other piece,
-	// so the computation parallelizes; the accumulation runs serially in
-	// piece order either way, keeping the sums bit-identical.
+	// The terms that vary on one grid only are evaluated once per cell of
+	// that grid. Each piece's pre-weighted flux is then independent of
+	// every other piece, so the computation parallelizes; the accumulation
+	// runs serially in piece order either way, keeping the sums
+	// bit-identical.
+	if cp.sstStale {
+		cp.refreshSSTTerms()
+	}
+	cp.refreshAtmTerms(in)
 	cells := cp.Overlap.Cells
 	if cp.pieces != nil {
 		cp.exIn = in
@@ -381,8 +396,9 @@ func (cp *Coupler) Exchange(in *atmos.LowestLevel, dt float64) *atmos.SurfaceExc
 			cp.accumulatePiece(&cells[pi], &cp.pieces[pi], ex)
 		}
 	} else {
+		var pf pieceFlux
 		for pi := range cells {
-			pf := cp.computePieceFlux(&cells[pi], in, iceOut)
+			cp.computePieceFlux(&pf, &cells[pi], in, iceOut)
 			cp.accumulatePiece(&cells[pi], &pf, ex)
 		}
 	}
@@ -400,17 +416,80 @@ func (cp *Coupler) Exchange(in *atmos.LowestLevel, dt float64) *atmos.SurfaceExc
 	return ex
 }
 
-// computePieceFlux evaluates one overlap piece's air-sea fluxes, returning
-// them pre-multiplied by the piece's area weights. It only reads shared
+// iceInput builds ocean cell oc's sea-ice forcing: each atmosphere field
+// area-averaged over the cell's own overlap pieces, summed in piece order
+// with AtmToOcnInto's expression, so each value is the remap's bit for bit.
+func (cp *Coupler) iceInput(oc int, in *atmos.LowestLevel) seaice.Input {
+	ov := cp.Overlap
+	iin := seaice.Input{OceanFreeze: cp.iceForm[oc]}
+	area := ov.OcnArea[oc]
+	if area <= 0 {
+		return iin
+	}
+	for _, pi := range ov.ocnPieces(oc) {
+		piece := &ov.Cells[pi]
+		a, w := piece.Atm, piece.Area
+		iin.SWDown += in.SWDown[a] * w / area
+		iin.LWDown += in.LWDown[a] * w / area
+		iin.TAir += in.T[a] * w / area
+		iin.QAir += in.Q[a] * w / area
+		iin.UAir += in.U[a] * w / area
+		iin.VAir += in.V[a] * w / area
+		iin.Ps += in.Ps[a] * w / area
+		iin.ZRef += in.Z[a] * w / area
+		iin.Snowfall += in.SnowRate[a] * w / area
+	}
+	return iin
+}
+
+// refreshSSTTerms evaluates the SST-only flux terms of every wet ocean
+// cell from the mirrored SST.
+func (cp *Coupler) refreshSSTTerms() {
+	for oc, sst := range cp.sstC {
+		if cp.ocnMask[oc] < 0.5 {
+			continue
+		}
+		sstK := sst + 273.15
+		cp.sstTerm[oc] = sstTerms{
+			sstK: sstK,
+			es:   atmos.SatVap(sstK),
+			lwUp: 0.97 * atmos.StefBo * atmos.Pow4(sstK),
+		}
+	}
+	cp.sstStale = false
+}
+
+// refreshAtmTerms evaluates the atmosphere-only flux terms of every
+// atmosphere cell with wet area: the wind, the neutral coefficient over
+// the wind's Charnock roughness, the air density and the floored wind.
+func (cp *Coupler) refreshAtmTerms(in *atmos.LowestLevel) {
+	for a, wet := range cp.wetAtmArea {
+		if wet <= 0 {
+			continue
+		}
+		wind := math.Hypot(in.U[a], in.V[a])
+		cp.atmTerm[a] = atmTerms{
+			wind: wind,
+			cn:   atmos.NeutralCoefficient(in.Z[a], atmos.OceanRoughness(wind)),
+			rho:  in.Ps[a] / (atmos.RDry * in.T[a]),
+			wEff: max(wind, 1),
+		}
+	}
+}
+
+// computePieceFlux evaluates one overlap piece's air-sea fluxes into pf,
+// pre-multiplied by the piece's area weights. It only reads shared
 // state, so pieces can be computed concurrently.
-func (cp *Coupler) computePieceFlux(piece *OverlapCell, in *atmos.LowestLevel, iceOut []*seaice.Output) pieceFlux {
+func (cp *Coupler) computePieceFlux(pf *pieceFlux, piece *OverlapCell, in *atmos.LowestLevel, iceOut []*seaice.Output) {
 	oc := piece.Ocn
 	if oc < 0 || cp.ocnMask[oc] < 0.5 {
-		return pieceFlux{}
+		pf.ok = false
+		return
 	}
 	a := piece.Atm
 	if cp.wetAtmArea[a] <= 0 {
-		return pieceFlux{}
+		pf.ok = false
+		return
 	}
 	wAtm := piece.Area / cp.wetAtmArea[a] * (1 - cp.landFrac[a])
 	wOcn := piece.Area / cp.Overlap.OcnArea[oc]
@@ -418,7 +497,7 @@ func (cp *Coupler) computePieceFlux(piece *OverlapCell, in *atmos.LowestLevel, i
 		// Ice-covered piece: the ice model already produced fluxes. The
 		// ocean's freeze clamp accounted for the latent heat and brine of
 		// formation internally; only melt water and conduction cross here.
-		return pieceFlux{
+		*pf = pieceFlux{
 			ok:    true,
 			tsurf: wAtm * io.TSurf, albedo: wAtm * io.Albedo,
 			taux: wAtm * io.TauXAtm, tauy: wAtm * io.TauYAtm,
@@ -426,37 +505,37 @@ func (cp *Coupler) computePieceFlux(piece *OverlapCell, in *atmos.LowestLevel, i
 			otx: wOcn * io.TauXOcean, oty: wOcn * io.TauYOcean,
 			oheat: wOcn * io.OceanHeat, ofw: wOcn * io.MeltWater,
 		}
+		return
 	}
 	// Open-water piece: CCM3 bulk formulas with wind-dependent roughness
-	// over the ocean.
-	sstK := cp.sstC[oc] + 273.15
-	wind := math.Hypot(in.U[a], in.V[a])
-	z0 := atmos.OceanRoughness(wind)
-	ri := atmos.BulkRichardson(in.Z[a], sstK, in.T[a], in.Q[a], wind)
-	cd, ce := atmos.BulkCoefficients(in.Z[a], z0, ri)
-	rho := in.Ps[a] / (atmos.RDry * in.T[a])
-	wEff := math.Max(wind, 1)
+	// over the ocean (BulkCoefficients and SatHum, split at the grid
+	// boundary: only the stability and the pressure cap vary per piece).
+	at, st := &cp.atmTerm[a], &cp.sstTerm[oc]
+	sstK := st.sstK
+	ri := atmos.BulkRichardson(in.Z[a], sstK, in.T[a], in.Q[a], at.wind)
+	cd := at.cn * atmos.StabilityFactor(ri)
+	ce := cd
+	rho, wEff := at.rho, at.wEff
 	tx := rho * cd * wEff * in.U[a]
 	ty := rho * cd * wEff * in.V[a]
 	sh := rho * atmos.Cp * ce * wEff * (sstK - in.T[a])
-	qs := atmos.SatHum(sstK, in.Ps[a])
-	ev := rho * ce * wEff * math.Max(qs-in.Q[a], -in.Q[a])
+	qs := atmos.SatHumFromVap(st.es, in.Ps[a])
+	ev := rho * ce * wEff * max(qs-in.Q[a], -in.Q[a])
 
 	// Ocean side: stress, net heat, fresh water. Snow falling on open
 	// water melts: mass gain, heat loss.
-	lwUp := 0.97 * atmos.StefBo * atmos.Pow4(sstK)
 	lat := atmos.LVap * ev
-	netHeat := in.SWDown[a]*(1-0.07) + 0.97*in.LWDown[a] - lwUp - sh - lat
+	netHeat := in.SWDown[a]*(1-0.07) + 0.97*in.LWDown[a] - st.lwUp - sh - lat
 	netHeat -= in.SnowRate[a] * atmos.LFus
-	return pieceFlux{
-		ok:    true,
-		tsurf: wAtm * sstK, albedo: wAtm * 0.07,
-		taux: wAtm * tx, tauy: wAtm * ty,
-		sens: wAtm * sh, evap: wAtm * ev,
-		otx: wOcn * clampStress(tx, MaxStressIntoOcean), oty: wOcn * clampStress(ty, MaxStressIntoOcean),
-		oheat: wOcn * clampHeat(netHeat, MaxHeatIntoOcean),
-		ofw:   wOcn * (in.RainRate[a] + in.SnowRate[a] - ev),
-	}
+	// Field by field: a composite literal would be built on the stack and
+	// block-copied into *pf for every piece.
+	pf.ok = true
+	pf.tsurf, pf.albedo = wAtm*sstK, wAtm*0.07
+	pf.taux, pf.tauy = wAtm*tx, wAtm*ty
+	pf.sens, pf.evap = wAtm*sh, wAtm*ev
+	pf.otx, pf.oty = wOcn*clampStress(tx, MaxStressIntoOcean), wOcn*clampStress(ty, MaxStressIntoOcean)
+	pf.oheat = wOcn * clampHeat(netHeat, MaxHeatIntoOcean)
+	pf.ofw = wOcn * (in.RainRate[a] + in.SnowRate[a] - ev)
 }
 
 // accumulatePiece adds one piece's pre-weighted fluxes into the composite
@@ -510,20 +589,6 @@ func clampAbs(x, lim float64) float64 {
 		return -lim
 	}
 	return x
-}
-
-// remapLowest refreshes the atmosphere-state mirror on the ocean grid.
-func (cp *Coupler) remapLowest(in *atmos.LowestLevel) {
-	ov := cp.Overlap
-	ov.AtmToOcnInto(cp.atmOnOcn.T, in.T)
-	ov.AtmToOcnInto(cp.atmOnOcn.Q, in.Q)
-	ov.AtmToOcnInto(cp.atmOnOcn.U, in.U)
-	ov.AtmToOcnInto(cp.atmOnOcn.V, in.V)
-	ov.AtmToOcnInto(cp.atmOnOcn.Ps, in.Ps)
-	ov.AtmToOcnInto(cp.atmOnOcn.Z, in.Z)
-	ov.AtmToOcnInto(cp.atmOnOcn.SW, in.SWDown)
-	ov.AtmToOcnInto(cp.atmOnOcn.LW, in.LWDown)
-	ov.AtmToOcnInto(cp.atmOnOcn.Snow, in.SnowRate)
 }
 
 // DrainOceanForcing returns the averaged ocean forcing accumulated since

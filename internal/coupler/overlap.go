@@ -37,6 +37,11 @@ type Overlap struct {
 	OcnArea []float64 // total overlap area per ocn cell
 	atmGrid *sphere.Grid
 	ocnGrid *sphere.Grid
+
+	// ocnPiece lists the indices into Cells of every piece of each ocean
+	// cell, in ascending order; ocean cell c owns
+	// ocnPiece[ocnStart[c]:ocnStart[c+1]].
+	ocnStart, ocnPiece []int32
 }
 
 // BuildOverlap constructs the overlap decomposition of two lat-lon grids.
@@ -89,7 +94,36 @@ func BuildOverlap(atm, ocn *sphere.Grid) *Overlap {
 			ov.Cells = append(ov.Cells, cell)
 		}
 	}
+	ov.indexOcnPieces()
 	return ov
+}
+
+// indexOcnPieces builds the per-ocean-cell piece lists.
+func (ov *Overlap) indexOcnPieces() {
+	ov.ocnStart = make([]int32, ov.ocnGrid.Size()+1)
+	for _, cell := range ov.Cells {
+		if cell.Ocn >= 0 {
+			ov.ocnStart[cell.Ocn+1]++
+		}
+	}
+	for c := 1; c < len(ov.ocnStart); c++ {
+		ov.ocnStart[c] += ov.ocnStart[c-1]
+	}
+	ov.ocnPiece = make([]int32, ov.ocnStart[len(ov.ocnStart)-1])
+	next := append([]int32(nil), ov.ocnStart[:len(ov.ocnStart)-1]...)
+	for pi, cell := range ov.Cells {
+		if cell.Ocn >= 0 {
+			ov.ocnPiece[next[cell.Ocn]] = int32(pi)
+			next[cell.Ocn]++
+		}
+	}
+}
+
+// ocnPieces returns the indices into Cells of ocean cell c's overlap
+// pieces, in ascending order: the order AtmToOcnInto sums them in. The
+// slice is shared; callers must not write to it.
+func (ov *Overlap) ocnPieces(c int) []int32 {
+	return ov.ocnPiece[ov.ocnStart[c]:ov.ocnStart[c+1]]
 }
 
 // mergeBreaks merges two ascending breakpoint sets, deduplicating. For

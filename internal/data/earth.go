@@ -22,14 +22,34 @@ type ellipse struct {
 	lat, lon float64 // center, degrees
 	a, b     float64 // semi-axes: a along rotated east, b along rotated north
 	rot      float64 // rotation, degrees counterclockwise
+
+	cosR, sinR float64 // cosine and sine of rot, set by rotate
 }
 
-func (e ellipse) contains(latDeg, lonDeg float64) bool {
+// rotate evaluates the ellipse's rotation once, so contains does no trig.
+func (e *ellipse) rotate() {
+	r := e.rot * math.Pi / 180
+	e.cosR, e.sinR = math.Cos(r), math.Sin(r)
+}
+
+// The package's ellipses are static tables; their rotations are filled in
+// once, before any caller can reach contains.
+func init() {
+	for _, es := range [][]ellipse{continents, paleoContinents} {
+		for i := range es {
+			es[i].rotate()
+		}
+	}
+	greenland.rotate()
+}
+
+// contains reports whether a point lies inside the ellipse, which must
+// have been rotated.
+func (e *ellipse) contains(latDeg, lonDeg float64) bool {
 	dlon := wrapDeg(lonDeg - e.lon)
 	dlat := latDeg - e.lat
-	r := e.rot * math.Pi / 180
-	x := dlon*math.Cos(r) + dlat*math.Sin(r)
-	y := -dlon*math.Sin(r) + dlat*math.Cos(r)
+	x := dlon*e.cosR + dlat*e.sinR
+	y := -dlon*e.sinR + dlat*e.cosR
 	return (x/e.a)*(x/e.a)+(y/e.b)*(y/e.b) <= 1
 }
 
@@ -76,6 +96,9 @@ var continents = []ellipse{
 	// Antarctica is handled separately by latitude.
 }
 
+// greenland is the ice-covered continent of SoilType.
+var greenland = ellipse{lat: 72, lon: -40, a: 12, b: 10}
+
 // IsLand reports whether the point (radians) is land.
 func IsLand(lat, lon float64) bool {
 	latD := lat * sphere.Rad2Deg
@@ -83,8 +106,8 @@ func IsLand(lat, lon float64) bool {
 	if latD < -68 {
 		return true // Antarctica
 	}
-	for _, e := range continents {
-		if e.contains(latD, lonD) {
+	for i := range continents {
+		if continents[i].contains(latD, lonD) {
 			return true
 		}
 	}
@@ -178,7 +201,7 @@ func SoilType(lat, lon float64) int {
 	switch {
 	case latD < -68:
 		return SoilIce
-	case ellipse{lat: 72, lon: -40, a: 12, b: 10}.contains(latD, lonD):
+	case greenland.contains(latD, lonD):
 		return SoilIce // Greenland
 	case math.Abs(latD) > 58:
 		return SoilTundra

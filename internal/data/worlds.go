@@ -149,8 +149,8 @@ func paleoIsLand(lat, lon float64) bool {
 	if latD < -68 {
 		return true // polar cap continent, as on Earth
 	}
-	for _, e := range paleoContinents {
-		if e.contains(latD, lonD) {
+	for i := range paleoContinents {
+		if paleoContinents[i].contains(latD, lonD) {
 			return true
 		}
 	}
