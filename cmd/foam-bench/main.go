@@ -204,7 +204,12 @@ func runE1(w io.Writer, h horizon) error {
 		diag.PrintSegmentTable(w, res.Machine)
 		// The paper's claim: does the ocean rank finish before the
 		// atmosphere needs it?
-		busy := diag.SegmentTotals(res.Machine)["ocean"] / float64(spec.OcnRanks)
+		busy := 0.0
+		for _, t := range diag.SegmentTotals(res.Machine) {
+			if t.Label == "ocean" {
+				busy = t.Seconds / float64(spec.OcnRanks)
+			}
+		}
 		verdict := "is the bottleneck"
 		if busy < 0.95*res.MachineTime {
 			verdict = "keeps up"

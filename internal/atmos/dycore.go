@@ -88,7 +88,6 @@ type work struct {
 	phFoldGrid, phFoldAdd                              func(worker, lo, hi int)
 }
 
-//foam:coldpath
 func newWork(m *Model) *work {
 	nlev, ncell := m.cfg.NLev, m.grid.Size()
 	nworkers := m.pool.Workers()
@@ -203,8 +202,6 @@ func (m *Model) ensureWork() *work {
 // bindPhases creates the pooled phase closures once per work lifetime.
 // Per-step inputs reach them through the staged fields of w, never through
 // captured locals.
-//
-//foam:hotphases
 func (m *Model) bindPhases(w *work) {
 	nlat, nlon, nlev := m.cfg.NLat, m.cfg.NLon, m.cfg.NLev
 	tr := m.tr
@@ -422,8 +419,6 @@ func (m *Model) bindPhases(w *work) {
 // Step advances the model one time step: dynamics (semi-implicit leapfrog),
 // semi-Lagrangian moisture transport, column physics, and the
 // Robert-Asselin filter.
-//
-//foam:hotpath
 func (m *Model) Step() {
 	dt := m.cfg.Dt
 	si := m.si
@@ -435,7 +430,6 @@ func (m *Model) Step() {
 	m.ensureWork()
 	var t0 time.Time
 	if m.costEnabled {
-		//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 		t0 = time.Now()
 		m.lastCost.SemiImplicit = 0
 		m.lastCost.Boundary = 0
@@ -445,15 +439,12 @@ func (m *Model) Step() {
 	}
 	plus := m.dynStep(dt, si)
 	if m.costEnabled {
-		//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 		m.lastCost.DynRows = time.Since(t0).Seconds() - m.lastCost.SemiImplicit
-		//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 		t0 = time.Now()
 	}
 	if !m.cfg.Adiabatic {
 		m.advectMoisture(plus)
 		if m.costEnabled {
-			//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 			m.lastCost.Moisture = time.Since(t0).Seconds()
 		}
 		m.physicsStep(plus)
@@ -531,7 +522,6 @@ func (m *Model) dynStep(dt float64, si *SemiImplicit) *specState {
 
 	var tSI time.Time
 	if m.costEnabled {
-		//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 		tSI = time.Now()
 	}
 	plus := m.takePlus()
@@ -539,7 +529,6 @@ func (m *Model) dynStep(dt float64, si *SemiImplicit) *specState {
 	m.pool.Run(ncf, w.phSolve)
 	w.si, w.plus = nil, nil
 	if m.costEnabled {
-		//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 		m.lastCost.SemiImplicit = time.Since(tSI).Seconds()
 	}
 	return plus

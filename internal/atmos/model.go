@@ -156,7 +156,6 @@ type specState struct {
 	lnps []complex128   // [coef]
 }
 
-//foam:coldpath
 func newSpecState(nlev, ncoef int) *specState {
 	s := &specState{lnps: make([]complex128, ncoef)}
 	s.vort = make([][]complex128, nlev)
@@ -213,6 +212,8 @@ type Model struct {
 
 	// CostTrace, when enabled with EnableCostTrace, records wall-time
 	// breakdowns of the latest step for the parallel performance harness.
+	// The clock reads behind costEnabled feed only lastCost, never the
+	// simulation state.
 	costEnabled bool
 	lastCost    StepCost
 }

@@ -36,7 +36,6 @@ type physicsState struct {
 	low                 *LowestLevel
 }
 
-//foam:coldpath
 func newPhysicsState(cfg Config, ncell int) *physicsState {
 	p := &physicsState{cfg: cfg}
 	p.qr = make([][]float64, cfg.NLev)
@@ -94,8 +93,6 @@ func (p *physicsState) init(m *Model) {
 // bindPhysicsPhases binds the pooled physics phases into the step workspace
 // (see bindPhases for why these are bound once rather than written as
 // closure literals at the Run call sites).
-//
-//foam:hotphases
 func (m *Model) bindPhysicsPhases(w *work) {
 	phy := m.phy
 	cfg := m.cfg
@@ -128,7 +125,6 @@ func (m *Model) bindPhysicsPhases(w *work) {
 		for j := j0; j < j1; j++ {
 			var tRow time.Time
 			if m.costEnabled {
-				//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 				tRow = time.Now()
 			}
 			sinLat, cosLat := math.Sin(w.lats[j]), math.Cos(w.lats[j])
@@ -144,7 +140,6 @@ func (m *Model) bindPhysicsPhases(w *work) {
 				m.radiationColumn(c, cz, rs)
 			}
 			if m.costEnabled {
-				//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 				m.lastCost.PhysRows[j] += time.Since(tRow).Seconds()
 			}
 		}
@@ -175,7 +170,6 @@ func (m *Model) bindPhysicsPhases(w *work) {
 		for j := j0; j < j1; j++ {
 			var tRow time.Time
 			if m.costEnabled {
-				//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 				tRow = time.Now()
 			}
 			for i := 0; i < nlon; i++ {
@@ -191,7 +185,6 @@ func (m *Model) bindPhysicsPhases(w *work) {
 				col.store(m, c, dt)
 			}
 			if m.costEnabled {
-				//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 				m.lastCost.PhysRows[j] += time.Since(tRow).Seconds()
 			}
 		}
@@ -275,12 +268,10 @@ func (m *Model) physicsStep(plus *specState) {
 	m.pool.Run(ncell, w.phLowest)
 	var tB time.Time
 	if m.costEnabled {
-		//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 		tB = time.Now()
 	}
 	ex := m.boundary.Exchange(phy.low, dt)
 	if m.costEnabled {
-		//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 		m.lastCost.Boundary = time.Since(tB).Seconds()
 	}
 	phy.lastEx = ex
@@ -332,7 +323,6 @@ type radScratch struct {
 	trans, emit   []float64 // layer transmissivity exp(-dtau) and blackbody emission
 }
 
-//foam:coldpath
 func newRadScratch(nl int) *radScratch {
 	return &radScratch{
 		dtau: make([]float64, nl), cld: make([]float64, nl), wq: make([]float64, nl),
@@ -450,7 +440,6 @@ type column struct {
 	buoy, dTd           []float64
 }
 
-//foam:coldpath
 func newColumn(nl int) *column {
 	return &column{nl: nl, kTop: nl - nl/3 - 1,
 		ex: make([]float64, nl), exInv: make([]float64, nl),

@@ -9,8 +9,6 @@ import (
 
 // bindSLPhases binds the semi-Lagrangian transport phases into the step
 // workspace (see bindPhases for why these are bound once).
-//
-//foam:hotphases
 func (m *Model) bindSLPhases(w *work) {
 	nlat, nlon, nlev := m.cfg.NLat, m.cfg.NLon, m.cfg.NLev
 	dt := m.cfg.Dt

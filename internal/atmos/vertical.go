@@ -3,8 +3,6 @@
 // levels (the PCCM2 lineage the paper describes), with semi-implicit
 // leapfrog time stepping, horizontal hyperdiffusion, semi-Lagrangian
 // moisture transport, and simplified CCM2/CCM3-style column physics.
-//
-//foam:deterministic
 package atmos
 
 import (

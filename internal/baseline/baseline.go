@@ -6,10 +6,7 @@
 // compares against.
 //
 // The integration itself is deterministic; the wall-clock reads in the
-// timing harness are the measurement, not model state, and carry
-// //foam:allow pragmas.
-//
-//foam:deterministic
+// timing harness are the measurement and never reach model state.
 package baseline
 
 import (
@@ -30,12 +27,10 @@ func OceanSecondsPerDay(cfg ocean.Config, kmt []int, sampleSteps int) (float64, 
 	f := ocean.NewForcing(n)
 	// Warm up one step (allocations, caches).
 	m.Step(f)
-	//foam:allow nondeterminism wall-clock benchmark timing is the measured quantity
 	t0 := time.Now()
 	for s := 0; s < sampleSteps; s++ {
 		m.Step(f)
 	}
-	//foam:allow nondeterminism wall-clock benchmark timing is the measured quantity
 	per := time.Since(t0).Seconds() / float64(sampleSteps)
 	stepsPerDay := 86400 / cfg.DtTracer
 	return per * stepsPerDay, nil

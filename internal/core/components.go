@@ -37,14 +37,10 @@ func (c *atmComponent) Name() string { return "atmosphere" }
 
 // Step advances one atmosphere step (surface exchange included, through
 // the coupler acting as the atmosphere's Boundary).
-//
-//foam:hotpath
 func (c *atmComponent) Step() { c.at.Step() }
 
 // Couple closes a coupling interval: average the accumulated fluxes and
 // route the rivers, leaving the result staged for ExportInto.
-//
-//foam:hotpath
 func (c *atmComponent) Couple(dt float64) { c.drained = c.cpl.DrainOceanForcing(dt) }
 
 var atmImports = []sched.Field{sched.FieldSST, sched.FieldIceForm, sched.FieldCurrentU, sched.FieldCurrentV}
@@ -63,8 +59,6 @@ func (c *atmComponent) FieldLen(sched.Field) int { return c.cpl.OcnGrid.Size() }
 
 // ExportInto implements sched.Component: copy one forcing field from the
 // drained interval average.
-//
-//foam:hotpath
 func (c *atmComponent) ExportInto(dst []float64, f sched.Field) {
 	if c.drained == nil {
 		panic("core: atmosphere export before Couple")
@@ -86,8 +80,6 @@ func (c *atmComponent) ExportInto(dst []float64, f sched.Field) {
 // Import implements sched.Component: install one piece of the ocean's
 // surface state. The CurrentU/CurrentV pair arrives in declared order, so
 // CurrentV completes the pair and drifts the sea ice over the interval.
-//
-//foam:hotpath
 func (c *atmComponent) Import(f sched.Field, src []float64) {
 	switch f {
 	case sched.FieldSST:
@@ -216,8 +208,6 @@ func newOcnComponent(oc *ocean.Model) *ocnComponent {
 func (c *ocnComponent) Name() string { return "ocean" }
 
 // Step advances one ocean tracer interval under the imported forcing.
-//
-//foam:hotpath
 func (c *ocnComponent) Step() { c.oc.Step(c.f) }
 
 // Couple implements sched.Component; the ocean has no interval bookkeeping
@@ -237,8 +227,6 @@ func (c *ocnComponent) Exports() []sched.Field { return ocnExports }
 func (c *ocnComponent) FieldLen(sched.Field) int { return c.oc.Grid().Size() }
 
 // ExportInto implements sched.Component.
-//
-//foam:hotpath
 func (c *ocnComponent) ExportInto(dst []float64, f sched.Field) {
 	switch f {
 	case sched.FieldSST:
@@ -257,8 +245,6 @@ func (c *ocnComponent) ExportInto(dst []float64, f sched.Field) {
 }
 
 // Import implements sched.Component.
-//
-//foam:hotpath
 func (c *ocnComponent) Import(f sched.Field, src []float64) {
 	switch f {
 	case sched.FieldTauX:

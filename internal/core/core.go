@@ -252,14 +252,10 @@ func (m *Model) SimTime() float64 { return float64(m.ex.Tick()) * m.cfg.Atm.Dt }
 
 // Step advances one atmosphere step, calling the ocean on schedule (one
 // program tick).
-//
-//foam:hotpath
 func (m *Model) Step() { m.ex.Steps(1) }
 
 // StepDays advances the given number of simulated days (truncated to whole
 // atmosphere steps) in one executor call.
-//
-//foam:hotpath
 func (m *Model) StepDays(days float64) {
 	m.ex.Steps(int(days * sphere.SecondsPerDay / m.cfg.Atm.Dt))
 }

@@ -225,8 +225,6 @@ func NewShared(atmGrid, ocnGrid *sphere.Grid, ocnMask []float64, sh Shared) *Cou
 // flux computation. The result is bit-identical to the serial loop: fluxes
 // are computed concurrently into per-piece slots, then accumulated serially
 // in piece order. Pass nil to return to the serial loop.
-//
-//foam:hotphases
 func (cp *Coupler) SetPool(p *pool.Pool) {
 	cp.pool = p
 	cp.pieces = nil
@@ -257,8 +255,6 @@ func (cp *Coupler) SetSST(sst []float64) {
 func (cp *Coupler) SetIceFormation(fl []float64) { copy(cp.iceForm, fl) }
 
 // AbsorbOcean refreshes the mirrored ocean state from a local ocean model.
-//
-//foam:hotpath
 func (cp *Coupler) AbsorbOcean(oc *ocean.Model) {
 	cp.SetSST(oc.SST())
 	cp.SetIceFormation(oc.IceFormation())
@@ -267,8 +263,6 @@ func (cp *Coupler) AbsorbOcean(oc *ocean.Model) {
 // AdvectIce drifts the sea ice with the ocean surface currents over one
 // coupling interval (free drift; the dynamic extension the paper flags as
 // future work).
-//
-//foam:hotpath
 func (cp *Coupler) AdvectIce(u, v []float64, dt float64) {
 	g := cp.OcnGrid
 	cp.Ice.Advect(u, v, cp.ocnMask, cp.ocnDx, cp.ocnDy, cp.ocnCos, g.NLat(), g.NLon(), dt)
@@ -276,8 +270,6 @@ func (cp *Coupler) AdvectIce(u, v []float64, dt float64) {
 
 // initOcnGeometry precomputes the per-row ocean-grid spacings the ice
 // drift uses, once, at construction.
-//
-//foam:coldpath
 func (cp *Coupler) initOcnGeometry() {
 	g := cp.OcnGrid
 	nlat, nlon := g.NLat(), g.NLon()
@@ -306,8 +298,6 @@ func (cp *Coupler) Budget() WaterBudget { return cp.waterBudget }
 func (cp *Coupler) ResetBudget() { cp.waterBudget = WaterBudget{} }
 
 // Exchange implements atmos.Boundary: one atmosphere-step surface exchange.
-//
-//foam:hotpath
 func (cp *Coupler) Exchange(in *atmos.LowestLevel, dt float64) *atmos.SurfaceExchange {
 	g := cp.AtmGrid
 	ex := cp.exch
@@ -596,8 +586,6 @@ func clampAbs(x, lim float64) float64 {
 // water, and resets the accumulators. dt is the ocean step the forcing will
 // drive. The returned Forcing is owned by the coupler and overwritten by the
 // next call; consume it before draining again.
-//
-//foam:hotpath
 func (cp *Coupler) DrainOceanForcing(dt float64) *ocean.Forcing {
 	m := cp.OcnGrid.Size()
 	f := cp.drainF

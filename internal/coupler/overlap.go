@@ -10,8 +10,6 @@
 // states, and the results are area-averaged back to each grid. No state
 // variable is ever interpolated to a single grid, and the exchange is
 // conservative by construction.
-//
-//foam:deterministic
 package coupler
 
 import (
@@ -192,8 +190,6 @@ func (ov *Overlap) AtmToOcn(field []float64) []float64 {
 
 // AtmToOcnInto writes the remap into dst, which must not share storage
 // with field: dst is zeroed before field is read.
-//
-//foam:hotpath
 func (ov *Overlap) AtmToOcnInto(dst, field []float64) {
 	if len(dst) > 0 && len(field) > 0 && &dst[0] == &field[0] {
 		panic("coupler: AtmToOcnInto dst and field must not alias")

@@ -7,8 +7,6 @@
 // types; and an Earth-like monthly SST climatology used as the "observed"
 // reference in the Figure-3 experiment. See DESIGN.md section 2 for why
 // these substitutions preserve the behaviours under test.
-//
-//foam:deterministic
 package data
 
 import (

@@ -233,7 +233,6 @@ func WorldByName(name string) (*World, error) {
 // WorldNames lists the registered worlds in sorted order.
 func WorldNames() []string {
 	names := make([]string, 0, len(worldsByName))
-	//foam:allow nondeterminism the collected keys are sorted before return, so the result is order-independent
 	for n := range worldsByName {
 		names = append(names, n)
 	}

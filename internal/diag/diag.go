@@ -2,8 +2,6 @@
 // allocation chart of the paper's Figure 2 (as ASCII), latitude-longitude
 // field maps (Figures 3 and 4) as ASCII contour plots or PGM images, and
 // CSV tables for the benchmark harness.
-//
-//foam:deterministic
 package diag
 
 import (
@@ -11,7 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"foam/internal/mp"
@@ -62,46 +60,43 @@ func Gantt(w io.Writer, mach *mp.Machine, width int) {
 	}
 }
 
-// SegmentTotals sums virtual time per label across all ranks.
-func SegmentTotals(mach *mp.Machine) map[string]float64 {
-	tot := map[string]float64{}
+// SegmentTotal is the virtual time spent on one activity label, summed
+// over every rank.
+type SegmentTotal struct {
+	Label   string
+	Seconds float64
+}
+
+// SegmentTotals sums virtual time per label across all ranks and returns
+// the totals in label order. Each label's sum runs over the ranks in order
+// and over each rank's segments in time order, and no map is involved, so
+// every quantity accumulated over the result is deterministic.
+func SegmentTotals(mach *mp.Machine) []SegmentTotal {
+	var tot []SegmentTotal
 	for r := 0; r < mach.Ranks(); r++ {
 		for _, s := range mach.Segments(r) {
-			tot[s.Label] += s.End - s.Start
+			i, found := slices.BinarySearchFunc(tot, s.Label, func(t SegmentTotal, label string) int {
+				return strings.Compare(t.Label, label)
+			})
+			if !found {
+				tot = slices.Insert(tot, i, SegmentTotal{Label: s.Label})
+			}
+			tot[i].Seconds += s.End - s.Start
 		}
 	}
 	return tot
 }
 
-// SegmentLabels returns the distinct segment labels across all ranks in
-// sorted order. Labels are collected in segment order, never by iterating
-// a map, so every quantity accumulated in this order is deterministic.
-func SegmentLabels(mach *mp.Machine) []string {
-	seen := map[string]bool{}
-	var labels []string
-	for r := 0; r < mach.Ranks(); r++ {
-		for _, s := range mach.Segments(r) {
-			if !seen[s.Label] {
-				seen[s.Label] = true
-				labels = append(labels, s.Label)
-			}
-		}
-	}
-	sort.Strings(labels)
-	return labels
-}
-
-// PrintSegmentTable writes per-label totals and fractions.
+// PrintSegmentTable writes per-label totals and fractions, in label order.
 func PrintSegmentTable(w io.Writer, mach *mp.Machine) {
 	tot := SegmentTotals(mach)
-	labels := SegmentLabels(mach)
 	sum := 0.0
-	for _, l := range labels {
-		sum += tot[l]
+	for _, t := range tot {
+		sum += t.Seconds
 	}
 	fmt.Fprintf(w, "%-12s %12s %8s\n", "activity", "rank-seconds", "share")
-	for _, l := range labels {
-		fmt.Fprintf(w, "%-12s %12.4f %7.1f%%\n", l, tot[l], 100*tot[l]/sum)
+	for _, t := range tot {
+		fmt.Fprintf(w, "%-12s %12.4f %7.1f%%\n", t.Label, t.Seconds, 100*t.Seconds/sum)
 	}
 }
 

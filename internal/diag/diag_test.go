@@ -1,6 +1,7 @@
 package diag
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,20 +54,39 @@ func TestGanttEmptyTrace(t *testing.T) {
 }
 
 func TestSegmentTotals(t *testing.T) {
-	tot := SegmentTotals(traceMachine())
-	if tot["atmosphere"] != 3 {
-		t.Fatalf("atmosphere total %v", tot["atmosphere"])
+	got := SegmentTotals(traceMachine())
+	want := []SegmentTotal{{"atmosphere", 3}, {"coupler", 0.5}, {"idle", 3}, {"ocean", 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("totals %v, want %v", got, want)
 	}
-	if tot["idle"] != 3 {
-		t.Fatalf("idle total %v", tot["idle"])
-	}
-	if tot["ocean"] != 1 || tot["coupler"] != 0.5 {
-		t.Fatalf("totals %v", tot)
-	}
-	var sb strings.Builder
-	PrintSegmentTable(&sb, traceMachine())
-	if !strings.Contains(sb.String(), "atmosphere") {
-		t.Fatal("segment table missing labels")
+}
+
+// TestPrintSegmentTablePinned pins the table's bytes for a machine whose
+// label totals sum to different values in different orders. In label order
+// the two large totals add exactly to 400·2^45 and each 1 that follows is
+// half an ulp, which rounds away (ties to even), so the coupler's share is
+// exactly 0.75 % and prints as 0.8 %. Summed with the 1s first, the total is
+// one or two ulps larger and the share prints as 0.7 %. The ranks hold the
+// labels out of label order, so a table that reads its labels or its
+// denominator in map or rank order differs from the pin on most calls; the
+// call repeats because Go randomises map iteration.
+func TestPrintSegmentTablePinned(t *testing.T) {
+	const want = "activity     rank-seconds    share\n" +
+		"atmosphere   13968195719266304.0000    99.2%\n" +
+		"coupler      105553116266496.0000     0.8%\n" +
+		"idle               1.0000     0.0%\n" +
+		"ocean              1.0000     0.0%\n"
+	m := mp.NewMachine(4, mp.DefaultLink)
+	m.Charge(0, "idle", 1)
+	m.Charge(1, "ocean", 1)
+	m.Charge(2, "atmosphere", 397<<45)
+	m.Charge(3, "coupler", 3<<45)
+	for i := 0; i < 32; i++ {
+		var sb strings.Builder
+		PrintSegmentTable(&sb, m)
+		if got := sb.String(); got != want {
+			t.Fatalf("call %d:\n%s\nwant:\n%s", i, got, want)
+		}
 	}
 }
 

@@ -377,8 +377,6 @@ func (s *Scheduler) worker() {
 // runSteps is the ensemble stepping hot path: n coupled steps on the
 // member's serial executor. It must stay allocation-free — the ensemble
 // case of TestCoupledStepAllocs gates it.
-//
-//foam:hotpath
 func (m *member) runSteps(n int) {
 	for i := 0; i < n; i++ {
 		m.model.Step()

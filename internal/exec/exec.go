@@ -67,8 +67,6 @@ func (e *Executor) setPool(p *pool.Pool) {
 }
 
 // runTick executes one tick's ops in program order.
-//
-//foam:hotpath
 func (e *Executor) runTick(t int) {
 	ops := e.plan[t%e.prog.Period]
 	for i := range ops {
@@ -88,8 +86,6 @@ func (e *Executor) runTick(t int) {
 }
 
 // Steps runs n consecutive ticks of the program.
-//
-//foam:hotpath
 func (e *Executor) Steps(n int) {
 	for i := 0; i < n; i++ {
 		e.runTick(e.tick)

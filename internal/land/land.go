@@ -4,8 +4,6 @@
 // wetness factor D_w entering the latent heat flux, runoff overflow to the
 // river model, and snow deeper than 1 m liquid-water-equivalent shed to the
 // rivers to mimic the near-equilibrium Greenland and Antarctic ice sheets).
-//
-//foam:deterministic
 package land
 
 import (

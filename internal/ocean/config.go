@@ -15,8 +15,6 @@
 // explicit free-surface model whose single time step is limited by the
 // unslowed external gravity wave — the in-repo baseline for experiments E5,
 // E7 and E10.
-//
-//foam:deterministic
 package ocean
 
 import (

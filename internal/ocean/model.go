@@ -343,10 +343,7 @@ func (m *Model) SetPool(p *pool.Pool) {
 }
 
 // Step advances one tracer interval (DtTracer) under the given forcing.
-//
-//foam:hotpath
 func (m *Model) Step(f *Forcing) {
-	//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 	t0 := time.Now()
 	switch m.cfg.Mode {
 	case ModeSlab:
@@ -356,7 +353,6 @@ func (m *Model) Step(f *Forcing) {
 	default:
 		m.stepPhases(f)
 	}
-	//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
 	m.lastStepSeconds = time.Since(t0).Seconds()
 	m.step++
 	m.updateDiagnostics()

@@ -55,8 +55,6 @@ type phases struct {
 // per-worker scratch of whatever pool is attached. Phases receive block
 // ranges over the NLat-2 interior rows and shift by one: they write rows
 // [1, NLat-1) while the closed boundary rows keep their all-land zeros.
-//
-//foam:hotphases
 func (m *Model) bindPhases() *phases {
 	ph := &phases{}
 	dt := m.cfg.DtTracer

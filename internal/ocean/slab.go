@@ -8,8 +8,6 @@ package ocean
 // are ignored; levels below the surface keep their initial state. This is
 // the classic sensitivity-study ocean: the SST responds to the surface
 // energy balance on the mixed-layer timescale with no transport feedback.
-//
-//foam:hotpath
 func (m *Model) stepSlab(f *Forcing) {
 	dt := m.cfg.DtTracer
 	h := m.cfg.slabDepth()

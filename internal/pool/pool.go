@@ -31,8 +31,6 @@
 // allocation a pooled phase can incur is the caller's own fn value. Pass a
 // func stored once at construction time (not a fresh closure literal) and a
 // pooled phase is allocation-free; see DESIGN.md section 9.
-//
-//foam:deterministic
 package pool
 
 import (
@@ -119,8 +117,6 @@ func Block(n, w, p int) (lo, hi int) {
 //
 // Serial cases — nil pool, 1 worker, n <= 1, or a Run nested inside a
 // worker of this pool — execute fn(0, 0, n) inline on the caller.
-//
-//foam:hotpath
 func (p *Pool) Run(n int, fn func(worker, lo, hi int)) {
 	if p == nil || p.n == 1 || n <= 1 || !p.busy.CompareAndSwap(false, true) {
 		fn(0, 0, n)

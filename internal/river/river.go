@@ -7,8 +7,6 @@
 // back to a freshwater flux over the receiving ocean cell, closing the
 // hydrological cycle. Precipitation and evaporation do not act on river
 // water and its temperature is not tracked, also per the paper.
-//
-//foam:deterministic
 package river
 
 import (
@@ -57,8 +55,6 @@ func (m *Model) Network() *data.RiverNetwork { return m.net }
 // Step adds runoff (kg/m^2/s per cell, zero over ocean) for dt seconds,
 // advances the routing, and returns the freshwater flux (kg/m^2/s) arriving
 // at ocean cells of the atmosphere grid.
-//
-//foam:hotpath
 func (m *Model) Step(runoff []float64, dt float64) []float64 {
 	g := m.grid
 	n := g.Size()

@@ -8,7 +8,7 @@ import (
 // arbitrary bytes: malformed specs must come back as errors — never a
 // panic — and any spec that decodes and compiles must re-encode to a spec
 // that decodes and compiles to the identical config (mirrors the
-// checkpoint and pragma fuzz targets).
+// checkpoint fuzz target).
 func FuzzScenarioJSON(f *testing.F) {
 	for _, sp := range All() {
 		if b, err := sp.Encode(); err == nil {

@@ -8,8 +8,6 @@
 // the FromScenario construction path — with core.Config.Normalize as the
 // only validator behind it. The registry (registry.go) ships the named
 // scenarios the CLI and the foam-serve tier expose.
-//
-//foam:deterministic
 package scenario
 
 import (
@@ -154,7 +152,6 @@ var deltaParams = map[string]func(*core.Config, float64){
 // DeltaParams lists the valid perturbed-physics parameter names.
 func DeltaParams() []string {
 	names := make([]string, 0, len(deltaParams))
-	//foam:allow nondeterminism the collected keys are sorted before return, so the result is order-independent
 	for n := range deltaParams {
 		names = append(names, n)
 	}

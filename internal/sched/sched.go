@@ -9,8 +9,6 @@
 // interprets the Program serially or on a shared-memory pool; because the
 // Program fixes the order of every state mutation and every transfer, the
 // result is bit-identical either way by construction.
-//
-//foam:deterministic
 package sched
 
 import (

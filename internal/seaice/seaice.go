@@ -4,8 +4,6 @@
 // conductive coupling to an ocean clamped at -1.92 C, formation treated as
 // a freshwater flux out of the ocean, and atmosphere-ice stress divided by
 // 15 before being passed to the ocean.
-//
-//foam:deterministic
 package seaice
 
 import (

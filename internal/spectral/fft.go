@@ -3,8 +3,6 @@
 // spherical-harmonic analysis/synthesis under rhomboidal (or triangular)
 // truncation, together with the derivative operators the dynamical core
 // needs.
-//
-//foam:deterministic
 package spectral
 
 import (
@@ -119,8 +117,6 @@ type FFTScratch struct {
 }
 
 // NewScratch allocates scratch sized for this transform length.
-//
-//foam:coldpath
 func (f *FFT) NewScratch() *FFTScratch {
 	return &FFTScratch{
 		bufRe: make([]float64, f.n), bufIm: make([]float64, f.n),
@@ -154,8 +150,6 @@ type fftRole struct {
 // architecture computes the same bits. The sums are reassociated against
 // the complex reference, so the result is within a few ε of it, not equal
 // (DESIGN.md §21). All of it assumes finite inputs.
-//
-//foam:hotpath
 func (f *FFT) iterSplit(xRe, xIm, yRe, yIm, srcRe, srcIm []float64, role fftRole) {
 	last := len(f.stages) - 1
 	if last%2 == 1 {
@@ -219,7 +213,6 @@ func fftOrder(p int, inv bool) (q1, q2, q3, q4 int) {
 // src[j0+r*S], S = n/p. A term whose source index lies strictly between lo
 // and hi is a structural zero: it is never read and enters as +0.
 
-//foam:hotpath
 func fftLeaf2(dRe, dIm, sRe, sIm []float64, pos []int, lo, hi int) {
 	S := len(pos)
 	for j0, o := range pos {
@@ -235,7 +228,6 @@ func fftLeaf2(dRe, dIm, sRe, sIm []float64, pos []int, lo, hi int) {
 	}
 }
 
-//foam:hotpath
 func fftLeaf3(dRe, dIm, sRe, sIm []float64, pos []int, lo, hi int, inv bool) {
 	q1, q2, _, _ := fftOrder(3, inv)
 	S := len(pos)
@@ -259,7 +251,6 @@ func fftLeaf3(dRe, dIm, sRe, sIm []float64, pos []int, lo, hi int, inv bool) {
 	}
 }
 
-//foam:hotpath
 func fftLeaf4(dRe, dIm, sRe, sIm []float64, pos []int, lo, hi int, inv bool) {
 	q1, _, q3, _ := fftOrder(4, inv)
 	S := len(pos)
@@ -288,7 +279,6 @@ func fftLeaf4(dRe, dIm, sRe, sIm []float64, pos []int, lo, hi int, inv bool) {
 	}
 }
 
-//foam:hotpath
 func fftLeaf5(dRe, dIm, sRe, sIm []float64, pos []int, lo, hi int, inv bool) {
 	q1, q2, q3, q4 := fftOrder(5, inv)
 	S := len(pos)
@@ -340,7 +330,6 @@ func fftDFT5(dRe, dIm []float64, y0, y1, y2, y3, y4 int, t0r, t0i, t1r, t1i, t2r
 // and each k < m, subsequence r >= 1 is multiplied by its twiddle record
 // tw[2(p-1)*k:] and the p-point DFT writes outputs q*m+k.
 
-//foam:hotpath
 func fftStage2(dRe, dIm, sRe, sIm, tw []float64, m int) {
 	size := 2 * m
 	for b := 0; b < len(sRe); b += size {
@@ -358,7 +347,6 @@ func fftStage2(dRe, dIm, sRe, sIm, tw []float64, m int) {
 	}
 }
 
-//foam:hotpath
 func fftStage3(dRe, dIm, sRe, sIm, tw []float64, m int, inv bool) {
 	q1, q2, _, _ := fftOrder(3, inv)
 	q1, q2 = q1*m, q2*m
@@ -385,7 +373,6 @@ func fftStage3(dRe, dIm, sRe, sIm, tw []float64, m int, inv bool) {
 	}
 }
 
-//foam:hotpath
 func fftStage4(dRe, dIm, sRe, sIm, tw []float64, m int, inv bool) {
 	q1, _, q3, _ := fftOrder(4, inv)
 	q1, q3 = q1*m, q3*m
@@ -417,7 +404,6 @@ func fftStage4(dRe, dIm, sRe, sIm, tw []float64, m int, inv bool) {
 	}
 }
 
-//foam:hotpath
 func fftStage5(dRe, dIm, sRe, sIm, tw []float64, m int, inv bool) {
 	q1, q2, q3, q4 := fftOrder(5, inv)
 	size := 5 * m
@@ -445,8 +431,6 @@ func fftStage5(dRe, dIm, sRe, sIm, tw []float64, m int, inv bool) {
 
 // directSplit is the non-smooth-length fallback on the split layout: the
 // plain O(n^2) sum. Structural zeros (role.live) are not read.
-//
-//foam:hotpath
 func (f *FFT) directSplit(dstRe, dstIm, srcRe, srcIm []float64, role fftRole) {
 	for k := 0; k < f.n; k++ {
 		var sumRe, sumIm float64
@@ -472,8 +456,6 @@ func (f *FFT) directSplit(dstRe, dstIm, srcRe, srcIm []float64, role fftRole) {
 // transformSplit runs the unnormalized transform on split planes into dst.
 // dst, src, and scratch must be pairwise non-overlapping; src is read-only
 // and, under role.live, only where the role says it is written.
-//
-//foam:hotpath
 func (f *FFT) transformSplit(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch, role fftRole) {
 	if f.factors == nil {
 		f.directSplit(dstRe, dstIm, srcRe, srcIm, role)
@@ -486,8 +468,6 @@ func (f *FFT) transformSplit(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch
 // planes: dst[k] = sum_j src[j] * e^{-2*pi*i*j*k/n}, bit-identical to the
 // complex reference plane for plane. All four planes have length n; dst,
 // src and the scratch must not overlap, and src is only read.
-//
-//foam:hotpath
 func (f *FFT) ForwardSplitInto(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch) {
 	f.checkSplitPlanes(dstRe, dstIm, srcRe, srcIm)
 	f.transformSplit(dstRe, dstIm, srcRe, srcIm, s, fftRole{live: f.n})
@@ -496,8 +476,6 @@ func (f *FFT) ForwardSplitInto(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScrat
 // InverseSplitInto computes dst[j] = (1/n) * sum_k src[k] * e^{+2*pi*i*j*k/n}
 // on split re/im planes. The 1/n normalization reconstructs the complex
 // product so each plane rounds exactly as dst[i] *= complex(1/n, 0).
-//
-//foam:hotpath
 func (f *FFT) InverseSplitInto(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch) {
 	f.checkSplitPlanes(dstRe, dstIm, srcRe, srcIm)
 	f.transformSplit(dstRe, dstIm, srcRe, srcIm, s, fftRole{inverse: true, live: f.n})
@@ -529,8 +507,6 @@ func (f *FFT) checkSplitPlanes(dstRe, dstIm, srcRe, srcIm []float64) {
 // X_m = (Z_m + conj(Z_{n-m}))/2 and Y_m = (Z_m - conj(Z_{n-m}))/(2i). The
 // m = 0 imaginary parts are stored as +0 (DESIGN.md §21). mmax = len(xRe)-1
 // must be < n/2 so the coefficients are unaliased.
-//
-//foam:hotpath
 func (f *FFT) analyzePair(xRe, xIm, yRe, yIm, x, y []float64, s *FFTScratch) {
 	n, mmax := f.n, len(xRe)-1
 	if len(x) != n || len(y) != n || 2*mmax >= n {
@@ -555,8 +531,6 @@ func (f *FFT) analyzePair(xRe, xIm, yRe, yIm, x, y []float64, s *FFTScratch) {
 // C_m = A_m + i*B_m (and C_{n-m} = conj(A_m) + i*conj(B_m)): the real plane
 // of the result is x, the imaginary plane y. The gap between mmax and
 // n-mmax is neither written nor read. x and y must not overlap the scratch.
-//
-//foam:hotpath
 func (f *FFT) synthesizePair(x, y, aRe, aIm, bRe, bIm []float64, s *FFTScratch) {
 	n, mmax := f.n, len(aRe)-1
 	if len(x) != n || len(y) != n || 2*mmax >= n {

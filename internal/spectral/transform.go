@@ -245,8 +245,6 @@ type wsPerWorker struct {
 // NewWorkspace allocates a workspace sized for this transform, its current
 // pool's worker count, and the single-field entry points. Create
 // workspaces after SetPool.
-//
-//foam:coldpath
 func (tr *Transform) NewWorkspace() *Workspace {
 	return tr.NewWorkspaceMany(1)
 }
@@ -254,8 +252,6 @@ func (tr *Transform) NewWorkspace() *Workspace {
 // NewWorkspaceMany allocates a workspace whose arenas can fuse up to
 // maxFields fields per call to the *ManyInto entry points (the single-field
 // entry points work with any capacity). Create workspaces after SetPool.
-//
-//foam:coldpath
 func (tr *Transform) NewWorkspaceMany(maxFields int) *Workspace {
 	if maxFields < 1 {
 		panic(fmt.Sprintf("spectral: NewWorkspaceMany(%d): need at least one field", maxFields))
@@ -297,8 +293,6 @@ func (tr *Transform) NewWorkspaceMany(maxFields int) *Workspace {
 // odd-k halves once and gets row j as even + odd, row jn as even - odd
 // (odd - even for H terms). The float64 conversions around products pin
 // the product rounding against fused multiply-add contraction.
-//
-//foam:hotphases
 func (ws *Workspace) bindPhases() {
 	tr := ws.tr
 	t := tr.Trunc
@@ -526,8 +520,6 @@ func (ws *Workspace) bindPhases() {
 // parityDot returns the even-k and odd-k halves of the dot products of a
 // split coefficient strip (re, im) with a table strip tk, accumulated
 // k-ascending from +0.
-//
-//foam:hotpath
 func parityDot(re, im, tk []float64) (eRe, eIm, oRe, oIm float64) {
 	re, im = re[:len(tk)], im[:len(tk)]
 	for k := 0; k < len(tk); k += 2 {
@@ -548,8 +540,6 @@ type divCoef [8]float64
 // divAccum adds one (pair, m) row of the div-form analysis to the split
 // accumulator strip (sr, si): even k takes c[0:2]·P̄ - c[2:4]·H, odd k
 // c[4:6]·P̄ - c[6:8]·H.
-//
-//foam:hotpath
 func divAccum(sr, si, pk, hk []float64, c *divCoef) {
 	sr, si, hk = sr[:len(pk)], si[:len(pk)], hk[:len(pk)]
 	for k := 0; k < len(pk); k += 2 {
@@ -564,8 +554,6 @@ func divAccum(sr, si, pk, hk []float64, c *divCoef) {
 
 // divAccum2 is divAccum for two outputs sharing one read of the table
 // strips, in the same per-output order.
-//
-//foam:hotpath
 func divAccum2(s1r, s1i, s2r, s2i, pk, hk []float64, c1, c2 *divCoef) {
 	s1r, s1i, s2r, s2i, hk = s1r[:len(pk)], s1i[:len(pk)], s2r[:len(pk)], s2i[:len(pk)], hk[:len(pk)]
 	for k := 0; k < len(pk); k += 2 {
@@ -666,8 +654,6 @@ func (tr *Transform) analyzeMany(specs [][]complex128, grids [][]float64, ws *Wo
 // AnalyzeInto computes spectral coefficients from a grid field without
 // allocating: split Fourier rows land in the workspace row arena, then the
 // Legendre accumulation fills spec (every coefficient is overwritten).
-//
-//foam:hotpath
 func (tr *Transform) AnalyzeInto(spec []complex128, grid []float64, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkGrid(grid, "AnalyzeInto")
@@ -684,8 +670,6 @@ func (tr *Transform) AnalyzeInto(spec []complex128, grid []float64, ws *Workspac
 // len(specs) calls of AnalyzeInto. The batch width must not exceed the
 // workspace's NewWorkspaceMany capacity; spec destinations must be
 // pairwise distinct.
-//
-//foam:hotpath
 func (tr *Transform) AnalyzeManyInto(specs [][]complex128, grids [][]float64, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkBatch(ws, len(grids), len(specs), "AnalyzeManyInto")
@@ -734,8 +718,6 @@ func (tr *Transform) synthesizeMany(grids [][]float64, specs [][]complex128, ws 
 
 // SynthesizeInto writes the synthesis into an existing grid buffer. With a
 // non-nil workspace the call does not allocate.
-//
-//foam:hotpath
 func (tr *Transform) SynthesizeInto(grid []float64, spec []complex128, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkGrid(grid, "SynthesizeInto")
@@ -749,8 +731,6 @@ func (tr *Transform) SynthesizeInto(grid []float64, spec []complex128, ws *Works
 // batch shares each latitude's Legendre strip, bit-identical to len(grids)
 // calls of SynthesizeInto. Grid destinations must be pairwise distinct;
 // the batch width must not exceed the workspace's capacity.
-//
-//foam:hotpath
 func (tr *Transform) SynthesizeManyInto(grids [][]float64, specs [][]complex128, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkBatch(ws, len(grids), len(specs), "SynthesizeManyInto")
@@ -768,8 +748,6 @@ func (tr *Transform) SynthesizeManyInto(grids [][]float64, specs [][]complex128,
 // SynthesizeWithDerivsInto is the allocation-free form of
 // SynthesizeWithDerivs: f, dfdl and hmu must be distinct grid-sized
 // buffers.
-//
-//foam:hotpath
 func (tr *Transform) SynthesizeWithDerivsInto(f, dfdl, hmu []float64, spec []complex128, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkGrid(f, "SynthesizeWithDerivsInto f")
@@ -814,8 +792,6 @@ func (tr *Transform) SynthesizeWithDerivs(spec []complex128) (f, dfdl, hmu []flo
 //
 // U and V must be distinct grid-sized buffers; vort and div are read-only
 // and may alias. With a non-nil workspace the call does not allocate.
-//
-//foam:hotpath
 func (tr *Transform) SynthesizeUVInto(U, V []float64, vort, div []complex128, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkGrid(U, "SynthesizeUVInto U")
@@ -865,8 +841,6 @@ func (tr *Transform) synthesizeUVMany(Us, Vs [][]float64, vorts, divs [][]comple
 // wind images Us[f], Vs[f] come from vorts[f], divs[f], bit-identical to
 // per-level SynthesizeUVInto calls, with the Legendre strips shared across
 // the batch. All grid destinations must be pairwise distinct.
-//
-//foam:hotpath
 func (tr *Transform) SynthesizeUVManyInto(Us, Vs [][]float64, vorts, divs [][]complex128, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkBatch(ws, len(Us), len(vorts), "SynthesizeUVManyInto")
@@ -906,8 +880,6 @@ func (tr *Transform) SynthesizeUV(vort, div []complex128) (U, V []float64) {
 // scalars — bit-identical to negating the grids, without touching them.
 // A and B are read-only and may alias; spec is zeroed first. With a
 // non-nil workspace the call does not allocate.
-//
-//foam:hotpath
 func (tr *Transform) AnalyzeDivFormInto(spec []complex128, A, B []float64, signA, signB float64, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkGrid(A, "AnalyzeDivFormInto A")
@@ -937,8 +909,6 @@ func (tr *Transform) analyzeDivMany(specs, specsB [][]complex128, As, Bs [][]flo
 // receives the div-form analysis of As[f], Bs[f] under the shared sign
 // pair, bit-identical to per-field calls. Spec destinations must be
 // pairwise distinct.
-//
-//foam:hotpath
 func (tr *Transform) AnalyzeDivFormManyInto(specs [][]complex128, As, Bs [][]float64, signA, signB float64, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkBatch(ws, len(As), len(specs), "AnalyzeDivFormManyInto")
@@ -964,8 +934,6 @@ func (tr *Transform) AnalyzeDivFormManyInto(specs [][]complex128, As, Bs [][]flo
 // once for both outputs of every field. Bit-identical to the composed
 // AnalyzeDivFormInto calls. All spec destinations must be pairwise
 // distinct.
-//
-//foam:hotpath
 func (tr *Transform) AnalyzeDivPairManyInto(specs1, specs2 [][]complex128, As, Bs [][]float64, sA1, sB1, sA2, sB2 float64, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkBatch(ws, len(As), len(specs1), "AnalyzeDivPairManyInto")
@@ -1008,8 +976,6 @@ func (tr *Transform) AnalyzeDivForm(A, B []float64, signA, signB float64) []comp
 // vort and div must be distinct; A and B are read-only. The Fourier rows
 // of A and B are computed once and shared by both accumulations, halving
 // the FFT work of two separate AnalyzeDivForm calls.
-//
-//foam:hotpath
 func (tr *Transform) VortDivTendInto(vort, div []complex128, A, B []float64, ws *Workspace) {
 	ws = tr.ready(ws)
 	tr.checkGrid(A, "VortDivTendInto A")

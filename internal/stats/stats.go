@@ -3,8 +3,6 @@
 // rotation, the 60-month low-pass filtering used for Figure 4, and the
 // field-comparison metrics (bias, RMSE, centered pattern correlation) used
 // for Figure 3.
-//
-//foam:deterministic
 package stats
 
 import (

@@ -313,3 +313,68 @@ func TestEOFSignInvarianceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRepeatable requires every analysis of the package to return the same
+// bits on every call with the same input. The package sums in fixed orders
+// only, so a result that depends on map iteration order, a clock or a
+// random source shows as a difference between calls; the calls repeat
+// because Go randomises map iteration.
+func TestRepeatable(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const nt, nsp = 72, 12
+	base := make([][]float64, nt)
+	for ti := range base {
+		base[ti] = make([]float64, nsp)
+		for c := range base[ti] {
+			base[ti][c] = math.Sin(2*math.Pi*float64(ti)/12+float64(c)) + 0.3*rng.NormFloat64()
+		}
+	}
+	weights := make([]float64, nsp)
+	for c := range weights {
+		weights[c] = 1 + 0.1*float64(c)
+	}
+	run := func() []float64 {
+		series := make([][]float64, nt)
+		for ti := range series {
+			series[ti] = append([]float64(nil), base[ti]...)
+		}
+		RemoveSeasonalCycle(series, 12)
+		out := Anomalies(series)
+		out = append(out, LanczosWeights(24, 6)...)
+		lp := LanczosLowPass(series, 24, 6)
+		for _, row := range lp {
+			out = append(out, row...)
+		}
+		res, err := EOF(series, weights, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := range res.Patterns {
+			out = append(out, res.Patterns[m]...)
+			out = append(out, res.PCs[m]...)
+		}
+		out = append(out, res.VarFrac...)
+		rot, rmat := Varimax(res.Patterns, weights, 50)
+		for i := range rot {
+			out = append(out, rot[i]...)
+			out = append(out, rmat[i]...)
+		}
+		vals, vecs := JacobiEigen([][]float64{{4, 1, 0.5}, {1, 3, 0.2}, {0.5, 0.2, 2}}, 50)
+		out = append(out, vals...)
+		for _, v := range vecs {
+			out = append(out, v...)
+		}
+		a, b := base[0], base[1]
+		return append(out, Bias(a, b, weights), RMSE(a, b, weights),
+			PatternCorrelation(a, b, weights), Correlation(a, b))
+	}
+	want := run()
+	for i := 0; i < 20; i++ {
+		got := run()
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("call %d: value %d is %v, first call gave %v", i+1, k, got[k], want[k])
+			}
+		}
+	}
+}
