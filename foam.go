@@ -224,18 +224,12 @@ func regionMean(g *sphere.Grid, mask, f []float64, lat0, lat1, lon0, lon1 float6
 // timings.
 var SPLink = mp.SPLink
 
-// Checkpoint captures the full coupled state (take it at a coupling
-// boundary — right after a whole number of simulated days — for exact
-// resume). Restart chains reproduce uninterrupted runs bit-for-bit.
+// Checkpoint is the full coupled state, scheduler phase included, so it
+// may be taken at any step. Model.Checkpoint and Model.Restore come from
+// the embedded core.Model; a checkpoint that does not fit the model is
+// ErrCheckpointMismatch and leaves it as it was. Restart chains reproduce
+// uninterrupted runs bit-for-bit.
 type Checkpoint = core.Checkpoint
-
-// Checkpoint returns a restartable snapshot of the model.
-func (m *Model) Checkpoint() *Checkpoint { return m.Model.Checkpoint() }
-
-// Restore installs a checkpoint onto a model with the same configuration.
-// One that does not fit is ErrCheckpointMismatch and leaves the model as
-// it was.
-func (m *Model) Restore(c *Checkpoint) error { return m.Model.Restore(c) }
 
 // LoadCheckpointFile reads a checkpoint written with Checkpoint.SaveFile.
 // A file that is not a version-1 checkpoint (or is truncated) is

@@ -102,94 +102,6 @@ func (c *atmComponent) SetPool(p *pool.Pool) {
 	c.cpl.SetPool(p)
 }
 
-// atmState is the atmComponent's checkpointable state: the atmosphere
-// snapshot, the coupler-side surface models, the mid-interval flux
-// accumulators, and the mirrored ocean surface (which, under a lagged
-// schedule, is older than the ocean's live state and must round-trip).
-type atmState struct {
-	atm                *atmos.Snapshot
-	landT              [][4]float64
-	landWater          []float64
-	landSnow           []float64
-	riverVol           []float64
-	iceThick           []float64
-	iceTSurf           []float64
-	accTauX, accTauY   []float64
-	accHeat, accFW     []float64
-	accRunoff          []float64
-	accSteps           int
-	mirSST, mirIceForm []float64
-}
-
-// Snapshot implements sched.Snapshotter.
-func (c *atmComponent) Snapshot() any {
-	cp := c.cpl
-	s := &atmState{
-		atm:       c.at.Snapshot(),
-		landT:     append([][4]float64(nil), cp.Land.T...),
-		landWater: append([]float64(nil), cp.Land.Water...),
-		landSnow:  append([]float64(nil), cp.Land.Snow...),
-		riverVol:  append([]float64(nil), cp.River.Volume...),
-		iceThick:  append([]float64(nil), cp.Ice.Thick...),
-		iceTSurf:  append([]float64(nil), cp.Ice.TSurf...),
-	}
-	s.accTauX, s.accTauY, s.accHeat, s.accFW, s.accRunoff, s.accSteps = cp.AccumSnapshot()
-	s.mirSST, s.mirIceForm = cp.MirrorSnapshot()
-	return s
-}
-
-// fits reports whether s has the shapes of this atmosphere and coupler.
-func (c *atmComponent) fits(s *atmState) error {
-	if err := c.at.Fits(s.atm); err != nil {
-		return err
-	}
-	cp := c.cpl
-	nAtm, nOcn := len(cp.Land.Water), cp.OcnGrid.Size()
-	for _, f := range []struct {
-		name      string
-		got, want int
-	}{
-		{"LandT", len(s.landT), len(cp.Land.T)}, {"LandWater", len(s.landWater), nAtm},
-		{"LandSnow", len(s.landSnow), len(cp.Land.Snow)}, {"RiverVol", len(s.riverVol), len(cp.River.Volume)},
-		{"IceThick", len(s.iceThick), len(cp.Ice.Thick)}, {"IceTSurf", len(s.iceTSurf), len(cp.Ice.TSurf)},
-		{"AccTauX", len(s.accTauX), nOcn}, {"AccTauY", len(s.accTauY), nOcn},
-		{"AccHeat", len(s.accHeat), nOcn}, {"AccFW", len(s.accFW), nOcn},
-		{"AccRunoff", len(s.accRunoff), nAtm},
-		{"CplSST", len(s.mirSST), nOcn}, {"CplIceForm", len(s.mirIceForm), nOcn},
-	} {
-		if f.got != f.want {
-			return fmt.Errorf("core: checkpoint field %s has length %d, the model has %d", f.name, f.got, f.want)
-		}
-	}
-	return nil
-}
-
-// RestoreSnapshot implements sched.Snapshotter. A state that does not fit
-// is an error and leaves the component untouched.
-func (c *atmComponent) RestoreSnapshot(v any) error {
-	s, ok := v.(*atmState)
-	if !ok {
-		return fmt.Errorf("core: atmosphere snapshot has type %T", v)
-	}
-	if err := c.fits(s); err != nil {
-		return err
-	}
-	cp := c.cpl
-	if err := c.at.Restore(s.atm); err != nil {
-		return err
-	}
-	copy(cp.Land.T, s.landT)
-	copy(cp.Land.Water, s.landWater)
-	copy(cp.Land.Snow, s.landSnow)
-	copy(cp.River.Volume, s.riverVol)
-	copy(cp.Ice.Thick, s.iceThick)
-	copy(cp.Ice.TSurf, s.iceTSurf)
-	cp.RestoreAccum(s.accTauX, s.accTauY, s.accHeat, s.accFW, s.accRunoff, s.accSteps)
-	cp.SetSST(s.mirSST)
-	cp.SetIceFormation(s.mirIceForm)
-	return nil
-}
-
 // ocnComponent adapts the ocean model to the sched.Component contract: it
 // imports the interval-averaged forcing into a component-owned buffer,
 // steps one tracer interval under it, and exports the new surface state.
@@ -263,24 +175,10 @@ func (c *ocnComponent) Import(f sched.Field, src []float64) {
 // SetPool implements sched.PoolAware.
 func (c *ocnComponent) SetPool(p *pool.Pool) { c.oc.SetPool(p) }
 
-// Snapshot implements sched.Snapshotter.
-func (c *ocnComponent) Snapshot() any { return c.oc.Snapshot() }
-
-// RestoreSnapshot implements sched.Snapshotter.
-func (c *ocnComponent) RestoreSnapshot(v any) error {
-	s, ok := v.(*ocean.Snapshot)
-	if !ok {
-		return fmt.Errorf("core: ocean snapshot has type %T", v)
-	}
-	return c.oc.Restore(s)
-}
-
-// The components must satisfy the full contract (and its optional faces).
+// The components must satisfy the contract and its pool face.
 var (
-	_ sched.Component   = (*atmComponent)(nil)
-	_ sched.PoolAware   = (*atmComponent)(nil)
-	_ sched.Snapshotter = (*atmComponent)(nil)
-	_ sched.Component   = (*ocnComponent)(nil)
-	_ sched.PoolAware   = (*ocnComponent)(nil)
-	_ sched.Snapshotter = (*ocnComponent)(nil)
+	_ sched.Component = (*atmComponent)(nil)
+	_ sched.PoolAware = (*atmComponent)(nil)
+	_ sched.Component = (*ocnComponent)(nil)
+	_ sched.PoolAware = (*ocnComponent)(nil)
 )

@@ -150,8 +150,6 @@ type Model struct {
 	Ocn *ocean.Model
 	Cpl *coupler.Coupler
 
-	atmC  *atmComponent
-	ocnC  *ocnComponent
 	comps []sched.Component
 	prog  *sched.Program
 	ex    *exec.Executor // its tick is the count of atmosphere steps completed
@@ -217,9 +215,7 @@ func NewWithTables(cfg Config, tb *Tables) (*Model, error) {
 
 	// Wrap the models as components and compile the paper's multi-rate
 	// cadence into a program.
-	m.atmC = newAtmComponent(at, cp, cfg.Ocn.DtTracer)
-	m.ocnC = newOcnComponent(oc)
-	m.comps = []sched.Component{m.atmC, m.ocnC}
+	m.comps = []sched.Component{newAtmComponent(at, cp, cfg.Ocn.DtTracer), newOcnComponent(oc)}
 	prog, err := sched.Schedule{
 		BaseDt:      cfg.Atm.Dt,
 		CoupleEvery: cfg.OceanEvery,

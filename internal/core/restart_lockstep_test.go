@@ -67,46 +67,89 @@ func reasons(why string, fields ...string) map[string]string {
 // B that has run a different trajectory — not into a fresh model — at
 // every phase offset of the coupling cadence, for every r5 registry
 // scenario at both lags and paper-foam-lag1 outside -short (-short keeps
-// the offsets 0, 1 and OceanEvery-1). B reaches its foreign state by
-// stepping: from a perturbed temperature, seeded polar ice and overfull
-// land buckets it steps past a radiation step and two coupling intervals,
-// each begun with the ocean surface at -5 °C so the freeze clamp sets the
-// ice flux, and stops one offset later than A. Before the restore every
-// checkpoint field of A and B must differ (sameBeforeRestore excepted).
-// After B.Restore(A.Checkpoint()), B's checkpoint must hash like A's — a
-// field Restore drops keeps B's value — and after lcm(OceanEvery,
-// RadiationEvery)+1 further steps of both the hashes must still agree — a
-// field the trajectory reads but Checkpoint does not capture keeps B's
-// value and diverges.
+// the offsets 0, 1 and OceanEvery-1). A is a reference only, so one run
+// per scenario and lag serves every offset (restartReference). B reaches
+// its foreign state by stepping: from a perturbed temperature, seeded
+// polar ice and overfull land buckets it steps past a radiation step and
+// two coupling intervals, each begun with the ocean surface at -5 °C so
+// the freeze clamp sets the ice flux, and stops one offset later than A.
+// Before the restore every checkpoint field of A and B must differ
+// (sameBeforeRestore excepted). After B.Restore(A.Checkpoint()), B's
+// checkpoint must hash like A's — a field Restore drops keeps B's value —
+// and after lcm(OceanEvery, RadiationEvery)+1 further steps of B its hash
+// must equal A's at the same step — a field the trajectory reads but
+// Checkpoint does not capture keeps B's value and diverges.
 func TestRestartLockstep(t *testing.T) {
 	for _, lag := range []int{0, 1} {
 		cases := restartCases(t, lag)
 		maxEvery := 0
-		for _, c := range cases {
+		refs := make([]restartRef, len(cases))
+		for i, c := range cases {
 			maxEvery = max(maxEvery, c.cfg.OceanEvery)
+			refs[i] = restartReference(t, c)
 		}
 		for off := 0; off < maxEvery; off++ {
 			t.Run(fmt.Sprintf("lag%d/offset%d", lag, off), func(t *testing.T) {
-				for _, c := range cases {
-					every := c.cfg.OceanEvery
-					if off >= every || (testing.Short() && off > 1 && off != every-1) {
-						continue
+				for i, c := range cases {
+					if _, ok := refs[i].chk[off]; ok {
+						t.Run(c.name, func(t *testing.T) { restartForeign(t, c, off, refs[i]) })
 					}
-					t.Run(c.name, func(t *testing.T) { restartForeign(t, c, off) })
 				}
 			})
 		}
 	}
 }
 
-func restartForeign(t *testing.T, c restartCase, off int) {
-	every := c.cfg.OceanEvery
-	cycle := every / gcd(every, c.cfg.Atm.RadiationEvery) * c.cfg.Atm.RadiationEvery
-	a := newModel(t, c.cfg, c.tb)
-	for s := 0; s < every+off; s++ {
-		a.Step()
-	}
+// restartRef is what run A leaves for each offset it covers: its
+// checkpoint after every+off steps and its state hash cycle+1 steps later.
+type restartRef struct {
+	chk  map[int]*core.Checkpoint
+	hash map[int]string
+}
 
+// restartOffsets lists the coupling offsets TestRestartLockstep covers for
+// a cadence of every steps.
+func restartOffsets(every int) []int {
+	var out []int
+	for off := 0; off < every; off++ {
+		if !testing.Short() || off <= 1 || off == every-1 {
+			out = append(out, off)
+		}
+	}
+	return out
+}
+
+// restartCycle is lcm(OceanEvery, RadiationEvery): the steps after which
+// the op pattern and the radiation phase both repeat.
+func restartCycle(cfg core.Config) int {
+	every := cfg.OceanEvery
+	return every / gcd(every, cfg.Atm.RadiationEvery) * cfg.Atm.RadiationEvery
+}
+
+// restartReference steps one run A of c through every offset: it records
+// the checkpoint at step every+off and the state hash at step
+// every+off+cycle+1.
+func restartReference(t *testing.T, c restartCase) restartRef {
+	every, cycle := c.cfg.OceanEvery, restartCycle(c.cfg)
+	ref := restartRef{chk: map[int]*core.Checkpoint{}, hash: map[int]string{}}
+	offs := restartOffsets(every)
+	a := newModel(t, c.cfg, c.tb)
+	for s := 1; s <= every+offs[len(offs)-1]+cycle+1; s++ {
+		a.Step()
+		for _, off := range offs {
+			switch s {
+			case every + off:
+				ref.chk[off] = a.Checkpoint()
+			case every + off + cycle + 1:
+				ref.hash[off] = stateHash(a.Checkpoint())
+			}
+		}
+	}
+	return ref
+}
+
+func restartForeign(t *testing.T, c restartCase, off int, ref restartRef) {
+	every, cycle := c.cfg.OceanEvery, restartCycle(c.cfg)
 	b := newModel(t, c.cfg, c.tb)
 	perturbTemperature(t, b, rand.New(rand.NewSource(int64(off)+1)))
 	seedIce(b)
@@ -131,7 +174,7 @@ func restartForeign(t *testing.T, c restartCase, off int) {
 		b.Step()
 	}
 
-	chkA := a.Checkpoint()
+	chkA := ref.chk[off]
 	same := sameBeforeRestore[c.name]
 	for _, fd := range fieldDistances(chkA, b.Checkpoint()) {
 		if reason, ok := same[fd.name]; ok {
@@ -154,10 +197,9 @@ func restartForeign(t *testing.T, c restartCase, off int) {
 	}
 
 	for s := 0; s <= cycle; s++ {
-		a.Step()
 		b.Step()
 	}
-	if got, want := stateHash(b.Checkpoint()), stateHash(a.Checkpoint()); got != want {
+	if got, want := stateHash(b.Checkpoint()), ref.hash[off]; got != want {
 		t.Fatalf("%d steps after the restore the state hashes %s, the original run %s: Checkpoint misses state the trajectory reads", cycle+1, got, want)
 	}
 }

@@ -663,8 +663,9 @@ func (cp *Coupler) RestoreAccum(tauX, tauY, heat, fw, runoff []float64, steps in
 	cp.accSteps = steps
 }
 
-// AccumSnapshot returns copies of the ocean-forcing accumulators (testing
-// and debugging aid).
+// AccumSnapshot returns copies of the ocean-forcing accumulators and the
+// atmosphere steps they cover, for core.Model.Checkpoint; RestoreAccum
+// installs them again.
 func (cp *Coupler) AccumSnapshot() (tauX, tauY, heat, fw, runoff []float64, steps int) {
 	return append([]float64(nil), cp.accTauX...),
 		append([]float64(nil), cp.accTauY...),

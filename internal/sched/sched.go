@@ -73,15 +73,6 @@ type PoolAware interface {
 	SetPool(p *pool.Pool)
 }
 
-// Snapshotter is the optional checkpoint face of a Component: Snapshot
-// returns an opaque, self-contained copy of the component's prognostic
-// state (including any mid-interval accumulators) and RestoreSnapshot
-// installs one onto a freshly built component of the same configuration.
-type Snapshotter interface {
-	Snapshot() any
-	RestoreSnapshot(s any) error
-}
-
 // Schedule is the paper's multi-rate coupling cadence as data.
 type Schedule struct {
 	// BaseDt is the fast (atmosphere) step in seconds; one tick of the
