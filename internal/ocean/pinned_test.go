@@ -123,17 +123,12 @@ var pinnedCases = []pinnedCase{
 // them untouched for the first days.
 func pinnedStart(m *Model) *Forcing {
 	cfg := m.cfg
-	n := cfg.NLat * cfg.NLon
-	f := NewForcing(n)
+	f := pinnedForcing(m)
 	for j := 0; j < cfg.NLat; j++ {
 		lat := m.grid.Lats[j]
 		for i := 0; i < cfg.NLon; i++ {
 			c := j*cfg.NLon + i
 			lon := 2 * math.Pi * float64(i) / float64(cfg.NLon)
-			f.TauX[c] = -0.12 * math.Cos(3*lat+0.3)
-			f.TauY[c] = 0.04 * math.Sin(2*lon+lat)
-			f.Heat[c] = 180*(math.Cos(2*lat)-0.45) + 40*math.Sin(lon+0.7)
-			f.FreshWater[c] = 3e-5 * math.Sin(2*lat+lon)
 			// Sub-freezing water in the top two layers poleward of 64 deg.
 			cold := 5 * math.Max(0, (math.Abs(lat)*180/math.Pi-64)/8)
 			for k := 0; k < m.kmt[c]; k++ {
@@ -153,6 +148,26 @@ func pinnedStart(m *Model) *Forcing {
 		}
 	}
 	m.BalanceFreeSurface()
+	return f
+}
+
+// pinnedForcing is the forcing of the pinned runs: wind stress, a heat
+// flux that cools poleward of about 32 deg, and a freshwater flux of both
+// signs.
+func pinnedForcing(m *Model) *Forcing {
+	cfg := m.cfg
+	f := NewForcing(cfg.NLat * cfg.NLon)
+	for j := 0; j < cfg.NLat; j++ {
+		lat := m.grid.Lats[j]
+		for i := 0; i < cfg.NLon; i++ {
+			c := j*cfg.NLon + i
+			lon := 2 * math.Pi * float64(i) / float64(cfg.NLon)
+			f.TauX[c] = -0.12 * math.Cos(3*lat+0.3)
+			f.TauY[c] = 0.04 * math.Sin(2*lon+lat)
+			f.Heat[c] = 180*(math.Cos(2*lat)-0.45) + 40*math.Sin(lon+0.7)
+			f.FreshWater[c] = 3e-5 * math.Sin(2*lat+lon)
+		}
+	}
 	return f
 }
 
@@ -215,5 +230,61 @@ func TestOceanTrajectoryPinned(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// surfaceCases pin the two surface-only ocean modes on the shelf box: the
+// slab mixed layer, whose freeze clamp fires on the cold polar rows, and
+// the prescribed surface of ModeOff, which must not move at all. The start
+// cools the surface by 0.5 K per degree poleward of 55 deg, below freezing
+// on the box's outermost open rows.
+var surfaceCases = []struct {
+	name, mode string
+	steps      int
+	want       string
+}{
+	{"slab", ModeSlab, 12, "fd9d06ef73ec9679c88b1ae544fd4a9f39163e3a492565aba2d19d42ea3d0f53"},
+	{"off", ModeOff, 8, "cc1ef082ed5f6565db7134b0361a2e5da31e80d661a62ae33fe63d4a668a5ff2"},
+}
+
+// TestSurfaceOceanPinned pins the trajectories of the slab and off
+// oceans: the pinned forcing on a surface cooled towards the poles, and
+// the SHA-256 of SST, SSS and IceFormation after the run, each value as
+// its little-endian IEEE-754 bits.
+func TestSurfaceOceanPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("trajectory hashes are recorded on amd64 (FMA contraction elsewhere)")
+	}
+	for _, tc := range surfaceCases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := boxConfig()
+			cfg.Mode = tc.mode
+			m, err := New(cfg, shelfKMT(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := pinnedForcing(m)
+			sst := m.SST()
+			for c := range sst {
+				if m.kmt[c] > 0 {
+					sst[c] -= 0.5 * math.Max(0, math.Abs(m.grid.Lats[c/cfg.NLon])*180/math.Pi-55)
+				}
+			}
+			froze := false
+			for s := 0; s < tc.steps; s++ {
+				m.Step(f)
+				froze = froze || m.Diagnostics().IceFlux > 0
+			}
+			if froze != (tc.mode == ModeSlab) {
+				t.Errorf("freeze clamp fired: %v, want %v", froze, tc.mode == ModeSlab)
+			}
+			h := sha256.New()
+			for _, fld := range [][]float64{m.SST(), m.SSS(), m.IceFormation()} {
+				binary.Write(h, binary.LittleEndian, fld)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("end-state hash %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
