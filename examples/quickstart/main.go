@@ -1,5 +1,5 @@
 // Quickstart: compile the r5-quick scenario (the cheap rung of the model
-// hierarchy, identical to the reduced configuration), run a simulated
+// hierarchy, the configuration the tests run), run a simulated
 // month, and print global diagnostics plus an ASCII map of the sea surface
 // temperature.
 package main

@@ -24,7 +24,8 @@ func save(t testing.TB, c *core.Checkpoint) []byte {
 // TestCheckpointRoundTrip: save → load gives back the same value, bit for
 // bit (a planted -0 included), and saving that again gives the same bytes,
 // at the paper's resolution mid-interval (non-zero flux accumulators), on
-// the r21 slab spec the benchmark runs, and on the test workhorse.
+// the r21 slab spec the benchmark runs, on a prescribed (off) ocean, and on
+// the test workhorse. The surface-only oceans' absent fields come back nil.
 func TestCheckpointRoundTrip(t *testing.T) {
 	r5, _ := scenario.Lookup("r5-quick")
 	paper, _ := scenario.Lookup("paper-foam")
@@ -36,6 +37,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		{"r5-quick", r5, 40},
 		{"paper-foam mid-interval", paper, 15},
 		{"r21 slab", scenario.Spec{Rung: "r21", Ocean: scenario.OceanSpec{Mode: "slab", SlabDepth: 50}}, 3},
+		{"r5 off", scenario.Spec{Rung: "r5", Ocean: scenario.OceanSpec{Mode: "off"}}, 40},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,6 +199,28 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 	if after := stateHash(m.Checkpoint()); after != before {
 		t.Fatal("the rejected restores changed the model")
+	}
+
+	// A slab ocean holds only its surface layer: a full ocean's checkpoint
+	// does not fit it, nor a slab's checkpoint a full ocean.
+	slab := buildScenario(t, "slab-ocean", 1)
+	slab.StepDays(0.5)
+	slabBefore := stateHash(slab.Checkpoint())
+	for _, tc := range []struct {
+		name string
+		dst  *core.Model
+		chk  *core.Checkpoint
+	}{
+		{"a full-ocean checkpoint onto a slab model", slab, donor.Checkpoint()},
+		{"a slab checkpoint onto a full-ocean model", m, slab.Checkpoint()},
+	} {
+		err := tc.dst.Restore(tc.chk)
+		if !errors.Is(err, core.ErrCheckpointMismatch) || !strings.Contains(err.Error(), "ocean: snapshot field U ") {
+			t.Errorf("%s: error %v, want %v naming ocean field U", tc.name, err, core.ErrCheckpointMismatch)
+		}
+	}
+	if stateHash(m.Checkpoint()) != before || stateHash(slab.Checkpoint()) != slabBefore {
+		t.Fatal("a rejected restore across ocean layouts changed the model")
 	}
 	if err := m.Restore(donor.Checkpoint()); err != nil || m.StepCount() != donor.StepCount() {
 		t.Fatalf("the unedited checkpoint: error %v, step %d want %d", err, m.StepCount(), donor.StepCount())

@@ -20,7 +20,6 @@ import (
 	"foam/internal/exec"
 	"foam/internal/ocean"
 	"foam/internal/sched"
-	"foam/internal/spectral"
 	"foam/internal/sphere"
 )
 
@@ -59,32 +58,6 @@ type Config struct {
 	// divided among goroutines, never the order of floating-point
 	// operations that touch any one output value.
 	Workers int
-}
-
-// DefaultConfig is the paper's configuration.
-func DefaultConfig() Config {
-	return Config{
-		Atm:        atmos.DefaultConfig(),
-		Ocn:        ocean.DefaultConfig(),
-		OceanEvery: 12,
-	}
-}
-
-// ReducedConfig is a cheap configuration for tests and long-variability
-// runs: an R5 atmosphere on its matched grid with 8 levels and a 48x48
-// ocean with 8 levels. The multi-rate structure (radiation twice daily,
-// ocean four times daily) is preserved.
-func ReducedConfig() Config {
-	c := Config{}
-	c.Atm = atmos.ConfigForTruncation(spectral.Rhomboidal(5), 8)
-	c.Atm.RadiationEvery = int(43200 / c.Atm.Dt)
-	c.Ocn = ocean.DefaultConfig()
-	c.Ocn.NLat, c.Ocn.NLon, c.Ocn.NLev = 48, 48, 8
-	c.OceanEvery = int(21600 / c.Atm.Dt)
-	if c.OceanEvery < 1 {
-		c.OceanEvery = 1
-	}
-	return c
 }
 
 // ErrConfig tags every configuration rejection, so callers (the scenario

@@ -1,14 +1,15 @@
-package core
+package core_test
 
 import (
 	"errors"
+	"foam/internal/core"
 	"math"
 	"testing"
 )
 
 func TestReducedCoupledWeek(t *testing.T) {
-	cfg := ReducedConfig()
-	m, err := New(cfg)
+	cfg := scenarioConfig(t, "r5-quick")
+	m, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +33,8 @@ func TestReducedCoupledWeek(t *testing.T) {
 }
 
 func TestCoupledOceanCalledOnSchedule(t *testing.T) {
-	cfg := ReducedConfig()
-	m, err := New(cfg)
+	cfg := scenarioConfig(t, "r5-quick")
+	m, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,53 +55,52 @@ func TestCoupledOceanCalledOnSchedule(t *testing.T) {
 // wrap the matchable ErrConfig sentinel. This keeps the BuildTables-panic
 // class dead: no construction path reaches table building with a bad spec.
 func TestConfigNormalizeRejections(t *testing.T) {
-	if _, err := DefaultConfig().Normalize(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	if _, err := ReducedConfig().Normalize(); err != nil {
-		t.Fatalf("reduced config invalid: %v", err)
+	for _, name := range []string{"paper-foam", "r5-quick"} {
+		if _, err := scenarioConfig(t, name).Normalize(); err != nil {
+			t.Fatalf("%s: the compiled config does not normalize again: %v", name, err)
+		}
 	}
 	cases := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*core.Config)
 	}{
-		{"ocean-every-zero", func(c *Config) { c.OceanEvery = 0 }},
-		{"ocean-lag-out-of-range", func(c *Config) { c.OceanLag = 2 }},
-		{"non-divisor-radiation-cadence", func(c *Config) { c.OceanEvery = 7 }}, // 24 % 7 != 0
-		{"bad-truncation-grid-pair", func(c *Config) { c.Atm.NLon = 2 * c.Atm.Trunc.M }},
-		{"zero-atm-latitudes", func(c *Config) { c.Atm.NLat = 0 }},
-		{"negative-atm-latitudes", func(c *Config) { c.Atm.NLat = -4 }},
-		{"odd-atm-latitudes", func(c *Config) { c.Atm.NLat = 41 }},
-		{"too-few-atm-levels", func(c *Config) { c.Atm.NLev = 1 }},
-		{"nonpositive-atm-dt", func(c *Config) { c.Atm.Dt = 0 }},
-		{"negative-atm-hyperdiffusion", func(c *Config) { c.Atm.Diff4 = -1e17 }},
-		{"negative-atm-rotation", func(c *Config) { c.Atm.RotationScale = -1 }},
-		{"negative-year-length", func(c *Config) { c.Atm.YearDays = -360 }},
-		{"ocean-grid-too-small", func(c *Config) { c.Ocn.NLat, c.Ocn.NLon = 2, 2 }},
-		{"ocean-slowdown-below-one", func(c *Config) { c.Ocn.Slowdown = 0.5 }},
-		{"negative-ocean-tracer-diffusivity", func(c *Config) { c.Ocn.AH = -1e4 }},
-		{"negative-ocean-viscosity", func(c *Config) { c.Ocn.AM = -1e5 }},
-		{"negative-ocean-vertical-diffusivity", func(c *Config) { c.Ocn.KappaB = -1e-5 }},
-		{"negative-ocean-mixing-amplitude", func(c *Config) { c.Ocn.Kappa0 = -5e-3 }},
-		{"negative-ocean-biharmonic", func(c *Config) { c.Ocn.BiharmCoef = -0.25 }},
-		{"unknown-ocean-mode", func(c *Config) { c.Ocn.Mode = "tidal" }},
-		{"negative-slab-depth", func(c *Config) { c.Ocn.SlabDepth = -50 }},
-		{"negative-ocean-rotation", func(c *Config) { c.Ocn.RotationScale = -2 }},
-		{"unknown-world-mask", func(c *Config) { c.World = "flatland" }},
-		{"bad-ocean-latitude-range", func(c *Config) { c.Ocn.LatSouth, c.Ocn.LatNorth = 30, -30 }},
+		{"ocean-every-zero", func(c *core.Config) { c.OceanEvery = 0 }},
+		{"ocean-lag-out-of-range", func(c *core.Config) { c.OceanLag = 2 }},
+		{"non-divisor-radiation-cadence", func(c *core.Config) { c.OceanEvery = 7 }}, // 24 % 7 != 0
+		{"bad-truncation-grid-pair", func(c *core.Config) { c.Atm.NLon = 2 * c.Atm.Trunc.M }},
+		{"zero-atm-latitudes", func(c *core.Config) { c.Atm.NLat = 0 }},
+		{"negative-atm-latitudes", func(c *core.Config) { c.Atm.NLat = -4 }},
+		{"odd-atm-latitudes", func(c *core.Config) { c.Atm.NLat = 41 }},
+		{"too-few-atm-levels", func(c *core.Config) { c.Atm.NLev = 1 }},
+		{"nonpositive-atm-dt", func(c *core.Config) { c.Atm.Dt = 0 }},
+		{"negative-atm-hyperdiffusion", func(c *core.Config) { c.Atm.Diff4 = -1e17 }},
+		{"negative-atm-rotation", func(c *core.Config) { c.Atm.RotationScale = -1 }},
+		{"negative-year-length", func(c *core.Config) { c.Atm.YearDays = -360 }},
+		{"ocean-grid-too-small", func(c *core.Config) { c.Ocn.NLat, c.Ocn.NLon = 2, 2 }},
+		{"ocean-slowdown-below-one", func(c *core.Config) { c.Ocn.Slowdown = 0.5 }},
+		{"negative-ocean-tracer-diffusivity", func(c *core.Config) { c.Ocn.AH = -1e4 }},
+		{"negative-ocean-viscosity", func(c *core.Config) { c.Ocn.AM = -1e5 }},
+		{"negative-ocean-vertical-diffusivity", func(c *core.Config) { c.Ocn.KappaB = -1e-5 }},
+		{"negative-ocean-mixing-amplitude", func(c *core.Config) { c.Ocn.Kappa0 = -5e-3 }},
+		{"negative-ocean-biharmonic", func(c *core.Config) { c.Ocn.BiharmCoef = -0.25 }},
+		{"unknown-ocean-mode", func(c *core.Config) { c.Ocn.Mode = "tidal" }},
+		{"negative-slab-depth", func(c *core.Config) { c.Ocn.SlabDepth = -50 }},
+		{"negative-ocean-rotation", func(c *core.Config) { c.Ocn.RotationScale = -2 }},
+		{"unknown-world-mask", func(c *core.Config) { c.World = "flatland" }},
+		{"bad-ocean-latitude-range", func(c *core.Config) { c.Ocn.LatSouth, c.Ocn.LatNorth = 30, -30 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
+			cfg := scenarioConfig(t, "paper-foam")
 			tc.mutate(&cfg)
 			_, err := cfg.Normalize()
 			if err == nil {
 				t.Fatal("Normalize accepted an invalid config")
 			}
-			if !errors.Is(err, ErrConfig) {
+			if !errors.Is(err, core.ErrConfig) {
 				t.Fatalf("rejection %v does not wrap ErrConfig", err)
 			}
-			if _, nerr := New(cfg); nerr == nil {
+			if _, nerr := core.New(cfg); nerr == nil {
 				t.Fatal("New accepted an invalid config")
 			}
 		})

@@ -1,7 +1,8 @@
-package core
+package core_test
 
 import (
 	"fmt"
+	"foam/internal/core"
 	"testing"
 )
 
@@ -16,13 +17,13 @@ func TestExecutorEquivalenceMatrix(t *testing.T) {
 
 	for _, lag := range []int{0, 1} {
 		t.Run(fmt.Sprintf("lag%d", lag), func(t *testing.T) {
-			cfg := ReducedConfig()
+			cfg := scenarioConfig(t, "r5-quick")
 			cfg.OceanLag = lag
 
 			// Reference: the serial executor.
 			serial := cfg
 			serial.Workers = 1
-			m, err := New(serial)
+			m, err := core.New(serial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +36,7 @@ func TestExecutorEquivalenceMatrix(t *testing.T) {
 			t.Run("pooled3", func(t *testing.T) {
 				pc := cfg
 				pc.Workers = 3
-				pm, err := New(pc)
+				pm, err := core.New(pc)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,7 +1,8 @@
-package core
+package core_test
 
 import (
 	"fmt"
+	"foam/internal/core"
 	"testing"
 
 	"foam/internal/atmos"
@@ -13,8 +14,8 @@ import (
 // atmosphere over a coarse non-square ocean with uneven level counts) so
 // the worker-count matrix also covers grids that do not divide evenly into
 // blocks.
-func asymmetricConfig() Config {
-	c := Config{}
+func asymmetricConfig() core.Config {
+	c := core.Config{}
 	c.Atm = atmos.ConfigForTruncation(spectral.Rhomboidal(4), 5)
 	c.Atm.RadiationEvery = int(43200 / c.Atm.Dt)
 	c.Ocn = ocean.DefaultConfig()
@@ -40,17 +41,17 @@ func TestWorkersMatchSerial(t *testing.T) {
 
 	cases := []struct {
 		name string
-		cfg  Config
+		cfg  core.Config
 	}{
-		{"reduced", ReducedConfig()},
+		{"reduced", scenarioConfig(t, "r5-quick")},
 		{"asymmetric", asymmetricConfig()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(workers int) *Checkpoint {
+			run := func(workers int) *core.Checkpoint {
 				cfg := tc.cfg
 				cfg.Workers = workers
-				m, err := New(cfg)
+				m, err := core.New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,7 +70,7 @@ func TestWorkersMatchSerial(t *testing.T) {
 }
 
 // compareCheckpoints requires exact equality of every prognostic field.
-func compareCheckpoints(t *testing.T, workers int, ref, got *Checkpoint) {
+func compareCheckpoints(t *testing.T, workers int, ref, got *core.Checkpoint) {
 	t.Helper()
 	fail := func(section string, at string) {
 		t.Fatalf("workers=%d: %s differs from serial at %s", workers, section, at)

@@ -1,7 +1,8 @@
-package core
+package core_test
 
 import (
 	"bytes"
+	"foam/internal/core"
 	"math"
 	"testing"
 )
@@ -10,15 +11,15 @@ import (
 // 2 days; run B for 1 day, checkpoint, restore into a fresh model, run the
 // second day; compare final states bit-for-bit.
 func TestRestartReproducesRun(t *testing.T) {
-	cfg := ReducedConfig()
+	cfg := scenarioConfig(t, "r5-quick")
 
-	a, err := New(cfg)
+	a, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.StepDays(2)
 
-	b, err := New(cfg)
+	b, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +31,12 @@ func TestRestartReproducesRun(t *testing.T) {
 	if err := chk.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(&buf)
+	loaded, err := core.LoadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	c, err := New(cfg)
+	c, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestRestartReproducesRun(t *testing.T) {
 }
 
 func TestCheckpointRejectsIncomplete(t *testing.T) {
-	m, err := New(ReducedConfig())
+	m, err := core.New(scenarioConfig(t, "r5-quick"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Restore(&Checkpoint{}); err == nil {
+	if err := m.Restore(&core.Checkpoint{}); err == nil {
 		t.Fatal("expected error for empty checkpoint")
 	}
 }

@@ -19,7 +19,7 @@ import (
 // before the first member was built.
 func TestSharedTablesBitIdentical(t *testing.T) {
 	for _, lag := range []int{0, 1} {
-		cfg := core.ReducedConfig()
+		cfg := scenarioConfig(t, "r5-quick")
 		cfg.Workers = 1
 		cfg.OceanLag = lag
 
@@ -70,8 +70,8 @@ func TestSharedTablesBitIdentical(t *testing.T) {
 
 // TestTablesCheck pins the validation of mismatched table sets.
 func TestTablesCheck(t *testing.T) {
-	cfg := core.ReducedConfig()
-	other := core.DefaultConfig()
+	cfg := scenarioConfig(t, "r5-quick")
+	other := scenarioConfig(t, "paper-foam")
 	tb := core.BuildTables(cfg)
 	if _, err := core.NewWithTables(other, tb); err == nil {
 		t.Fatal("NewWithTables accepted tables built for a different resolution")
@@ -79,7 +79,7 @@ func TestTablesCheck(t *testing.T) {
 	if cfg.TableKey() == other.TableKey() {
 		t.Fatal("reduced and default configs share a table key")
 	}
-	cfg2 := core.ReducedConfig()
+	cfg2 := scenarioConfig(t, "r5-quick")
 	cfg2.OceanLag = 1
 	cfg2.Workers = 4
 	if cfg.TableKey() != cfg2.TableKey() {

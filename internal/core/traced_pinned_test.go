@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"crypto/sha256"
@@ -8,53 +8,9 @@ import (
 	"math"
 	"testing"
 
+	"foam/internal/core"
 	"foam/internal/mp"
 )
-
-// syntheticCosts is the pinned test's stand-in for the measured per-step
-// costs: a fixed function of (tick, component, latitude row) in exact
-// integer-valued arithmetic — no wall clock, no transcendental functions —
-// laid out like the cost model's staging vectors. The ocean call is sized
-// so that it keeps up with the atmosphere on some layouts and is the
-// bottleneck on others, so both kinds of coupling wait are in the timeline.
-func syntheticCosts(tick, ci, nlat int) []float64 {
-	if ci == 1 {
-		return []float64{float64(40+(tick*5)%17) * 1e-3}
-	}
-	c := make([]float64, 3+nlat)
-	c[0] = float64(3+(tick*7)%5) * 1e-4  // per-row dynamics + moisture
-	c[1] = float64(2+(tick*3)%4) * 2e-4  // replicated semi-implicit solve
-	c[2] = float64(5+(tick*11)%7) * 4e-4 // coupler boundary work
-	for j := 0; j < nlat; j++ {
-		c[3+j] = float64(1+(tick*13+j*29)%23) * 1e-4 // physics row j
-	}
-	return c
-}
-
-// tracedTimeline returns every rank's segments and final clock for one
-// simulated day of cfg replayed on the given layout with synthetic costs.
-// Only the program and the cost model's configuration-derived sizes enter
-// the timeline, so the model itself is never stepped.
-func tracedTimeline(t *testing.T, cfg Config, spec ParallelSpec) (segs [][]mp.Segment, clocks []float64) {
-	t.Helper()
-	cfg.Workers = 1
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	rp := newReplay(m, spec)
-	steps := int(86400 / m.cfg.Atm.Dt)
-	for tick := 0; tick < steps; tick++ {
-		rp.tick(tick, func(ci int) []float64 { return syntheticCosts(tick, ci, m.cfg.Atm.NLat) })
-	}
-	rp.shutdown()
-	for r := 0; r < rp.mach.Ranks(); r++ {
-		segs = append(segs, rp.mach.Segments(r))
-		clocks = append(clocks, rp.mach.Clock(r))
-	}
-	return segs, clocks
-}
 
 // timelineHash is SHA-256 over every rank's (label, Start bits, End bits)
 // segments followed by its final clock bits, in rank order.
@@ -104,9 +60,9 @@ func TestTracedTimelinePinned(t *testing.T) {
 		for _, l := range [][2]int{{4, 1}, {16, 1}, {32, 2}, {6, 3}} {
 			name := fmt.Sprintf("%d+%d/lag%d", l[0], l[1], lag)
 			t.Run(name, func(t *testing.T) {
-				cfg := ReducedConfig()
+				cfg := scenarioConfig(t, "r5-quick")
 				cfg.OceanLag = lag
-				segs, clocks := tracedTimeline(t, cfg, ParallelSpec{AtmRanks: l[0], OcnRanks: l[1], Link: mp.SPLink})
+				segs, clocks := core.TracedTimeline(t, cfg, core.ParallelSpec{AtmRanks: l[0], OcnRanks: l[1], Link: mp.SPLink})
 				if len(segs) != l[0]+l[1] {
 					t.Fatalf("%d rank timelines, want %d", len(segs), l[0]+l[1])
 				}
@@ -123,5 +79,46 @@ func TestTracedTimelinePinned(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+func TestTracedSpecValidation(t *testing.T) {
+	if _, _, err := core.RunTraced(scenarioConfig(t, "r5-quick"), 0.01, core.ParallelSpec{AtmRanks: 0, OcnRanks: 1}); err == nil {
+		t.Fatal("expected error for zero atmosphere ranks")
+	}
+	if _, _, err := core.RunTraced(scenarioConfig(t, "r5-quick"), 0.01, core.ParallelSpec{AtmRanks: 1, OcnRanks: 0}); err == nil {
+		t.Fatal("expected error for zero ocean ranks")
+	}
+}
+
+// The traced Figure-2 structure: with the default spec the trace must
+// contain all four activity classes and the ocean ranks must show idle time
+// (they wait for the atmosphere between coupling intervals).
+func TestTracedFigure2Structure(t *testing.T) {
+	res, _, err := core.RunTraced(scenarioConfig(t, "r5-quick"), 0.25,
+		core.ParallelSpec{AtmRanks: 4, OcnRanks: 1, Link: mp.SPLink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]bool{}
+	for r := 0; r < res.Machine.Ranks(); r++ {
+		for _, s := range res.Machine.Segments(r) {
+			labels[s.Label] = true
+		}
+	}
+	for _, want := range []string{"atmosphere", "coupler", "ocean", "idle"} {
+		if !labels[want] {
+			t.Fatalf("trace missing %q segments (got %v)", want, labels)
+		}
+	}
+	// The ocean rank (last) must have idle gaps.
+	var idle float64
+	for _, s := range res.Machine.Segments(res.Machine.Ranks() - 1) {
+		if s.Label == "idle" {
+			idle += s.End - s.Start
+		}
+	}
+	if idle <= 0 {
+		t.Fatal("ocean rank shows no waiting, which cannot be right")
 	}
 }

@@ -9,11 +9,26 @@ import (
 
 	"foam/internal/core"
 	"foam/internal/ensemble"
+	"foam/internal/scenario"
 )
 
-// reducedCfg returns the test configuration at the given coupling lag.
-func reducedCfg(lag int) core.Config {
-	cfg := core.ReducedConfig()
+// mustScenario compiles the named registry scenario; the registry is fixed
+// at build time, so a failure is a bug in it.
+func mustScenario(name string) core.Config {
+	sp, ok := scenario.Lookup(name)
+	if !ok {
+		panic("no scenario " + name)
+	}
+	cfg, err := scenario.Build(sp)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
+// r5Cfg returns the r5-quick configuration at the given coupling lag.
+func r5Cfg(lag int) core.Config {
+	cfg := mustScenario("r5-quick")
 	cfg.Workers = 1
 	cfg.OceanLag = lag
 	return cfg
@@ -41,7 +56,7 @@ func checkpointBytes(t *testing.T, s *ensemble.Scheduler, id string) []byte {
 // lags. Members run the serial executor and executors keep no
 // goroutine-affine state, so how busy the process is must not matter.
 func TestMemberDeterminism(t *testing.T) {
-	every := core.ReducedConfig().OceanEvery
+	every := mustScenario("r5-quick").OceanEvery
 	steps := 2*every + 1
 	noiseAdvances := 3
 	if testing.Short() {
@@ -52,7 +67,7 @@ func TestMemberDeterminism(t *testing.T) {
 	// Standalone references, one per lag, via core directly.
 	refs := make(map[int][]byte)
 	for _, lag := range []int{0, 1} {
-		m, err := core.New(reducedCfg(lag))
+		m, err := core.New(r5Cfg(lag))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +88,7 @@ func TestMemberDeterminism(t *testing.T) {
 	// 8 noise members with mixed lags, advancing concurrently.
 	noise := make([]string, 8)
 	for i := range noise {
-		info, err := s.Create(reducedCfg(i%2), nil)
+		info, err := s.Create(r5Cfg(i%2), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +96,7 @@ func TestMemberDeterminism(t *testing.T) {
 	}
 	probes := make(map[int]string)
 	for _, lag := range []int{0, 1} {
-		info, err := s.Create(reducedCfg(lag), nil)
+		info, err := s.Create(r5Cfg(lag), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +167,7 @@ func TestMemberDeterminism(t *testing.T) {
 // stay bit-identical, proving the fork rides the restart path correctly —
 // mid-interval flux accumulators and the coupler's ocean mirror included.
 func TestForkConsistency(t *testing.T) {
-	every := core.ReducedConfig().OceanEvery
+	every := mustScenario("r5-quick").OceanEvery
 	offsets := make([]int, every)
 	for i := range offsets {
 		offsets[i] = i
@@ -167,7 +182,7 @@ func TestForkConsistency(t *testing.T) {
 	for _, lag := range []int{0, 1} {
 		for _, off := range offsets {
 			t.Run(fmt.Sprintf("lag%d-off%d", lag, off), func(t *testing.T) {
-				parent, err := s.Create(reducedCfg(lag), nil)
+				parent, err := s.Create(r5Cfg(lag), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,14 +236,14 @@ func TestForkConsistency(t *testing.T) {
 // capacity limit, delete semantics, stats counters, close semantics.
 func TestSchedulerLifecycle(t *testing.T) {
 	s := ensemble.New(ensemble.Config{Workers: 1, MaxMembers: 2})
-	a, err := s.Create(reducedCfg(0), nil)
+	a, err := s.Create(r5Cfg(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create(reducedCfg(0), nil); err != nil {
+	if _, err := s.Create(r5Cfg(0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Create(reducedCfg(0), nil); err != ensemble.ErrTooMany {
+	if _, err := s.Create(r5Cfg(0), nil); err != ensemble.ErrTooMany {
 		t.Fatalf("over-capacity create: got %v, want ErrTooMany", err)
 	}
 	if _, err := s.AdvanceSteps("nope", 1); err != ensemble.ErrNotFound {
@@ -248,7 +263,7 @@ func TestSchedulerLifecycle(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	s.Close()
-	if _, err := s.Create(reducedCfg(0), nil); err != ensemble.ErrClosed {
+	if _, err := s.Create(r5Cfg(0), nil); err != ensemble.ErrClosed {
 		t.Fatalf("create after close: got %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
@@ -346,7 +361,7 @@ func TestSchedulerRace(t *testing.T) {
 		}
 	}
 	for i := 0; i < rounds; i++ {
-		info, err := s.Create(reducedCfg(i%2), nil)
+		info, err := s.Create(r5Cfg(i%2), nil)
 		if err == nil {
 			err = retry(func() error { _, err := s.AdvanceSteps(info.ID, 1+i%3); return err })
 		}

@@ -57,11 +57,11 @@ func doJSON(t *testing.T, srv *httptest.Server, method, path, body string, out a
 	return resp.StatusCode
 }
 
-// reducedBody is a raw-config create body: the reduced configuration and,
-// when chk is non-empty, a checkpoint to resume from.
-func reducedBody(t *testing.T, chk []byte) string {
+// configBody is a raw-config create body: the named scenario's compiled
+// configuration and, when chk is non-empty, a checkpoint to resume from.
+func configBody(t *testing.T, name string, chk []byte) string {
 	t.Helper()
-	cfg := core.ReducedConfig()
+	cfg := mustScenario(name)
 	blob, err := json.Marshal(ensemble.CreateRequest{Config: &cfg, Checkpoint: chk})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func reducedBody(t *testing.T, chk []byte) string {
 func createMember(t *testing.T, srv *httptest.Server) ensemble.Info {
 	t.Helper()
 	var info ensemble.Info
-	if code := doJSON(t, srv, "POST", "/v1/members", reducedBody(t, nil), &info); code != http.StatusCreated {
+	if code := doJSON(t, srv, "POST", "/v1/members", configBody(t, "r5-quick", nil), &info); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	return info
@@ -99,7 +99,7 @@ func TestHandlerTable(t *testing.T) {
 	r5Checkpoint := snap.Checkpoint
 	corrupt := append([]byte(nil), r5Checkpoint...)
 	corrupt[len(corrupt)/2] ^= 1
-	paper, err := core.New(core.DefaultConfig())
+	paper, err := core.New(mustScenario("paper-foam"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestHandlerTable(t *testing.T) {
 	// Atmosphere latitude counts with no mirror-row pairing used to pass
 	// Normalize and panic in BuildTables (0, -4) or run unpaired (odd).
 	nlatBody := func(n int) string {
-		cfg := core.ReducedConfig()
+		cfg := mustScenario("r5-quick")
 		cfg.Atm.NLat = n
 		blob, err := json.Marshal(ensemble.CreateRequest{Config: &cfg})
 		if err != nil {
@@ -155,18 +155,21 @@ func TestHandlerTable(t *testing.T) {
 		{"create zero atmosphere latitudes", "POST", "/v1/members", nlatBody(0), http.StatusBadRequest},
 		{"create negative atmosphere latitudes", "POST", "/v1/members", nlatBody(-4), http.StatusBadRequest},
 		{"create odd atmosphere latitudes", "POST", "/v1/members", nlatBody(15), http.StatusBadRequest},
-		{"create bad checkpoint", "POST", "/v1/members", reducedBody(t, []byte("not a checkpoint")), http.StatusBadRequest},
-		{"create truncated checkpoint", "POST", "/v1/members", reducedBody(t, r5Checkpoint[:len(r5Checkpoint)/2]), http.StatusBadRequest},
-		{"create corrupt checkpoint", "POST", "/v1/members", reducedBody(t, corrupt), http.StatusBadRequest},
-		{"create checkpoint of another resolution", "POST", "/v1/members", reducedBody(t, r15Checkpoint), http.StatusBadRequest},
-		{"create checkpoint with negative step", "POST", "/v1/members", reducedBody(t, phase(func(c *core.Checkpoint) { c.Step = -1 })), http.StatusBadRequest},
-		{"create checkpoint with a step past any run", "POST", "/v1/members", reducedBody(t, phase(func(c *core.Checkpoint) {
+		{"create bad checkpoint", "POST", "/v1/members", configBody(t, "r5-quick", []byte("not a checkpoint")), http.StatusBadRequest},
+		{"create truncated checkpoint", "POST", "/v1/members", configBody(t, "r5-quick", r5Checkpoint[:len(r5Checkpoint)/2]), http.StatusBadRequest},
+		{"create corrupt checkpoint", "POST", "/v1/members", configBody(t, "r5-quick", corrupt), http.StatusBadRequest},
+		{"create checkpoint of another resolution", "POST", "/v1/members", configBody(t, "r5-quick", r15Checkpoint), http.StatusBadRequest},
+		{"create checkpoint with negative step", "POST", "/v1/members", configBody(t, "r5-quick", phase(func(c *core.Checkpoint) { c.Step = -1 })), http.StatusBadRequest},
+		{"create checkpoint with a step past any run", "POST", "/v1/members", configBody(t, "r5-quick", phase(func(c *core.Checkpoint) {
 			c.Step = (math.MaxInt/live.CoupleEvery-1)*live.CoupleEvery + c.AccSteps
 			c.Atm.Step = c.Step
 		})), http.StatusBadRequest},
-		{"create checkpoint with atmosphere step off the tick", "POST", "/v1/members", reducedBody(t, phase(func(c *core.Checkpoint) { c.Atm.Step++ })), http.StatusBadRequest},
-		{"create checkpoint with accumulated steps off the phase", "POST", "/v1/members", reducedBody(t, phase(func(c *core.Checkpoint) { c.AccSteps++ })), http.StatusBadRequest},
-		{"create from its own checkpoint", "POST", "/v1/members", reducedBody(t, r5Checkpoint), http.StatusCreated},
+		{"create checkpoint with atmosphere step off the tick", "POST", "/v1/members", configBody(t, "r5-quick", phase(func(c *core.Checkpoint) { c.Atm.Step++ })), http.StatusBadRequest},
+		{"create checkpoint with accumulated steps off the phase", "POST", "/v1/members", configBody(t, "r5-quick", phase(func(c *core.Checkpoint) { c.AccSteps++ })), http.StatusBadRequest},
+		// A slab ocean holds only its surface layer, so a full ocean's
+		// checkpoint does not fit it.
+		{"create slab ocean from a full-ocean checkpoint", "POST", "/v1/members", configBody(t, "slab-ocean", r5Checkpoint), http.StatusBadRequest},
+		{"create from its own checkpoint", "POST", "/v1/members", configBody(t, "r5-quick", r5Checkpoint), http.StatusCreated},
 		{"info unknown", "GET", "/v1/members/m9999", "", http.StatusNotFound},
 		{"advance unknown", "POST", "/v1/members/m9999/advance", `{"steps":1}`, http.StatusNotFound},
 		{"advance deleted", "POST", "/v1/members/" + deleted.ID + "/advance", `{"steps":1}`, http.StatusNotFound},
@@ -177,7 +180,7 @@ func TestHandlerTable(t *testing.T) {
 		{"advance trailing garbage", "POST", "/v1/members/" + live.ID + "/advance", `{"intervals":1}garbage`, http.StatusBadRequest},
 		{"advance second value", "POST", "/v1/members/" + live.ID + "/advance", `{"intervals":1}{"steps":5}`, http.StatusBadRequest},
 		{"advance trailing bracket", "POST", "/v1/members/" + live.ID + "/advance", `{"intervals":1}]`, http.StatusBadRequest},
-		{"create trailing value", "POST", "/v1/members", reducedBody(t, r5Checkpoint) + `{}`, http.StatusBadRequest},
+		{"create trailing value", "POST", "/v1/members", configBody(t, "r5-quick", r5Checkpoint) + `{}`, http.StatusBadRequest},
 		{"diag unknown", "GET", "/v1/members/m9999/diag", "", http.StatusNotFound},
 		{"sst unknown", "GET", "/v1/members/m9999/sst", "", http.StatusNotFound},
 		{"snapshot unknown", "POST", "/v1/members/m9999/snapshot", "", http.StatusNotFound},
@@ -212,7 +215,7 @@ func TestHandlerTable(t *testing.T) {
 // the config they ride with rather than being dropped.
 func TestHandlerCreateOverrides(t *testing.T) {
 	srv, _ := newTestServer(t, 1)
-	cfg := core.ReducedConfig()
+	cfg := mustScenario("r5-quick")
 	lag := 1 - cfg.OceanLag
 	blob, err := json.Marshal(ensemble.CreateRequest{Config: &cfg, OceanLag: &lag})
 	if err != nil {
@@ -382,7 +385,7 @@ func TestHandlerScenarios(t *testing.T) {
 		t.Fatalf("stats: %+v, want 4 members with 3 x r5-quick", st)
 	}
 	if st.TableSets != 1 {
-		t.Fatalf("stats: %d table sets, want 1 (r5-quick shares the reduced tables)", st.TableSets)
+		t.Fatalf("stats: %d table sets, want 1 (the raw-config member runs r5-quick's config and shares its tables)", st.TableSets)
 	}
 }
 

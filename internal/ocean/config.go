@@ -105,6 +105,13 @@ func (c Config) slabDepth() float64 {
 	return c.SlabDepth
 }
 
+// surfaceOnly reports whether the mode steps only the surface layer
+// (ModeSlab, ModeOff), so the model holds no dynamics fields and no
+// deeper levels.
+func (c Config) surfaceOnly() bool {
+	return c.Mode == ModeSlab || c.Mode == ModeOff
+}
+
 // DefaultConfig is the paper's configuration: 128 x 128 Mercator grid
 // (~1.4 deg x 2.8 deg), 16 stretched levels, 6-hour tracer step, 45-minute
 // internal step, slowdown 16.

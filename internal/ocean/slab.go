@@ -5,7 +5,7 @@ package ocean
 // heat and freshwater fluxes, freezes at the paper's -1.92 C clamp, and
 // reports the same water-equivalent ice-formation flux the full model
 // hands to the coupler's sea ice. Wind stress and all interior dynamics
-// are ignored; levels below the surface keep their initial state. This is
+// are ignored, and the model holds no levels below the surface. This is
 // the classic sensitivity-study ocean: the SST responds to the surface
 // energy balance on the mixed-layer timescale with no transport feedback.
 func (m *Model) stepSlab(f *Forcing) {

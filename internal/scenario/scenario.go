@@ -104,7 +104,7 @@ type Rung struct {
 
 // The R5→R21 ladder. r15 with the 128x128x16 ocean is the paper's
 // configuration; r5 with a 48x48x8 ocean is the cheap test rung
-// (core.ReducedConfig); r9 sits between; r21 doubles the horizontal
+// (r5-quick); r9 sits between; r21 doubles the horizontal
 // resolution of the atmosphere over the paper's ocean.
 var rungs = []Rung{
 	{Name: "r5", Trunc: spectral.Rhomboidal(5), AtmLevels: 8, OcnNLat: 48, OcnNLon: 48, OcnNLev: 8},

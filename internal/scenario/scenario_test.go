@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -105,70 +104,6 @@ func TestRegistryConformance(t *testing.T) {
 				t.Errorf("no precipitation over land (P=%v)", b.Precip)
 			}
 		})
-	}
-}
-
-// TestPaperFoamBitIdentity pins the refactor's central promise: the
-// paper-foam scenario compiles to exactly today's DefaultConfig and its
-// multi-day trajectory checkpoints bit-identically.
-func TestPaperFoamBitIdentity(t *testing.T) {
-	sp, ok := Lookup("paper-foam")
-	if !ok {
-		t.Fatal("paper-foam not registered")
-	}
-	built, err := Build(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := core.DefaultConfig().Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(built, def) {
-		t.Fatalf("paper-foam config differs from DefaultConfig:\nbuilt=%+v\ndefault=%+v", built, def)
-	}
-
-	days := 2.0
-	if testing.Short() {
-		days = 1.0
-	}
-	run := func(cfg core.Config) []byte {
-		m, err := core.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.StepDays(days)
-		var buf bytes.Buffer
-		if err := m.Checkpoint().Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a := run(built)
-	b := run(core.DefaultConfig())
-	if !bytes.Equal(a, b) {
-		t.Fatalf("paper-foam checkpoint differs from the DefaultConfig trajectory after %v days (%d vs %d bytes)",
-			days, len(a), len(b))
-	}
-}
-
-// TestR5QuickMatchesReducedConfig keeps the cheap rung aligned with the
-// config the whole test suite is calibrated against.
-func TestR5QuickMatchesReducedConfig(t *testing.T) {
-	sp, ok := Lookup("r5-quick")
-	if !ok {
-		t.Fatal("r5-quick not registered")
-	}
-	built, err := Build(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	red, err := core.ReducedConfig().Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(built, red) {
-		t.Fatalf("r5-quick differs from ReducedConfig:\nbuilt=%+v\nreduced=%+v", built, red)
 	}
 }
 
